@@ -2,10 +2,12 @@
 divergence form, harmonic extension of wall data, and the discrete
 divergence-free projection.
 
-Everything here is a deterministic direct solve: per-mode tridiagonal
-systems after an rfft in x where the coefficient is constant, banded or
-sparse-LU factorizations where it is not.  No iterative methods, no
-tolerances to tune.
+Every solve here is direct, with no tolerance to tune: per-mode
+tridiagonal systems after an rfft in x for the constant-coefficient
+Poisson problems, one batched pentadiagonal solve over all modes for the
+projection, and for the divergence form a banded solve (d = 1) or a
+sparse LU of the assembled interior operator (d = 2).  The package's
+only iterative solve is the d = 2 coupled step in npns.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .grid import ChannelGrid, VelocityField
-from .operators import half_node_average_y
+from .operators import div_a_grad_matrix, half_node_average_y
 
 __all__ = [
     "solve_shifted_poisson",
@@ -104,6 +106,8 @@ def solve_poisson(grid: ChannelGrid, f: np.ndarray, coeff: float = 1.0, bc=None)
     if coeff == 1.0:
         return solve_shifted_poisson(grid, 0.0, f, bc)
     hom = solve_shifted_poisson(grid, 0.0, np.asarray(f, dtype=float) / coeff, bc=None)
+    if bc is None:
+        return hom
     return hom + solve_shifted_poisson(grid, 0.0, grid.zeros(), bc)
 
 
@@ -144,9 +148,8 @@ def solve_div_form(
     h2 = grid.hy ** 2
     m = grid.ny - 2
 
-    ah = half_node_average_y(a)
-
     if grid.d == 1:
+        ah = half_node_average_y(a)
         lo = ah[0, :-1]
         hi = ah[0, 1:]
         diag = -(lo + hi) / h2
@@ -163,65 +166,25 @@ def solve_div_form(
         u[0, 1:-1] = scipy.linalg.solve_banded((1, 1), ab, r)
         return u
 
-    # d = 2: sparse system over the nx*(ny-2) interior unknowns
-    nx = grid.nx
-    hx2 = grid.hx ** 2
-    a_e = 0.5 * (a + np.roll(a, -1, axis=0))
-    a_w = np.roll(a_e, 1, axis=0)
-
-    def idx(i, j):
-        # j is the interior y-index, 0..m-1, for grid node j+1
-        return i * m + j
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(nx * m)
-    for i in range(nx):
-        ip = (i + 1) % nx
-        im = (i - 1) % nx
-        for j in range(m):
-            jj = j + 1
-            lo = ah[i, jj - 1] / h2
-            hi = ah[i, jj] / h2
-            ce = a_e[i, jj] / hx2
-            cw = a_w[i, jj] / hx2
-            r = idx(i, j)
-            rows += [r, r, r]
-            cols += [r, idx(ip, j), idx(im, j)]
-            vals += [-(lo + hi + ce + cw), ce, cw]
-            b[r] = rhs[i, jj]
-            if j > 0:
-                rows.append(r)
-                cols.append(idx(i, j - 1))
-                vals.append(lo)
-            else:
-                b[r] -= lo * b0[i]
-            if j < m - 1:
-                rows.append(r)
-                cols.append(idx(i, j + 1))
-                vals.append(hi)
-            else:
-                b[r] -= hi * b1[i]
-    A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(nx * m, nx * m))
-    sol = scipy.sparse.linalg.splu(A).solve(b)
+    # d = 2: interior rows and columns of the assembled operator; u holds
+    # only the wall values here, so L @ u is the wall-column contribution
     u = grid.zeros()
     u[:, 0] = b0
     u[:, -1] = b1
-    u[:, 1:-1] = sol.reshape(nx, m)
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[:, 1:-1] = True
+    interior = interior.ravel()
+    L = div_a_grad_matrix(grid, a)[interior]
+    b = rhs[:, 1:-1].ravel() - L @ u.ravel()
+    # the operator's sparsity is symmetric, so a minimum-degree ordering
+    # of A^T + A fills less than the default column ordering
+    lu = scipy.sparse.linalg.splu(L[:, interior].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    u[:, 1:-1] = lu.solve(b).reshape(grid.nx, m)
     return u
 
 
 # ---------------------------------------------------------------------------
 # discrete Leray projection
-
-
-def _interior_diff_matrix(m: int, h: float) -> np.ndarray:
-    """Centered first-difference matrix on interior nodes, zero wall padding."""
-    T = np.zeros((m, m))
-    c = 1.0 / (2.0 * h)
-    for j in range(m - 1):
-        T[j, j + 1] = c
-        T[j + 1, j] = -c
-    return T
 
 
 def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
@@ -237,35 +200,50 @@ def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
     if grid.d == 1:
         return VelocityField.zero(grid)
 
-    h = grid.hy
     m = grid.ny - 2
+    c = 1.0 / (2.0 * grid.hy)
     ux = u.components[0].copy()
     uy = u.components[1].copy()
     for comp in (ux, uy):
         comp[:, 0] = 0.0
         comp[:, -1] = 0.0
 
-    T = _interior_diff_matrix(m, h)
-    TtT = T.T @ T
-
     uxh = np.fft.rfft(ux, axis=0)
     uyh = np.fft.rfft(uy, axis=0)
+    kx = grid.kx_first
+    nk = len(kx)
 
-    # per mode: q minimizes |u - G q|^2 with G = (i kappa I; T); kappa
+    # per mode: q minimizes |u - G q|^2 with G = (i kappa I; T), T the
+    # centered y-difference on interior nodes with zero wall padding, so
+    # T v is a slice difference of the wall-padded v and T^T = -T; kappa
     # comes from the first-derivative wavenumbers so G matches ddx
-    for k, kappa in enumerate(grid.kx_first):
-        g = -1j * kappa * uxh[k, 1:-1] + T.T @ uyh[k, 1:-1]
-        if kappa == 0.0:
-            if m % 2 == 0:
-                # T injective, normal matrix SPD
-                q = np.linalg.solve(TtT, g)
-            else:
-                q, *_ = np.linalg.lstsq(TtT.astype(complex), g, rcond=None)
-        else:
-            A = TtT + (kappa ** 2) * np.eye(m)
-            q = np.linalg.solve(A, g)
-        uxh[k, 1:-1] -= 1j * kappa * q
-        uyh[k, 1:-1] -= T @ q
+    g = -1j * kx[:, None] * uxh[:, 1:-1] - c * (uyh[:, 2:] - uyh[:, :-2])
+
+    # T^T T + kappa^2 I has offsets 0 and +-2 only; all modes are stacked
+    # into one block-diagonal pentadiagonal system
+    j = np.arange(m)
+    c2 = c * c
+    diag = c2 * ((j >= 1).astype(float) + (j <= m - 2)) + kx[:, None] ** 2
+    upper = np.tile(np.where(j >= 2, -c2, 0.0), (nk, 1))
+    lower = np.where(j <= m - 3, -c2, 0.0)
+    # kappa = 0 (the mean and the zeroed Nyquist mode) with odd m: T^T T
+    # is singular with the even-index indicator as null vector, which g
+    # is orthogonal to; pinning q_0 = 0 picks one solution and leaves G q
+    # unchanged
+    pinned = (kx == 0.0) & (m % 2 == 1)
+    diag[pinned, 0] = 1.0
+    upper[pinned, 2] = 0.0
+    g[pinned, 0] = 0.0
+    ab = np.zeros((5, nk * m))
+    ab[0] = upper.ravel()
+    ab[2] = diag.ravel()
+    ab[4] = np.tile(lower, nk)
+    sol = scipy.linalg.solve_banded((2, 2), ab, np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
+
+    q = np.zeros_like(uyh)
+    q[:, 1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(nk, m)
+    uxh[:, 1:-1] -= 1j * kx[:, None] * q[:, 1:-1]
+    uyh[:, 1:-1] -= c * (q[:, 2:] - q[:, :-2])
 
     ux = np.fft.irfft(uxh, n=grid.nx, axis=0)
     uy = np.fft.irfft(uyh, n=grid.nx, axis=0)

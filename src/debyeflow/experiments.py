@@ -21,7 +21,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -463,7 +463,7 @@ def _fit_report(cfg: ExperimentConfig, per_eps: list[dict]) -> dict:
 
 
 def _error_payload(cfg: ExperimentConfig, stage: str, eps, exc: BaseException) -> dict:
-    return {
+    payload = {
         "preset": cfg.preset,
         "stage": stage,
         "epsilon": eps,
@@ -471,6 +471,11 @@ def _error_payload(cfg: ExperimentConfig, stage: str, eps, exc: BaseException) -
         "message": str(exc),
         "config_hash": cfg.hash(),
     }
+    if isinstance(exc, StepError):
+        payload.update(t=exc.t, extrema=exc.extrema)
+    elif isinstance(exc, MaxPrincipleViolation):
+        payload.update(t=exc.t, report=asdict(exc.report))
+    return payload
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,

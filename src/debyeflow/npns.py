@@ -11,6 +11,15 @@ wall-data drift are explicit.
 Stepping is organized in delta form: we solve for the increment against
 the residual of the previous state, so Dirichlet rows carry exact
 zeros and exact equilibria are bitwise fixed points.
+
+The coupled system is banded in d = 1 and solved directly.  In d = 2 it
+is solved by restarted GMRES (Saad & Schultz 1986), preconditioned by
+the same operator with x-mean coefficients, which the rfft in x splits
+into one banded matrix per mode.  GMRES stops once the residual norm has
+dropped by GMRES_RTOL = 1e-13, or to the rounding level of the residual
+being solved for if that is larger; a step whose GMRES does not
+converge raises StepError.  A zero residual gives an exact zero
+increment, so the fixed-point property holds in d = 2 as well.
 """
 
 from __future__ import annotations
@@ -20,13 +29,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .diagnostics import DiagnosticsRecord, MaxPrincipleReport, dissipation_identity_residual, free_energy, max_principle_check
 from .elliptic import harmonic_extension, project_div_free, solve_poisson, solve_shifted_poisson
 from .grid import ChannelGrid, State, VelocityField
-from .operators import BandedMatrix, advect, div_a_grad, grad, laplacian
+from .operators import BandedMatrix, advect, div_a_grad, div_a_grad_matrix, grad, laplacian
 from .params import BoundaryData, Params
 
 logger = logging.getLogger(__name__)
@@ -44,14 +54,27 @@ __all__ = [
 
 STIFF_MODES = ("implicit-coupled", "implicit-diffusion-only")
 
+# d = 2 coupled solve: GMRES stops when |r - A delta| falls to GMRES_RTOL |r|
+# or to the rounding level of r itself, whichever is larger; GMRES_MAXITER
+# counts restart cycles of GMRES_RESTART iterations
+GMRES_RTOL = 1e-13
+GMRES_RESTART = 50
+GMRES_MAXITER = 10
+
 
 class StepError(RuntimeError):
-    """A linear step produced an invalid state (lost positivity or finiteness)."""
+    """A step failed: its linear solve did not converge, or it lost positivity or finiteness."""
 
     def __init__(self, t: float, message: str, extrema: dict[str, float]):
         super().__init__(f"t={t:.6g}: {message}; extrema={extrema}")
         self.t = t
+        self.message = message
         self.extrema = extrema
+
+    def __reduce__(self):
+        # pool workers send exceptions back pickled; rebuild from the
+        # constructor arguments, not from the formatted message
+        return (type(self), (self.t, self.message, self.extrema))
 
 
 class MaxPrincipleViolation(RuntimeError):
@@ -64,6 +87,9 @@ class MaxPrincipleViolation(RuntimeError):
         )
         self.t = t
         self.report = report
+
+    def __reduce__(self):
+        return (type(self), (self.t, self.report))
 
 
 @dataclass
@@ -161,7 +187,7 @@ def well_prepared_init(
 
 
 # ---------------------------------------------------------------------------
-# coupled implicit solve, d = 1 (banded) and d = 2 (sparse)
+# coupled implicit solve, d = 1 (banded) and d = 2 (sparse, GMRES)
 
 
 def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> BandedMatrix:
@@ -204,48 +230,11 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
     return BandedMatrix(n, d)
 
 
-def _div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sparse conservative div(a grad .) over all nodes; wall rows zero.
-
-    With a = 1 this is the standard five-point Laplacian (periodic in
-    x), which is exactly the operator the d = 2 coupled solve needs for
-    diffusion and for the charge relation.
-    """
-    nx, ny = grid.shape
-    N = nx * ny
-    h2 = grid.hy ** 2
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny - 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    row = ii * ny + jj
-
-    a_lo = 0.5 * (a[ii, jj - 1] + a[ii, jj]) / h2
-    a_hi = 0.5 * (a[ii, jj] + a[ii, jj + 1]) / h2
-    rows = [row, row, row]
-    cols = [row, ii * ny + jj - 1, ii * ny + jj + 1]
-    vals = [-(a_lo + a_hi), a_lo, a_hi]
-
-    if grid.d == 2:
-        hx2 = grid.hx ** 2
-        ip = (ii + 1) % nx
-        im = (ii - 1) % nx
-        a_e = 0.5 * (a[ii, jj] + a[ip, jj]) / hx2
-        a_w = 0.5 * (a[im, jj] + a[ii, jj]) / hx2
-        vals[0] = vals[0] - (a_e + a_w)
-        rows += [row, row]
-        cols += [ip * ny + jj, im * ny + jj]
-        vals += [a_e, a_w]
-
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    )
-
-
-def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> scipy.sparse.csc_matrix:
+def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> scipy.sparse.csr_matrix:
     nx, ny = grid.shape
     N = nx * ny
     ones = np.ones(grid.shape)
-    lap = _div_a_grad_matrix(grid, ones)
+    lap = div_a_grad_matrix(grid, ones)
 
     int_mask = np.ones(grid.shape)
     int_mask[:, 0] = 0.0
@@ -257,13 +246,72 @@ def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> sci
     blocks = []
     for z, D, a in ((p.z1, p.D1, c1n), (p.z2, p.D2, c2n)):
         diff = I_int / dt - D * lap + I_wall
-        coup = -z * D * _div_a_grad_matrix(grid, a)
+        coup = -z * D * div_a_grad_matrix(grid, a)
         row = [Z, Z, coup]
         row[len(blocks)] = diff
         blocks.append(row)
     pois = -p.eps ** 2 * lap + I_wall
     blocks.append([-p.z1 * I_int, -p.z2 * I_int, pois])
-    return scipy.sparse.bmat(blocks, format="csc")
+    return scipy.sparse.bmat(blocks, format="csr")
+
+
+def _mode_preconditioner(grid: ChannelGrid, p: Params, dt: float, c1n, c2n):
+    """Inverse of the d = 2 coupled operator with x-mean coefficients.
+
+    With coefficients constant in x the operator is diagonal in the rfft
+    modes.  Mode k is the d = 1 banded matrix of the x-mean
+    concentrations plus the five-point x-symbol
+    lam_k = (4/hx^2) sin^2(pi k/nx) on every x-derivative term: D lam_k
+    on the diffusion diagonals, z D abar lam_k on the coupling entries,
+    eps^2 lam_k on the Poisson diagonal; wall rows stay identities.  All
+    modes are stacked into one block-diagonal band, factored once.
+    """
+    nx, ny = grid.shape
+    nk = nx // 2 + 1
+    a1 = np.mean(c1n, axis=0, keepdims=True)
+    a2 = np.mean(c2n, axis=0, keepdims=True)
+    base = _coupled_banded_1d(grid, p, dt, a1, a2)
+    l, u = base.l, base.u
+    lam = (4.0 / grid.hx ** 2) * np.sin(np.pi * np.arange(nk) / nx) ** 2
+
+    # coefficients of lam_k in band storage, per column [c1_j, c2_j, psi_j]:
+    # the diagonal, then the psi column of the c1 row (offset +2) and of
+    # the c2 row (offset +1); wall nodes get none
+    interior = np.zeros(ny)
+    interior[1:-1] = 1.0
+    coef = np.zeros((3, ny, 3))
+    coef[0] = interior[:, None] * [p.D1, p.D2, p.eps ** 2]
+    coef[1, :, 2] = p.z1 * p.D1 * a1[0] * interior
+    coef[2, :, 2] = p.z2 * p.D2 * a2[0] * interior
+
+    ab = np.zeros((2 * l + u + 1, nk * 3 * ny))
+    ab[l:] = np.tile(base.ab, (1, nk))
+    ab[[l + u, l + u - 2, l + u - 1]] += (lam[:, None] * coef.reshape(3, 1, 3 * ny)).reshape(3, -1)
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, l, u, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"mode preconditioner is singular (dgbtrf info={info})")
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        # [c1, c2, psi] fields -> per-mode node-major [c1_j, c2_j, psi_j]
+        rh = np.fft.rfft(r.reshape(3, nx, ny), axis=1).transpose(1, 2, 0).ravel()
+        x, _ = scipy.linalg.lapack.dgbtrs(lu, l, u, np.stack([rh.real, rh.imag], axis=1), piv)
+        xh = (x[:, 0] + 1j * x[:, 1]).reshape(nk, ny, 3).transpose(2, 0, 1)
+        return np.fft.irfft(xh, n=nx, axis=1).ravel()
+
+    n = 3 * nx * ny
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
+
+
+def _coupled_gmres(grid: ChannelGrid, p: Params, dt: float, c1n, c2n, A, r, atol: float):
+    """Delta of the d = 2 coupled system by preconditioned GMRES.
+
+    Returns the delta and scipy's info (0 on convergence).  A zero
+    residual returns an exact zero delta without any iteration.
+    """
+    M = _mode_preconditioner(grid, p, dt, c1n, c2n)
+    return scipy.sparse.linalg.gmres(
+        A, r, rtol=GMRES_RTOL, atol=atol, restart=GMRES_RESTART, maxiter=GMRES_MAXITER, M=M
+    )
 
 
 def advance_velocity(
@@ -341,7 +389,12 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
             wall[:, 0] = True
             wall[:, -1] = True
             r[np.concatenate([wall.ravel()] * 3)] = 0.0
-            delta = scipy.sparse.linalg.splu(A).solve(r)
+            # r carries the rounding error of b - A x; on fine grids a
+            # solve to GMRES_RTOL alone would chase that noise
+            noise = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
+            delta, info = _coupled_gmres(g, p, dt, s.c1, s.c2, A, r, noise)
+            if info != 0:
+                raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2))
             x = x + delta
             c1 = x[:N].reshape(g.shape)
             c2 = x[N : 2 * N].reshape(g.shape)

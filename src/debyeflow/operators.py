@@ -32,6 +32,7 @@ __all__ = [
     "norms",
     "half_node_average_y",
     "div_a_grad",
+    "div_a_grad_matrix",
     "BandedMatrix",
 ]
 
@@ -223,6 +224,42 @@ def div_a_grad(grid: ChannelGrid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
         flux_x = a_e * (np.roll(f, -1, axis=0) - f) / hx
         out[:, 1:-1] += (flux_x[:, 1:-1] - np.roll(flux_x, 1, axis=0)[:, 1:-1]) / hx
     return out
+
+
+def div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Assembled div_a_grad(grid, a, .) over all nodes, row-major (i, j).
+
+    Wall rows are zero, as in div_a_grad.  With a = 1 this is the
+    five-point Laplacian (periodic in x).
+    """
+    nx, ny = grid.shape
+    N = nx * ny
+    h2 = grid.hy ** 2
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny - 1), indexing="ij")
+    ii = ii.ravel()
+    jj = jj.ravel()
+    row = ii * ny + jj
+
+    a_lo = 0.5 * (a[ii, jj - 1] + a[ii, jj]) / h2
+    a_hi = 0.5 * (a[ii, jj] + a[ii, jj + 1]) / h2
+    rows = [row, row, row]
+    cols = [row, ii * ny + jj - 1, ii * ny + jj + 1]
+    vals = [-(a_lo + a_hi), a_lo, a_hi]
+
+    if grid.d == 2:
+        hx2 = grid.hx ** 2
+        ip = (ii + 1) % nx
+        im = (ii - 1) % nx
+        a_e = 0.5 * (a[ii, jj] + a[ip, jj]) / hx2
+        a_w = 0.5 * (a[im, jj] + a[ii, jj]) / hx2
+        vals[0] = vals[0] - (a_e + a_w)
+        rows += [row, row]
+        cols += [ip * ny + jj, im * ny + jj]
+        vals += [a_e, a_w]
+
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
+    )
 
 
 # ---------------------------------------------------------------------------

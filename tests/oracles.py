@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from debyeflow.grid import ChannelGrid
-from debyeflow.operators import d2dx2
+from debyeflow.operators import d2dx2, ddx, div_a_grad
 
 
 def interior_laplacian_action(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
@@ -131,3 +131,87 @@ def mixed_layer_direct(
         c2_hist.append(c2.copy())
         taus.append(tau)
     return xi, np.array(taus), np.array(c1_hist), np.array(c2_hist)
+
+
+def _interior_unit_fields(grid: ChannelGrid):
+    """Yield (flat interior index, unit field) over interior nodes, row-major."""
+    nx, ny = grid.shape
+    for i in range(nx):
+        for j in range(1, ny - 1):
+            e = np.zeros((nx, ny))
+            e[i, j] = 1.0
+            yield i * (ny - 2) + j - 1, e
+
+
+def dense_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray, bc0, bc1) -> np.ndarray:
+    """Solve div(a grad u) = rhs, u = bc0 / bc1 on the walls, densely.
+
+    Columns come from probing the library's div_a_grad with unit
+    interior fields; the wall data enters as div_a_grad of the field
+    that holds only the wall values.
+    """
+    nx, ny = grid.shape
+    n = nx * (ny - 2)
+    A = np.zeros((n, n))
+    for col, e in _interior_unit_fields(grid):
+        A[:, col] = div_a_grad(grid, a, e)[:, 1:-1].reshape(n)
+    u = np.zeros((nx, ny))
+    u[:, 0] = bc0
+    u[:, -1] = bc1
+    b = (rhs - div_a_grad(grid, a, u))[:, 1:-1].reshape(n)
+    u[:, 1:-1] = np.linalg.solve(A, b).reshape(nx, ny - 2)
+    return u
+
+
+def dense_coupled_matrix(grid: ChannelGrid, p, dt: float, c1n: np.ndarray, c2n: np.ndarray) -> np.ndarray:
+    """The implicit (c1, c2, psi) step matrix, probed column by column.
+
+    Unknowns are the three fields one after the other, each row-major.
+    Interior rows: (1/dt - D Lap) c + (-z D div(c_n grad psi)) for each
+    species, -eps^2 Lap psi - z1 c1 - z2 c2 for the charge relation,
+    with Lap = div_a_grad with a = 1.  Wall rows are identities.
+    """
+    nx, ny = grid.shape
+    N = nx * ny
+    ones = np.ones((nx, ny))
+    interior = np.zeros((nx, ny))
+    interior[:, 1:-1] = 1.0
+    wall = 1.0 - interior
+    M = np.zeros((3 * N, 3 * N))
+    for col in range(3 * N):
+        e = np.zeros(3 * N)
+        e[col] = 1.0
+        c1, c2, psi = (f.reshape(nx, ny) for f in np.split(e, 3))
+        out = []
+        for z, D, c, cn in ((p.z1, p.D1, c1, c1n), (p.z2, p.D2, c2, c2n)):
+            diffusion = interior * c / dt - D * div_a_grad(grid, ones, c)
+            out.append(diffusion - z * D * div_a_grad(grid, cn, psi) + wall * c)
+        charge = interior * (p.z1 * c1 + p.z2 * c2)
+        out.append(-p.eps ** 2 * div_a_grad(grid, ones, psi) - charge + wall * psi)
+        M[:, col] = np.concatenate([f.ravel() for f in out])
+    return M
+
+
+def dense_projection(grid: ChannelGrid, u) -> list[np.ndarray]:
+    """No-slip divergence-free projection by one dense least-squares solve.
+
+    Wall values are zeroed, then the interior gradient G q = (ddx q,
+    centered ddy q with zero wall padding) is probed from unit potentials
+    and the component of u in its range removed by lstsq.
+    """
+    nx, ny = grid.shape
+    n = nx * (ny - 2)
+    h = grid.hy
+    G = np.zeros((2 * n, n))
+    for col, e in _interior_unit_fields(grid):
+        gy = (e[:, 2:] - e[:, :-2]) / (2.0 * h)
+        G[:, col] = np.concatenate([ddx(grid, e)[:, 1:-1].ravel(), gy.ravel()])
+    v = np.concatenate([c[:, 1:-1].ravel() for c in u.components])
+    q, *_ = np.linalg.lstsq(G, v, rcond=None)
+    w = v - G @ q
+    comps = []
+    for part in np.split(w, 2):
+        c = np.zeros((nx, ny))
+        c[:, 1:-1] = part.reshape(nx, ny - 2)
+        comps.append(c)
+    return comps

@@ -1,6 +1,7 @@
 """Config file format, presets, overrides, and the CLI front end."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debyeflow import experiments
 from debyeflow.cli import main as cli_main
 from debyeflow.config_io import (
     ConfigError,
@@ -25,6 +27,7 @@ from debyeflow.config_io import (
     preset_defaults,
     serialize_config,
 )
+from debyeflow.npns import StepError
 
 
 def parse(text):
@@ -351,6 +354,28 @@ def test_cli_run_sweep_report_cycle(tmp_path, capsys):
     )
     captured = capsys.readouterr().out
     assert "pass=True" in captured
+
+
+def _abort_in_worker(cfg, eps):
+    raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0})
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patched metric function reaches pool workers only through fork",
+)
+def test_cli_pooled_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
+    # the abort is raised inside a pool worker, so it must survive the
+    # pickle round trip back to the parent to become exit code 3
+    monkeypatch.setattr(experiments, "_rate_metrics", _abort_in_worker)
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--preset", "custom", "--eps", "0.25,0.125", "--out", str(out)) == 3
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "StepError"
+    assert payload["t"] == 0.125
+    assert payload["extrema"]["min_c1"] == -1.0
+    assert not (out / "report.json").exists()
+    assert "solver abort" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():

@@ -18,6 +18,7 @@ from debyeflow.operators import (
     d2dy2,
     ddy,
     div_a_grad,
+    div_a_grad_matrix,
     divergence,
     grad,
     integrate,
@@ -27,7 +28,7 @@ from debyeflow.operators import (
     quad_weights,
 )
 
-from oracles import dense_dirichlet_poisson, interior_laplacian_action
+from oracles import dense_dirichlet_poisson, dense_div_form, dense_projection, interior_laplacian_action
 
 RNG = np.random.default_rng(20240817)
 
@@ -320,6 +321,28 @@ def test_div_form_mms_quadratic():
     assert err <= 1e-12, f"quadratic MMS error {err:.2e}"
 
 
+def test_div_a_grad_matrix_is_div_a_grad():
+    rng = np.random.default_rng(11)
+    for g in (grid1d(17), grid2d(8, 12)):
+        a = 1.0 + rng.random(g.shape)
+        f = rng.standard_normal(g.shape)
+        assembled = (div_a_grad_matrix(g, a) @ f.ravel()).reshape(g.shape)
+        assert np.allclose(assembled, div_a_grad(g, a, f), rtol=1e-12, atol=1e-9)
+
+
+def test_div_form_matches_dense_solve():
+    g = grid2d(8, 12)
+    rng = np.random.default_rng(12)
+    a = 1.0 + rng.random(g.shape)
+    rhs = rng.standard_normal(g.shape)
+    bc0 = rng.standard_normal(g.nx)
+    bc1 = rng.standard_normal(g.nx)
+    u = solve_div_form(g, a, rhs, bc=np.stack([bc0, bc1]))
+    ref = dense_div_form(g, a, rhs, bc0, bc1)
+    err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-12, f"sparse div-form solve differs from the dense one by {err:.2e}"
+
+
 def test_div_form_rejects_degenerate_coeff():
     g = grid1d(17)
     with pytest.raises(ValueError):
@@ -376,6 +399,19 @@ def test_projection_removes_discrete_gradient():
     pu = project_div_free(g, u)
     err = max(np.max(np.abs(c)) for c in pu.components)
     assert err <= 1e-9, f"pure interior gradient should project to zero, got {err:.2e}"
+
+
+@pytest.mark.parametrize("ny", [12, 13])
+def test_projection_matches_dense_lstsq(ny):
+    # even nx, so the Nyquist mode is a kappa = 0 mode; odd m = ny - 2
+    # makes both kappa = 0 normal matrices singular
+    g = grid2d(nx=8, ny=ny)
+    rng = np.random.default_rng(ny)
+    u = VelocityField(g, [rng.standard_normal(g.shape) for _ in range(2)])
+    pu = project_div_free(g, u)
+    ref = dense_projection(g, u)
+    err = max(np.max(np.abs(a - b)) for a, b in zip(pu.components, ref))
+    assert err <= 1e-10, f"banded projection differs from dense lstsq by {err:.2e}"
 
 
 def test_projection_d1_is_zero():

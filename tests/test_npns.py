@@ -1,10 +1,16 @@
 """Integrator tests: exact discrete fixed points, amplification factors,
 charge relaxation, self-convergence, and guard behavior."""
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
+from debyeflow import npns
+from debyeflow.diagnostics import max_principle_check
 from debyeflow.npns import (
     MaxPrincipleViolation,
     NpnsConfig,
@@ -15,7 +21,7 @@ from debyeflow.npns import (
 )
 from debyeflow.operators import divergence, norm_l2
 
-from oracles import interior_laplacian_action
+from oracles import dense_coupled_matrix, interior_laplacian_action
 
 
 def make_cfg(
@@ -85,13 +91,17 @@ def test_well_prepared_rejects_bad_input():
 
 
 def test_equilibrium_is_exact_fixed_point():
-    for mode in ("implicit-coupled", "implicit-diffusion-only"):
-        cfg = make_cfg(dt=2.0 ** -7, t_end=2.0 ** -7, stiff_mode=mode)
+    # d = 2 runs the GMRES coupled solve, whose zero residual must give
+    # an exact zero delta
+    for (d, nx), mode in itertools.product(((1, 1), (2, 8)), ("implicit-coupled", "implicit-diffusion-only")):
+        cfg = make_cfg(dt=2.0 ** -7, t_end=2.0 ** -7, stiff_mode=mode, d=d, nx=nx)
         s0 = well_prepared_init(cfg.grid, np.full(cfg.grid.shape, 2.0), VelocityField.zero(cfg.grid), cfg)
         s1 = step_npns(s0, cfg)
-        assert np.array_equal(s1.c1, s0.c1), f"{mode}: equilibrium c1 drifted"
-        assert np.array_equal(s1.c2, s0.c2), f"{mode}: equilibrium c2 drifted"
-        assert np.array_equal(s1.psi, s0.psi), f"{mode}: equilibrium psi drifted"
+        assert np.array_equal(s1.c1, s0.c1), f"d={d} {mode}: equilibrium c1 drifted"
+        assert np.array_equal(s1.c2, s0.c2), f"d={d} {mode}: equilibrium c2 drifted"
+        assert np.array_equal(s1.psi, s0.psi), f"d={d} {mode}: equilibrium psi drifted"
+        for a, b in zip(s1.u.components, s0.u.components):
+            assert np.array_equal(a, b), f"d={d} {mode}: equilibrium velocity drifted"
 
 
 def test_pure_diffusion_amplification_exact():
@@ -239,3 +249,63 @@ def test_d2_run_invariants():
     # charge relation after recompute
     res = -p.eps ** 2 * interior_laplacian_action(grid, s.psi) - s.rho(p)[:, 1:-1]
     assert np.max(np.abs(res)) <= 1e-10
+
+
+def _d2_cfg(eps):
+    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=eps, c_lower=1.8, c_upper=2.2)
+    grid = ChannelGrid(d=2, nx=8, ny=17)
+    gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * grid.x), np.full(grid.nx, 2.0)])
+    w = np.vstack([0.1 * np.sin(2 * np.pi * grid.x), np.zeros(grid.nx)])
+    bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
+    cfg = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=1e-3, t_end=2e-3)
+    c1 = np.tile(gamma1[0][:, None], (1, grid.ny)) * (1.0 - grid.yy) + 2.0 * grid.yy
+    return cfg, well_prepared_init(grid, c1, VelocityField.zero(grid), cfg)
+
+
+@pytest.mark.parametrize("eps", [1 / 4, 1 / 16, 1 / 64])
+def test_coupled_gmres_matches_direct_solve(eps, monkeypatch):
+    cfg, s = _d2_cfg(eps)
+    g, p = cfg.grid, cfg.params
+    solves = []
+    gmres = npns._coupled_gmres
+
+    def spy(grid, params, dt, c1n, c2n, A, r, atol):
+        delta, info = gmres(grid, params, dt, c1n, c2n, A, r, atol)
+        solves.append((delta, info, A, r, c1n, c2n))
+        return delta, info
+
+    monkeypatch.setattr(npns, "_coupled_gmres", spy)
+    for _ in range(2):
+        s = step_npns(s, cfg)
+    assert len(solves) == 2
+    for delta, info, A, r, c1n, c2n in solves:
+        assert info == 0
+        dense = dense_coupled_matrix(g, p, cfg.dt, c1n, c2n)
+        assert np.allclose(A.toarray(), dense, rtol=1e-13, atol=1e-9), "sparse step matrix != probed operator"
+        ref = scipy.sparse.linalg.splu(A.tocsc()).solve(r)
+        err = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
+        assert err <= 1e-10, f"eps={eps}: GMRES delta differs from splu by {err:.2e}"
+
+
+def test_mode_preconditioner_inverts_x_independent_operator():
+    # with concentrations constant in x the preconditioner is the exact
+    # inverse, which checks every lam_k shift of the per-mode bands
+    cfg, _ = _d2_cfg(1 / 16)
+    g, p = cfg.grid, cfg.params
+    rng = np.random.default_rng(7)
+    c1n = np.tile(2.0 + 0.3 * np.sin(np.pi * g.y), (g.nx, 1))
+    c2n = np.tile(1.5 + 0.2 * g.y, (g.nx, 1))
+    A = npns._coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
+    v = rng.standard_normal(A.shape[0])
+    back = npns._mode_preconditioner(g, p, cfg.dt, c1n, c2n).matvec(A @ v)
+    assert np.max(np.abs(back - v)) <= 1e-10 * np.max(np.abs(v))
+
+
+def test_solver_exceptions_pickle():
+    err = pickle.loads(pickle.dumps(StepError(0.1, "lost positivity", {"min_c1": -1.0})))
+    assert type(err) is StepError
+    assert (err.t, err.message, err.extrema) == (0.1, "lost positivity", {"min_c1": -1.0})
+    report = max_principle_check(np.full((1, 9), 5.0), np.ones((1, 9)), (1.0, 2.0, 1.0, 2.0), tol=1e-4)
+    err = pickle.loads(pickle.dumps(MaxPrincipleViolation(0.2, report)))
+    assert (type(err), err.t, err.report) == (MaxPrincipleViolation, 0.2, report)
+    assert str(err) == str(MaxPrincipleViolation(0.2, report))
