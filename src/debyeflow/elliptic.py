@@ -2,15 +2,19 @@
 divergence form, harmonic extension of wall data, and the discrete
 divergence-free projection.
 
-Every solve here is direct, with no tolerance to tune: per-mode
-tridiagonal systems after an rfft in x for the constant-coefficient
-Poisson problems, one batched pentadiagonal solve over all modes for the
-projection, and for the divergence form a banded solve (d = 1) or a
-sparse LU of the assembled interior operator (d = 2).  The package's
-only iterative solve is the d = 2 coupled step in npns.py.
+Every solve here is direct, with no tolerance to tune.  The
+constant-coefficient Poisson problems take an rfft in x and stack every
+mode's tridiagonal in y into one block-diagonal tridiagonal, factored
+once per (grid, shift) and cached, so a call costs one triangular solve.
+The projection is one batched pentadiagonal solve over all modes, and
+the divergence form a tridiagonal solve (d = 1) or a sparse LU of the
+assembled interior operator (d = 2).  The package's only iterative
+solve is the d = 2 coupled step in npns.py.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +49,30 @@ def _as_traces(grid: ChannelGrid, bc) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"boundary data must be scalar, (2,), or (2, nx); got shape {bc.shape}")
 
 
+@functools.lru_cache(maxsize=16)
+def _shifted_poisson_factors(grid: ChannelGrid, alpha: float) -> tuple[np.ndarray, ...]:
+    """LU factors of (alpha - Lap) on the interior nodes, all rfft modes stacked.
+
+    Mode k is the tridiagonal (-1, (alpha + kappa_k^2) h^2 + 2, -1) / h^2
+    in y; the modes sit one after another in a single block-diagonal
+    tridiagonal with zero couplings between blocks, which dgttrf factors
+    in one call.  Cached per (grid, alpha); the arrays are read-only
+    because every caller shares them.
+    """
+    h2 = grid.hy ** 2
+    m = grid.ny - 2
+    nk = len(grid.kx)
+    diag = np.repeat(alpha + grid.kx ** 2 + 2.0 / h2, m)
+    off = np.full(nk * m - 1, -1.0 / h2)
+    off[m - 1 :: m] = 0.0
+    factors = scipy.linalg.lapack.dgttrf(off, diag, off.copy())
+    if factors[-1] != 0:
+        raise np.linalg.LinAlgError(f"shifted Poisson matrix is singular (dgttrf info={factors[-1]})")
+    for a in factors[:-1]:
+        a.flags.writeable = False
+    return factors[:-1]
+
+
 def solve_shifted_poisson(
     grid: ChannelGrid,
     alpha: float,
@@ -64,33 +92,33 @@ def solve_shifted_poisson(
         Dirichlet values at y = 0 and y = 1.  None means homogeneous.
 
     The tangential directions are diagonalized by rfft; each mode is a
-    real-shifted tridiagonal system in y solved directly.
+    real-shifted tridiagonal system in y.  All modes form one stacked
+    tridiagonal, factored once per (grid, alpha) and solved here for
+    the real and imaginary parts of every mode at once.
     """
     if alpha < 0.0:
         raise ValueError(f"shift must be non-negative, got alpha={alpha}")
     b0, b1 = _as_traces(grid, bc)
     h2 = grid.hy ** 2
-    m = grid.ny - 2
+    nk, m = len(grid.kx), grid.ny - 2
 
     fh = np.fft.rfft(f, axis=0)
     b0h = np.fft.rfft(b0)
     b1h = np.fft.rfft(b1)
-    uh = np.zeros_like(fh)
+    rhs = fh[:, 1:-1].copy()
+    rhs[:, 0] += b0h / h2
+    rhs[:, -1] += b1h / h2
+    b = np.empty((nk * m, 2), order="F")
+    b[:, 0] = rhs.real.ravel()
+    b[:, 1] = rhs.imag.ravel()
+    dl, d, du, du2, ipiv = _shifted_poisson_factors(grid, float(alpha))
+    x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+
+    uh = np.empty_like(fh)
     uh[:, 0] = b0h
     uh[:, -1] = b1h
-
-    lower = np.full(m, -1.0 / h2)
-    upper = np.full(m, -1.0 / h2)
-    for k, kappa in enumerate(grid.kx):
-        diag = np.full(m, alpha + kappa ** 2 + 2.0 / h2)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = diag
-        ab[2, :-1] = lower[1:]
-        rhs = fh[k, 1:-1].copy()
-        rhs[0] += b0h[k] / h2
-        rhs[-1] += b1h[k] / h2
-        uh[k, 1:-1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    uh[:, 1:-1].real = x[:, 0].reshape(nk, m)
+    uh[:, 1:-1].imag = x[:, 1].reshape(nk, m)
     return np.fft.irfft(uh, n=grid.nx, axis=0)
 
 
@@ -142,7 +170,7 @@ def solve_div_form(
     silent loss of ellipticity cannot slip through).
     """
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
+    if not np.all(a > 0.0):
         raise ValueError("divergence-form coefficient must be strictly positive")
     b0, b1 = _as_traces(grid, bc)
     h2 = grid.hy ** 2
@@ -152,18 +180,19 @@ def solve_div_form(
         ah = half_node_average_y(a)
         lo = ah[0, :-1]
         hi = ah[0, 1:]
-        diag = -(lo + hi) / h2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = hi[:-1] / h2
-        ab[1] = diag
-        ab[2, :-1] = lo[1:] / h2
         r = rhs[0, 1:-1].copy()
         r[0] -= lo[0] * b0[0] / h2
         r[-1] -= hi[-1] * b1[0] / h2
+        _, _, _, x, info = scipy.linalg.lapack.dgtsv(
+            lo[1:] / h2, -(lo + hi) / h2, hi[:-1] / h2, r,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         u = grid.zeros()
         u[0, 0] = b0[0]
         u[0, -1] = b1[0]
-        u[0, 1:-1] = scipy.linalg.solve_banded((1, 1), ab, r)
+        u[0, 1:-1] = x
         return u
 
     # d = 2: interior rows and columns of the assembled operator; u holds

@@ -462,11 +462,12 @@ def _fit_report(cfg: ExperimentConfig, per_eps: list[dict]) -> dict:
     }
 
 
-def _error_payload(cfg: ExperimentConfig, stage: str, eps, exc: BaseException) -> dict:
+def _error_payload(cfg: ExperimentConfig, stage: str, exc: BaseException) -> dict:
     payload = {
         "preset": cfg.preset,
         "stage": stage,
-        "epsilon": eps,
+        # solver aborts carry the eps of the run that failed; other errors have none
+        "epsilon": getattr(exc, "eps", None),
         "error": type(exc).__name__,
         "message": str(exc),
         "config_hash": cfg.hash(),
@@ -525,7 +526,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         else:  # pragma: no cover - validate() rejects unknown presets
             raise RuntimeError(f"unhandled preset {cfg.preset}")
     except solver_errors as exc:
-        payload = _error_payload(cfg, "solver", None, exc)
+        payload = _error_payload(cfg, "solver", exc)
         _write_json(out / "error.json", payload)
         logger.error("experiment aborted: %s", exc)
         raise ExperimentError(str(exc), payload) from exc

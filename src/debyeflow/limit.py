@@ -235,7 +235,7 @@ def run_limit(init: LimitState, cfg: LimitConfig, save_every: int = 1,
         if check_max_principle:
             rep = max_principle_check(s.c1, s.c2(p), bounds, tol=tol)
             if not rep.ok:
-                raise MaxPrincipleViolation(s.t, rep)
+                raise MaxPrincipleViolation(s.t, rep, p.eps)
         if k % save_every == 0 or k == n:
             traj.snapshots.append(s.copy())
     logger.info("limit run: %d steps to t=%g, %d snapshots", n, cfg.t_end, len(traj.snapshots))

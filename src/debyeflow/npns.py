@@ -12,7 +12,10 @@ Stepping is organized in delta form: we solve for the increment against
 the residual of the previous state, so Dirichlet rows carry exact
 zeros and exact equilibria are bitwise fixed points.
 
-The coupled system is banded in d = 1 and solved directly.  In d = 2 it
+The coupled system is banded in d = 1 and solved directly.  A run keeps
+one band matrix and one LU buffer for it; each step rewrites only the
+entries that depend on the concentrations and factors into the same
+buffer, so the step allocates no factor storage.  In d = 2 it
 is solved by restarted GMRES (Saad & Schultz 1986), preconditioned by
 the same operator with x-mean coefficients, which the rfft in x splits
 into one banded matrix per mode.  GMRES stops once the residual norm has
@@ -65,31 +68,33 @@ GMRES_MAXITER = 10
 class StepError(RuntimeError):
     """A step failed: its linear solve did not converge, or it lost positivity or finiteness."""
 
-    def __init__(self, t: float, message: str, extrema: dict[str, float]):
+    def __init__(self, t: float, message: str, extrema: dict[str, float], eps: float | None = None):
         super().__init__(f"t={t:.6g}: {message}; extrema={extrema}")
         self.t = t
         self.message = message
         self.extrema = extrema
+        self.eps = eps
 
     def __reduce__(self):
         # pool workers send exceptions back pickled; rebuild from the
         # constructor arguments, not from the formatted message
-        return (type(self), (self.t, self.message, self.extrema))
+        return (type(self), (self.t, self.message, self.extrema, self.eps))
 
 
 class MaxPrincipleViolation(RuntimeError):
     """Blow-up guard: concentrations left the admissible band."""
 
-    def __init__(self, t: float, report: MaxPrincipleReport):
+    def __init__(self, t: float, report: MaxPrincipleReport, eps: float | None = None):
         super().__init__(
             f"t={t:.6g}: species {report.worst_species} violates the concentration band "
             f"by {report.worst_violation:.3e} at node {report.worst_index}"
         )
         self.t = t
         self.report = report
+        self.eps = eps
 
     def __reduce__(self):
-        return (type(self), (self.t, self.report))
+        return (type(self), (self.t, self.report, self.eps))
 
 
 @dataclass
@@ -146,13 +151,22 @@ class Trajectory:
 
 
 class _StepWorkspace:
-    """Per-run precomputed wall-data fields shared by every step."""
+    """Per-run state shared by every step.
+
+    Holds the wall-data fields and, for the d = 1 coupled step, the one
+    band matrix (with its LU buffer) that each step refills with its
+    coupling entries and solves.
+    """
 
     def __init__(self, cfg: NpnsConfig):
         g = cfg.grid
         self.phiw = harmonic_extension(g, cfg.bdata.w)
         self.gamma1_trace = cfg.bdata.gamma1
         self.gamma2_trace = cfg.bdata.gamma2
+        self.coupled = None
+        if g.d == 1 and cfg.stiff_mode == "implicit-coupled":
+            # the coupling entries written here are overwritten by every step
+            self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
 
 
 def well_prepared_init(
@@ -195,7 +209,9 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
 
     Unknown layout [c1_j, c2_j, psi_j]; the electro-coupling column uses
     the half-node fluxes of the frozen concentrations, the psi row is
-    the charge relation itself, wall rows are identities.
+    the charge relation itself, wall rows are identities.  Only the
+    coupling entries depend on the concentrations; _set_coupling_1d
+    writes them, here and once per step into a run's shared matrix.
     """
     ny = grid.ny
     n = 3 * ny
@@ -205,18 +221,11 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
     d = {k: np.zeros(n) for k in offs}
     j = np.arange(1, ny - 1)
 
-    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n[0]), (p.z2, p.D2, c2n[0]))):
+    for v, D in enumerate((p.D1, p.D2)):
         g = 3 * j + v
-        ah = 0.5 * (a[:-1] + a[1:])  # ah[j] = a at j+1/2
-        lo = ah[j - 1]
-        hi = ah[j]
         d[0][g] = 1.0 / dt + 2.0 * D / h2
         d[-3][g] = -D / h2
         d[3][g] = -D / h2
-        off = 2 - v
-        d[off][g] = z * D * (lo + hi) / h2
-        d[off + 3][g] = -z * D * hi / h2
-        d[off - 3][g] = -z * D * lo / h2
 
     gp = 3 * j + 2
     d[0][gp] = 2.0 * eps2 / h2
@@ -227,7 +236,32 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
 
     for g in (0, 1, 2, n - 3, n - 2, n - 1):
         d[0][g] = 1.0
-    return BandedMatrix(n, d)
+    A = BandedMatrix(n, d)
+    _set_coupling_1d(A, grid, p, c1n, c2n)
+    return A
+
+
+def _set_coupling_1d(A: BandedMatrix, grid: ChannelGrid, p: Params, c1n, c2n) -> None:
+    """Write the electro-coupling entries of the frozen concentrations into A.
+
+    Species v's interior row 3j+v gets -z D div(c_n grad psi) on the psi
+    unknowns 3(j-1)+2, 3j+2, 3(j+1)+2, at offsets 2-v-3, 2-v and 2-v+3.
+    No other entry of A is touched.
+    """
+    ny = grid.ny
+    h2 = grid.hy ** 2
+    ab, u = A.ab, A.u
+    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n[0]), (p.z2, p.D2, c2n[0]))):
+        ah = 0.5 * (a[:-1] + a[1:])  # ah[j] = a at j+1/2
+        lo = ah[:-1]
+        hi = ah[1:]
+        off = 2 - v
+        # A[g, g+k] is stored at ab[u-k, g+k]; for the rows g = 3j+v,
+        # j = 1..ny-2, the columns g+off-3, g+off, g+off+3 are the psi
+        # unknowns of nodes j-1, j, j+1
+        ab[u - off + 3, 2 : 3 * ny - 6 : 3] = -z * D * lo / h2
+        ab[u - off, 5 : 3 * ny - 3 : 3] = z * D * (lo + hi) / h2
+        ab[u - off - 3, 8 : 3 * ny : 3] = -z * D * hi / h2
 
 
 def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> scipy.sparse.csr_matrix:
@@ -364,7 +398,8 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
         b1 = s.c1 / dt - adv1 + drift1
         b2 = s.c2 / dt - adv2 + drift2
         if g.d == 1:
-            A = _coupled_banded_1d(g, p, dt, s.c1, s.c2)
+            A = _ws.coupled
+            _set_coupling_1d(A, g, p, s.c1, s.c2)
             x = np.empty(3 * g.ny)
             x[0::3] = s.c1[0]
             x[1::3] = s.c2[0]
@@ -394,7 +429,7 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
             noise = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
             delta, info = _coupled_gmres(g, p, dt, s.c1, s.c2, A, r, noise)
             if info != 0:
-                raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2))
+                raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2), p.eps)
             x = x + delta
             c1 = x[:N].reshape(g.shape)
             c2 = x[N : 2 * N].reshape(g.shape)
@@ -405,9 +440,9 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
         c2 = _implicit_diffusion(g, p.D2, dt, s.c2, -adv2 + p.z2 * p.D2 * div_a_grad(g, s.c2, psi_tot))
 
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
-        raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2))
+        raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
     if np.min(c1) <= 0.0 or np.min(c2) <= 0.0:
-        raise StepError(t_new, "concentration lost positivity", _extrema(c1, c2))
+        raise StepError(t_new, "concentration lost positivity", _extrema(c1, c2), p.eps)
 
     # exact wall reimposition, then the charge relation defines psi
     c1[:, 0] = _ws.gamma1_trace[0]
@@ -471,7 +506,7 @@ def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
         report = max_principle_check(s.c1, s.c2, bounds, tol=1e-4)
         if not report.ok:
             logger.error("max principle violated at t=%.6g: %s", s.t, report)
-            raise MaxPrincipleViolation(s.t, report)
+            raise MaxPrincipleViolation(s.t, report, p.eps)
         if k % save_every == 0 or k == n:
             record(s)
     if len(traj) >= 3:

@@ -8,8 +8,10 @@ carries the geometry.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .grid import ChannelGrid, VelocityField
@@ -122,13 +124,19 @@ def advect(grid: ChannelGrid, u: VelocityField, f: np.ndarray) -> np.ndarray:
 # quadrature and norms
 
 
+@functools.lru_cache(maxsize=8)
 def quad_weights(grid: ChannelGrid) -> np.ndarray:
-    """Quadrature weights, trapezoid in y and uniform in x, shape (nx, ny)."""
+    """Quadrature weights, trapezoid in y and uniform in x, shape (nx, ny).
+
+    Computed once per grid; the returned array is shared and read-only.
+    """
     wy = np.full(grid.ny, grid.hy)
     wy[0] *= 0.5
     wy[-1] *= 0.5
     wx = np.full(grid.nx, grid.hx)
-    return wx[:, None] * wy[None, :]
+    w = wx[:, None] * wy[None, :]
+    w.flags.writeable = False
+    return w
 
 
 def integrate(grid: ChannelGrid, f: np.ndarray) -> float:
@@ -267,11 +275,16 @@ def div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matr
 
 
 class BandedMatrix:
-    """Small wrapper for real banded systems in scipy's (l, u) storage.
+    """Real banded matrix in LAPACK's (l, u) band storage.
 
     Built from a dict mapping offsets to diagonals; offset +k is the
     k-th superdiagonal.  Diagonals may be given at full length n (the
     out-of-band entries are ignored) or at the exact band length n-|k|.
+
+    ab may be rewritten in place between solves.  Each solve factors the
+    current ab in a band LU buffer allocated with the matrix and reused
+    by every later solve, so a matrix refilled once per step and solved
+    once per step allocates no factor storage after construction.
     """
 
     def __init__(self, n: int, diags: dict[int, np.ndarray]):
@@ -291,19 +304,32 @@ class BandedMatrix:
                 self.ab[row, k:] = diag
             else:
                 self.ab[row, : n + k] = diag
-
-    def to_sparse(self) -> scipy.sparse.dia_matrix:
-        offsets = np.arange(self.u, -self.l - 1, -1)
-        data = np.zeros((len(offsets), self.n))
-        for i, k in enumerate(offsets):
-            if k >= 0:
-                data[i, k:] = self.ab[self.u - k, k:]
-            else:
-                data[i, : self.n + k] = self.ab[self.u - k, : self.n + k]
-        return scipy.sparse.dia_matrix((data, offsets), shape=(self.n, self.n))
+        # dgbtrf needs l extra rows above the band for the fill-in of
+        # partial pivoting, and Fortran order to factor in place
+        self._lu = np.zeros((2 * self.l + self.u + 1, n), order="F")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_sparse() @ x
+        # one diagonal at a time from offset +u down to -l, the order in
+        # which scipy's dia_matrix product accumulates, so the sums agree
+        # bitwise with that product
+        n, u = self.n, self.u
+        y = np.zeros(n)
+        for k in range(u, -self.l - 1, -1):
+            if k >= 0:
+                y[: n - k] += self.ab[u - k, k:] * x[k:]
+            else:
+                y[-k:] += self.ab[u - k, : n + k] * x[: n + k]
+        return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_banded((self.l, self.u), self.ab, rhs)
+        """Solve A x = rhs by band LU with partial pivoting; ab is left intact."""
+        if len(rhs) != self.n:
+            raise ValueError(f"right side has {len(rhs)} rows, matrix has n={self.n}")
+        l, u = self.l, self.u
+        self._lu[l:] = self.ab
+        self._lu[:l] = 0.0
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(self._lu, l, u, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        x, _ = scipy.linalg.lapack.dgbtrs(lu, l, u, rhs, piv)
+        return x

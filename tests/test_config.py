@@ -357,7 +357,7 @@ def test_cli_run_sweep_report_cycle(tmp_path, capsys):
 
 
 def _abort_in_worker(cfg, eps):
-    raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0})
+    raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0}, eps)
 
 
 @pytest.mark.skipif(
@@ -373,6 +373,7 @@ def test_cli_pooled_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
     payload = json.loads((out / "error.json").read_text())
     assert payload["error"] == "StepError"
     assert payload["t"] == 0.125
+    assert payload["epsilon"] == 0.25, "the first eps of the sweep aborts first"
     assert payload["extrema"]["min_c1"] == -1.0
     assert not (out / "report.json").exists()
     assert "solver abort" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField, elliptic
 from debyeflow.elliptic import (
     harmonic_extension,
     project_div_free,
@@ -28,7 +29,14 @@ from debyeflow.operators import (
     quad_weights,
 )
 
-from oracles import dense_dirichlet_poisson, dense_div_form, dense_projection, interior_laplacian_action
+from oracles import (
+    banded_to_sparse,
+    dense_dirichlet_poisson,
+    dense_div_form,
+    dense_projection,
+    interior_laplacian_action,
+    per_mode_shifted_poisson,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -148,6 +156,11 @@ def test_quad_weights_measure():
     for g in (grid1d(17), grid2d(8, 21)):
         total = float(np.sum(quad_weights(g)))
         assert np.isclose(total, 1.0, atol=1e-14), f"weights must sum to |domain|=1, got {total}"
+        # computed once per grid and shared, so callers cannot write to it
+        w = quad_weights(g)
+        assert quad_weights(ChannelGrid(d=g.d, nx=g.nx, ny=g.ny)) is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
 
 def test_l2_of_sine_profile():
@@ -277,6 +290,31 @@ def test_poisson_inverts_laplacian():
     back = solve_poisson(g, rhs)
     err = np.max(np.abs(back - f))
     assert err <= 1e-10, f"solve o (-Lap) must be identity, err={err:.2e}"
+
+
+def test_shifted_poisson_matches_per_mode_oracle():
+    # the stacked tridiagonal does each mode's arithmetic; d = 1 is bitwise
+    for g, rtol in ((grid1d(65), 0.0), (grid2d(8, 17), 1e-14)):
+        for alpha in (0.0, 1.0, 250.0):
+            for bc in (None, 0.7, (0.3, -1.2), RNG.standard_normal((2, g.nx))):
+                f = RNG.standard_normal(g.shape)
+                u = solve_shifted_poisson(g, alpha, f, bc)
+                ref = per_mode_shifted_poisson(g, alpha, f, bc)
+                err = np.max(np.abs(u - ref))
+                assert err <= rtol * np.max(np.abs(ref)), f"d={g.d} alpha={alpha} bc={bc}: err={err:.2e}"
+
+
+def test_shifted_poisson_cached_factors_are_not_shared_out():
+    # the factors are cached per (grid, alpha) and read-only; a caller that
+    # overwrites its solution must not change the next solve
+    g = grid2d(8, 17)
+    f = RNG.standard_normal(g.shape)
+    first = solve_shifted_poisson(g, 2.0, f, bc=1.0)
+    expected = first.copy()
+    first[:] = 1e300
+    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, bc=1.0), expected)
+    for a in elliptic._shifted_poisson_factors(g, 2.0):
+        assert not a.flags.writeable
 
 
 def test_shifted_poisson_rejects_negative_shift():
@@ -436,7 +474,27 @@ def test_banded_matrix_roundtrip():
     B = BandedMatrix(n, diags)
     x = RNG.standard_normal(n)
     y = B.matvec(x)
-    dense = B.to_sparse().toarray()
+    dense = banded_to_sparse(B).toarray()
     assert np.allclose(dense @ x, y, atol=1e-12)
     back = B.solve(y)
     assert np.allclose(back, x, atol=1e-9), f"solve(matvec(x)) != x, err={np.max(np.abs(back - x)):.2e}"
+
+
+def test_banded_matrix_matches_scipy_bitwise():
+    # matvec sums in dia_matrix order and solve runs the same LAPACK
+    # routines as solve_banded; (l, u) = (1, 1) is avoided because
+    # solve_banded sends it to a tridiagonal routine instead
+    n = 40
+    for offsets, shift in (((-3, -1, 0, 2, 5), 8.0), ((-2, 0, 1), 0.0)):
+        diags = {k: RNG.standard_normal(n) for k in offsets}
+        diags[0] += shift  # no shift: the LU pivots
+        B = BandedMatrix(n, diags)
+        ab = B.ab.copy()
+        x = RNG.standard_normal(n)
+        assert np.array_equal(B.matvec(x), banded_to_sparse(B) @ x)
+        first = B.solve(x)
+        assert np.array_equal(first, scipy.linalg.solve_banded((B.l, B.u), ab, x))
+        assert np.array_equal(B.ab, ab), "solve must leave ab untouched"
+        assert np.array_equal(B.solve(x), first), "a repeated solve must not see the last LU"
+        with pytest.raises(ValueError):
+            B.solve(np.ones(n + 1))

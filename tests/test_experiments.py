@@ -86,6 +86,7 @@ def test_solver_abort_writes_error_payload(tmp_path):
     payload = json.loads((tmp_path / "error.json").read_text())
     assert payload["config_hash"] == cfg.hash()
     assert payload["error"] == err.value.payload["error"]
+    assert payload["epsilon"] is None, "an input error belongs to no eps run"
     assert not (tmp_path / "report.json").exists(), "no report after an abort"
 
 

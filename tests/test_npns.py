@@ -21,7 +21,7 @@ from debyeflow.npns import (
 )
 from debyeflow.operators import divergence, norm_l2
 
-from oracles import dense_coupled_matrix, interior_laplacian_action
+from oracles import banded_to_sparse, dense_coupled_matrix, interior_laplacian_action
 
 
 def make_cfg(
@@ -210,8 +210,9 @@ def test_unstable_explicit_mode_warns_and_aborts():
     s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
     # seed charge so the explicit coupling actually kicks
     s0.c2 = s0.c2 * (1.0 - 0.05 * np.sin(np.pi * g.yy))
-    with pytest.raises((MaxPrincipleViolation, StepError)):
+    with pytest.raises((MaxPrincipleViolation, StepError)) as err:
         run_npns(s0, cfg)
+    assert err.value.eps == cfg.params.eps, "the abort must name the run's eps"
 
 
 def test_config_validation():
@@ -302,10 +303,45 @@ def test_mode_preconditioner_inverts_x_independent_operator():
 
 
 def test_solver_exceptions_pickle():
-    err = pickle.loads(pickle.dumps(StepError(0.1, "lost positivity", {"min_c1": -1.0})))
+    err = pickle.loads(pickle.dumps(StepError(0.1, "lost positivity", {"min_c1": -1.0}, 0.0625)))
     assert type(err) is StepError
-    assert (err.t, err.message, err.extrema) == (0.1, "lost positivity", {"min_c1": -1.0})
+    assert (err.t, err.message, err.extrema, err.eps) == (0.1, "lost positivity", {"min_c1": -1.0}, 0.0625)
     report = max_principle_check(np.full((1, 9), 5.0), np.ones((1, 9)), (1.0, 2.0, 1.0, 2.0), tol=1e-4)
-    err = pickle.loads(pickle.dumps(MaxPrincipleViolation(0.2, report)))
-    assert (type(err), err.t, err.report) == (MaxPrincipleViolation, 0.2, report)
+    err = pickle.loads(pickle.dumps(MaxPrincipleViolation(0.2, report, 0.125)))
+    assert (type(err), err.t, err.report, err.eps) == (MaxPrincipleViolation, 0.2, report, 0.125)
     assert str(err) == str(MaxPrincipleViolation(0.2, report))
+
+
+def test_coupling_refill_matches_probed_operator():
+    # one matrix refilled in place, as a run does every step, must equal
+    # the probed step operator of the new concentrations (node-major here,
+    # field-major in the oracle)
+    cfg = make_cfg(ny=17, eps=0.125)
+    g, p = cfg.grid, cfg.params
+    rng = np.random.default_rng(11)
+    A = npns._coupled_banded_1d(g, p, cfg.dt, g.zeros(), g.zeros())
+    node_major = np.arange(3 * g.ny).reshape(3, g.ny).T.ravel()
+    for _ in range(2):
+        c1n = 1.0 + rng.random(g.shape)
+        c2n = 1.0 + rng.random(g.shape)
+        npns._set_coupling_1d(A, g, p, c1n, c2n)
+        assert np.array_equal(A.ab, npns._coupled_banded_1d(g, p, cfg.dt, c1n, c2n).ab)
+        dense = dense_coupled_matrix(g, p, cfg.dt, c1n, c2n)[np.ix_(node_major, node_major)]
+        assert np.allclose(banded_to_sparse(A).toarray(), dense, rtol=1e-13, atol=1e-9)
+
+
+def test_run_with_shared_workspace_matches_fresh_steps():
+    # the run reuses one band matrix and LU buffer; stepping with a fresh
+    # workspace whose matrix is assembled from the step's own
+    # concentrations must give the same bytes
+    cfg = make_cfg(ny=33, eps=0.125, dt=1e-3, t_end=6e-3, w=(0.0, 0.5))
+    g = cfg.grid
+    s = well_prepared_init(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    traj = run_npns(s, cfg)
+    for k, snap in enumerate(traj.snapshots[1:], start=1):
+        ws = npns._StepWorkspace(cfg)
+        ws.coupled = npns._coupled_banded_1d(g, cfg.params, cfg.dt, s.c1, s.c2)
+        s = step_npns(s, cfg, ws)
+        s.t = k * cfg.dt
+        for name in ("c1", "c2", "psi"):
+            assert np.array_equal(getattr(snap, name), getattr(s, name)), f"step {k}: {name} differs"
