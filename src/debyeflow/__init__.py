@@ -7,7 +7,7 @@ energy identities and convergence rates.
 """
 
 from .params import BoundaryData, Params
-from .grid import ChannelGrid, ScalarField, State, VelocityField
+from .grid import ChannelGrid, State, VelocityField
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "BoundaryData",
     "ChannelGrid",
     "Params",
-    "ScalarField",
     "State",
     "VelocityField",
     "__version__",

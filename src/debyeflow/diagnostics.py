@@ -4,11 +4,19 @@ Everything in here is evaluated with the same quadrature and stencils
 as the solvers, so discrete identities close as far as the time
 discretization allows; nothing is re-derived with an independent
 scheme (the tests do that instead).
+
+The wall data is fixed for a run, so its harmonic extensions and their
+gradients are built once per run (wall_fields) and passed to every
+functional through the optional `wall` keyword; run_npns also hands the
+energy residual the free energies it recorded per snapshot instead of
+having them recomputed.  Called without these, each function builds
+what it needs from the boundary data itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +27,8 @@ from .operators import grad, integrate, norm_l2
 from .params import BoundaryData, Params
 
 __all__ = [
+    "WallFields",
+    "wall_fields",
     "phi_entropy",
     "free_energy",
     "electrochemical_potentials",
@@ -56,12 +66,51 @@ def _grad_sq(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def free_energy(grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params) -> float:
+@dataclass(frozen=True, eq=False)
+class WallFields:
+    """Harmonic extensions of one run's wall data and their gradients.
+
+    phiw, gamma1 and gamma2 extend bdata.w, bdata.gamma1 and
+    bdata.gamma2; grad_phiw is grad(phiw) and grad_log_gamma1/2 are
+    grad(Gamma_i) / Gamma_i, one array per direction.  Every array is
+    read-only, since one bundle serves all snapshots of a run.
+    """
+
+    phiw: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    grad_phiw: tuple[np.ndarray, ...]
+    grad_log_gamma1: tuple[np.ndarray, ...]
+    grad_log_gamma2: tuple[np.ndarray, ...]
+
+
+def wall_fields(grid: ChannelGrid, bdata: BoundaryData) -> WallFields:
+    """Extend the wall data once and take the gradients the energy balance uses."""
+    phiw = harmonic_extension(grid, bdata.w)
+    g1 = harmonic_extension(grid, bdata.gamma1)
+    g2 = harmonic_extension(grid, bdata.gamma2)
+    wall = WallFields(
+        phiw=phiw,
+        gamma1=g1,
+        gamma2=g2,
+        grad_phiw=tuple(grad(grid, phiw)),
+        grad_log_gamma1=tuple(dg / g1 for dg in grad(grid, g1)),
+        grad_log_gamma2=tuple(dg / g2 for dg in grad(grid, g2)),
+    )
+    for a in (phiw, g1, g2, *wall.grad_phiw, *wall.grad_log_gamma1, *wall.grad_log_gamma2):
+        a.flags.writeable = False
+    return wall
+
+
+def free_energy(
+    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
+) -> float:
     """Free energy: wall-relative entropy + electric field + kinetic energy."""
     if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
         raise ValueError("free energy undefined for non-positive concentrations")
-    g1 = harmonic_extension(grid, bdata.gamma1)
-    g2 = harmonic_extension(grid, bdata.gamma2)
+    if wall is None:
+        wall = wall_fields(grid, bdata)
+    g1, g2 = wall.gamma1, wall.gamma2
     ent = integrate(grid, g1 * phi_entropy(s.c1 / g1) + g2 * phi_entropy(s.c2 / g2))
     elec = 0.5 * p.eps ** 2 * integrate(grid, _grad_sq(grid, s.psi))
     kin = 0.0
@@ -71,15 +120,15 @@ def free_energy(grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params) -> 
 
 
 def electrochemical_potentials(
-    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params
+    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
 ) -> dict[str, np.ndarray]:
     """Potentials mu_i = log c_i + z_i(psi + phiW) and their wall-data
     counterparts mu_i_star = log Gamma_i + z_i phiW."""
     if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
         raise ValueError("potentials undefined for non-positive concentrations")
-    phiw = harmonic_extension(grid, bdata.w)
-    g1 = harmonic_extension(grid, bdata.gamma1)
-    g2 = harmonic_extension(grid, bdata.gamma2)
+    if wall is None:
+        wall = wall_fields(grid, bdata)
+    phiw, g1, g2 = wall.phiw, wall.gamma1, wall.gamma2
     total = s.psi + phiw
     return {
         "mu1": np.log(s.c1) + p.z1 * total,
@@ -89,16 +138,12 @@ def electrochemical_potentials(
     }
 
 
-def _identity_sides(grid, s: State, bdata, p) -> tuple[float, float, float]:
+def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[float, float, float]:
     """Spatial terms of the energy balance at one snapshot.
 
     Returns (dissipation, right_side, visc) where the balance reads
     dE/dt + visc + dissipation = right_side.
     """
-    phiw = harmonic_extension(grid, bdata.w)
-    g1 = harmonic_extension(grid, bdata.gamma1)
-    g2 = harmonic_extension(grid, bdata.gamma2)
-    total = s.psi + phiw
     rho = s.rho(p)
 
     visc = 0.0
@@ -107,15 +152,18 @@ def _identity_sides(grid, s: State, bdata, p) -> tuple[float, float, float]:
 
     diss = 0.0
     rhs = 0.0
-    for c, z, D, gam in ((s.c1, p.z1, p.D1, g1), (s.c2, p.z2, p.D2, g2)):
-        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad(grid, total))]
-        gmu_star = [dg / gam + z * dw for dg, dw in zip(grad(grid, gam), grad(grid, phiw))]
+    grad_total = grad(grid, s.psi + wall.phiw)
+    for c, z, D, glog_gam in (
+        (s.c1, p.z1, p.D1, wall.grad_log_gamma1),
+        (s.c2, p.z2, p.D2, wall.grad_log_gamma2),
+    ):
+        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad_total)]
+        gmu_star = [a + z * dw for a, dw in zip(glog_gam, wall.grad_phiw)]
         diss += D * integrate(grid, c * sum(a * a for a in gmu))
         rhs += D * integrate(grid, c * sum(a * b for a, b in zip(gmu, gmu_star)))
         # transport against the wall-data gradients; no diffusivity factor
-        glog_gam = [dg / gam for dg in grad(grid, gam)]
         rhs -= integrate(grid, c * sum(uc * a for uc, a in zip(s.u.components, glog_gam)))
-    rhs -= integrate(grid, rho * sum(uc * dw for uc, dw in zip(s.u.components, grad(grid, phiw))))
+    rhs -= integrate(grid, rho * sum(uc * dw for uc, dw in zip(s.u.components, wall.grad_phiw)))
     return diss, rhs, visc
 
 
@@ -124,6 +172,9 @@ def dissipation_identity_residual(
     snapshots: list[State],
     bdata: BoundaryData,
     p: Params,
+    *,
+    wall: WallFields | None = None,
+    energies: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Normalized residual of the energy balance along a trajectory.
 
@@ -131,16 +182,24 @@ def dissipation_identity_residual(
     times (one-sided second order at the ends), the spatial terms are
     evaluated per snapshot, and the mismatch is normalized by the size
     of the dissipation plus the right side so the result is a relative
-    quantity comparable across runs.
+    quantity comparable across runs.  energies, when given, are the free
+    energies of the snapshots, already computed by the caller.
     """
     if len(snapshots) < 3:
         raise ValueError(f"need at least 3 snapshots for a centered residual, got {len(snapshots)}")
+    if wall is None:
+        wall = wall_fields(grid, bdata)
     times = np.array([s.t for s in snapshots])
-    E = np.array([free_energy(grid, s, bdata, p) for s in snapshots])
+    if energies is None:
+        E = np.array([free_energy(grid, s, bdata, p, wall=wall) for s in snapshots])
+    elif len(energies) != len(snapshots):
+        raise ValueError(f"got {len(energies)} energies for {len(snapshots)} snapshots")
+    else:
+        E = np.array(energies, dtype=float)
     dEdt = np.gradient(E, times, edge_order=2)
     res = np.empty(len(snapshots))
     for k, s in enumerate(snapshots):
-        diss, rhs, visc = _identity_sides(grid, s, bdata, p)
+        diss, rhs, visc = _identity_sides(grid, s, wall, p)
         num = dEdt[k] + visc + diss - rhs
         den = max(abs(visc) + diss + abs(rhs), 1e-14)
         res[k] = num / den
@@ -148,7 +207,7 @@ def dissipation_identity_residual(
 
 
 def dissipation_lower_bound(
-    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params
+    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
 ) -> dict[str, float]:
     """Both sides of the coercivity bound on the entropy dissipation.
 
@@ -157,14 +216,16 @@ def dissipation_lower_bound(
     1/(2 D*)).  Returns the sides and the constant; callers assert with
     an O(h^2) slack since the continuous proof integrates by parts once.
     """
-    phiw = harmonic_extension(grid, bdata.w)
-    total = s.psi + phiw
+    if wall is None:
+        wall = wall_fields(grid, bdata)
+    total = s.psi + wall.phiw
     rho = s.rho(p)
 
     diss = 0.0
     grad_c_sq = 0.0
+    grad_total = grad(grid, total)
     for c, z, D in ((s.c1, p.z1, p.D1), (s.c2, p.z2, p.D2)):
-        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad(grid, total))]
+        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad_total)]
         diss += D * integrate(grid, c * sum(a * a for a in gmu))
         grad_c_sq += integrate(grid, _grad_sq(grid, c))
     field_sq = integrate(grid, _grad_sq(grid, total))
@@ -206,12 +267,12 @@ def modulated_energy(
         H += 0.5 * integrate(grid, (comp - comp_lim) ** 2)
 
     theta = 0.0
+    dpsi = grad(grid, s.psi)
+    dpsil = grad(grid, psi_lim)
     for c, c_lim, D, z in ((s.c1, c1_lim, p.D1, p.z1), (s.c2, c2_lim, p.D2, p.z2)):
         dc = grad(grid, c)
         dcl = grad(grid, c_lim)
         theta += D * integrate(grid, sum((a - b) ** 2 for a, b in zip(dc, dcl)) / c)
-        dpsi = grad(grid, s.psi)
-        dpsil = grad(grid, psi_lim)
         theta += z ** 2 * D * integrate(grid, c * sum((a - b) ** 2 for a, b in zip(dpsi, dpsil)))
     theta += p.D_star * integrate(grid, (s.rho(p) / p.eps) ** 2)
     for comp, comp_lim in zip(s.u.components, u_lim.components):

@@ -5,7 +5,8 @@ divergence-free projection.
 Every solve here is direct, with no tolerance to tune.  The
 constant-coefficient Poisson problems take an rfft in x and stack every
 mode's tridiagonal in y into one block-diagonal tridiagonal, factored
-once per (grid, shift) and cached, so a call costs one triangular solve.
+once per (grid, shift) and cached, so a call costs one triangular solve;
+in d = 1 that solve runs on the real right side, skipping the FFTs.
 The projection is one batched pentadiagonal solve over all modes, and
 the divergence form a tridiagonal solve (d = 1) or a sparse LU of the
 assembled interior operator (d = 2).  The package's only iterative
@@ -94,13 +95,30 @@ def solve_shifted_poisson(
     The tangential directions are diagonalized by rfft; each mode is a
     real-shifted tridiagonal system in y.  All modes form one stacked
     tridiagonal, factored once per (grid, alpha) and solved here for
-    the real and imaginary parts of every mode at once.
+    the real and imaginary parts of every mode at once.  In d = 1 the
+    single mode is real and is solved without the transforms.
     """
     if alpha < 0.0:
         raise ValueError(f"shift must be non-negative, got alpha={alpha}")
     b0, b1 = _as_traces(grid, bc)
     h2 = grid.hy ** 2
     nk, m = len(grid.kx), grid.ny - 2
+    dl, d, du, du2, ipiv = _shifted_poisson_factors(grid, float(alpha))
+
+    if grid.nx == 1:
+        # a length-1 rfft/irfft is the identity, so solve the one real
+        # mode directly; the wall terms repeat the real part of the
+        # complex division below, which numpy computes as (b + 0) * (1/h2)
+        b = np.empty((m, 1), order="F")
+        b[:, 0] = f[0, 1:-1]
+        b[0, 0] += (b0[0] + 0.0) * (1.0 / h2)
+        b[-1, 0] += (b1[0] + 0.0) * (1.0 / h2)
+        x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        u = np.empty((1, grid.ny))
+        u[0, 0] = b0[0]
+        u[0, -1] = b1[0]
+        u[0, 1:-1] = x[:, 0]
+        return u
 
     fh = np.fft.rfft(f, axis=0)
     b0h = np.fft.rfft(b0)
@@ -111,7 +129,6 @@ def solve_shifted_poisson(
     b = np.empty((nk * m, 2), order="F")
     b[:, 0] = rhs.real.ravel()
     b[:, 1] = rhs.imag.ravel()
-    dl, d, du, du2, ipiv = _shifted_poisson_factors(grid, float(alpha))
     x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
 
     uh = np.empty_like(fh)

@@ -13,11 +13,11 @@ both walls, hy = 1/(ny - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChannelGrid", "ScalarField", "VelocityField", "State"]
+__all__ = ["ChannelGrid", "VelocityField", "State"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -105,31 +105,6 @@ class ChannelGrid:
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
-    def field_from_y(self, fy: np.ndarray) -> np.ndarray:
-        """Broadcast a y-profile of shape (ny,) to a full field."""
-        fy = np.asarray(fy, dtype=float)
-        if fy.shape != (self.ny,):
-            raise ValueError(f"profile must have shape ({self.ny},), got {fy.shape}")
-        return np.tile(fy[None, :], (self.nx, 1))
-
-
-@dataclass
-class ScalarField:
-    """A scalar sample on the grid, shape (nx, ny)."""
-
-    grid: ChannelGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VelocityField:
@@ -174,7 +149,6 @@ class State:
     c2: np.ndarray
     u: VelocityField
     psi: np.ndarray
-    p: np.ndarray | None = None
 
     def copy(self) -> "State":
         return State(
@@ -183,7 +157,6 @@ class State:
             c2=self.c2.copy(),
             u=self.u.copy(),
             psi=self.psi.copy(),
-            p=None if self.p is None else self.p.copy(),
         )
 
     def rho(self, params) -> np.ndarray:

@@ -56,7 +56,6 @@ class LimitState:
     c1: np.ndarray
     u: VelocityField
     psi: np.ndarray
-    p: np.ndarray | None = None
 
     def c2(self, params: Params) -> np.ndarray:
         return -(params.z1 / params.z2) * self.c1
@@ -67,7 +66,6 @@ class LimitState:
             c1=self.c1.copy(),
             u=self.u.copy(),
             psi=self.psi.copy(),
-            p=None if self.p is None else self.p.copy(),
         )
 
 

@@ -36,8 +36,15 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .diagnostics import DiagnosticsRecord, MaxPrincipleReport, dissipation_identity_residual, free_energy, max_principle_check
-from .elliptic import harmonic_extension, project_div_free, solve_poisson, solve_shifted_poisson
+from .diagnostics import (
+    DiagnosticsRecord,
+    MaxPrincipleReport,
+    dissipation_identity_residual,
+    free_energy,
+    max_principle_check,
+    wall_fields,
+)
+from .elliptic import project_div_free, solve_poisson, solve_shifted_poisson
 from .grid import ChannelGrid, State, VelocityField
 from .operators import BandedMatrix, advect, div_a_grad, div_a_grad_matrix, grad, laplacian
 from .params import BoundaryData, Params
@@ -153,14 +160,16 @@ class Trajectory:
 class _StepWorkspace:
     """Per-run state shared by every step.
 
-    Holds the wall-data fields and, for the d = 1 coupled step, the one
-    band matrix (with its LU buffer) that each step refills with its
-    coupling entries and solves.
+    Holds the run's WallFields (the harmonic extensions of the wall data
+    and their gradients, used by the steps and the energy diagnostics
+    alike) and, for the d = 1 coupled step, the one band matrix (with
+    its LU buffer) that each step refills with its coupling entries and
+    solves.
     """
 
     def __init__(self, cfg: NpnsConfig):
         g = cfg.grid
-        self.phiw = harmonic_extension(g, cfg.bdata.w)
+        self.wall = wall_fields(g, cfg.bdata)
         self.gamma1_trace = cfg.bdata.gamma1
         self.gamma2_trace = cfg.bdata.gamma2
         self.coupled = None
@@ -386,7 +395,7 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     g = cfg.grid
     p = cfg.params
     dt = cfg.dt
-    phiw = _ws.phiw
+    phiw = _ws.wall.phiw
     t_new = s.t + dt
 
     adv1 = advect(g, s.u, s.c1) if g.d == 2 else 0.0
@@ -493,7 +502,7 @@ def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
 
     def record(state: State) -> None:
         traj.snapshots.append(state.copy())
-        E = free_energy(g, state, cfg.bdata, p)
+        E = free_energy(g, state, cfg.bdata, p, wall=ws.wall)
         ext = (np.min(state.c1), np.max(state.c1), np.min(state.c2), np.max(state.c2))
         traj.diagnostics.append(state.t, E, ext)
 
@@ -510,7 +519,9 @@ def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
         if k % save_every == 0 or k == n:
             record(s)
     if len(traj) >= 3:
-        res = dissipation_identity_residual(g, traj.snapshots, cfg.bdata, p)
+        res = dissipation_identity_residual(
+            g, traj.snapshots, cfg.bdata, p, wall=ws.wall, energies=traj.diagnostics.E
+        )
         traj.diagnostics.dissipation_residual = [float(r) for r in res]
     logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", n, len(traj), s.t)
     return traj

@@ -9,7 +9,7 @@ regime non-singular at the walls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class Params:
         Envelope of admissible concentrations: the min/max over the wall
         traces and the initial data of both species.  Used by maximum
         principle checks and by ellipticity guards.
-    K : float
-        Electro-coupling constant, fixed to 1 in this scaling.
     """
 
     z1: float
@@ -46,7 +44,6 @@ class Params:
     eps: float
     c_lower: float = 1.0
     c_upper: float = 1.0
-    K: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.z1 > 0.0 > self.z2):
@@ -62,8 +59,6 @@ class Params:
                 f"data bounds must satisfy 0 < c_lower <= c_upper, "
                 f"got c_lower={self.c_lower}, c_upper={self.c_upper}"
             )
-        if self.K != 1.0:
-            raise ValueError(f"coupling constant is fixed to 1 in this scaling, got K={self.K}")
 
     @property
     def D_star(self) -> float:
@@ -90,8 +85,6 @@ class BoundaryData:
     gamma1: np.ndarray
     gamma2: np.ndarray
     w: np.ndarray
-    _z1: float = field(default=0.0, repr=False)
-    _z2: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         self.gamma1 = np.atleast_2d(np.asarray(self.gamma1, dtype=float))
@@ -115,8 +108,7 @@ class BoundaryData:
         """Build wall data with gamma2 derived from the zero-net-charge condition."""
         gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
         gamma2 = -params.z1 * gamma1 / params.z2
-        return cls(gamma1=gamma1, gamma2=gamma2, w=np.atleast_2d(np.asarray(w, dtype=float)),
-                   _z1=params.z1, _z2=params.z2)
+        return cls(gamma1=gamma1, gamma2=gamma2, w=np.atleast_2d(np.asarray(w, dtype=float)))
 
     def gamma(self, species: int) -> np.ndarray:
         return {1: self.gamma1, 2: self.gamma2}[species]

@@ -317,6 +317,25 @@ def test_shifted_poisson_cached_factors_are_not_shared_out():
         assert not a.flags.writeable
 
 
+def test_shifted_poisson_d1_path_leaves_input_and_factors_alone():
+    # d = 1 skips the transforms: it must still leave f untouched, hand out
+    # a fresh array, and give the transform path's bytes, zero signs included
+    g = grid1d(33)
+    f = RNG.standard_normal(g.shape)
+    f_before = f.copy()
+    u = solve_shifted_poisson(g, 2.0, f, bc=(0.4, -1.1))
+    assert f.tobytes() == f_before.tobytes()
+    factors = elliptic._shifted_poisson_factors(g, 2.0)
+    assert not any(np.shares_memory(u, a) for a in (f, *factors))
+    expected = u.copy()
+    u[:] = 1e300
+    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, bc=(0.4, -1.1)), expected)
+    for fill, bc in ((-0.0, -0.0), (0.0, -0.0), (-0.0, None)):
+        f = np.full(g.shape, fill)
+        ref = per_mode_shifted_poisson(g, 2.0, f, bc)
+        assert solve_shifted_poisson(g, 2.0, f, bc).tobytes() == ref.tobytes(), (fill, bc)
+
+
 def test_shifted_poisson_rejects_negative_shift():
     g = grid1d(17)
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from debyeflow.diagnostics import (
     modulated_energy,
     phi_entropy,
     rate_fit,
+    wall_fields,
 )
 from debyeflow.elliptic import harmonic_extension, solve_poisson
 from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
@@ -240,6 +241,58 @@ def test_dissipation_lower_bound_along_run():
         assert out["lhs"] <= 1.05 * out["rhs"] + 1e-12, (
             f"t={s.t}: lower bound violated, lhs={out['lhs']:.6g} rhs={out['rhs']:.6g}"
         )
+
+
+def wall_driven_run(d):
+    """A short run whose wall data varies: across the channel in d = 1,
+    and along x as well in d = 2, so every cached wall gradient is nonzero."""
+    if d == 1:
+        p, g, bdata = setup_1d(ny=65, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5), c_bounds=(2.0, 2.8))
+        c1 = 2.0 + 0.5 * g.yy + 0.3 * np.sin(np.pi * g.yy)
+    else:
+        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25, c_lower=1.8, c_upper=2.2)
+        g = ChannelGrid(d=2, nx=8, ny=17)
+        gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
+        w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.full(g.nx, 0.3)])
+        bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
+        c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy
+    cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=6e-3)
+    s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
+    return g, bdata, p, run_npns(s0, cfg)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_recorded_diagnostics_match_fresh_computation(d):
+    # run_npns evaluates E with the run's wall fields and hands those
+    # energies to the residual; both must equal a from-scratch evaluation
+    g, bdata, p, traj = wall_driven_run(d)
+    if d == 2:
+        wall = wall_fields(g, bdata)
+        for grads in (wall.grad_phiw, wall.grad_log_gamma1, wall.grad_log_gamma2):
+            assert np.any(grads[0] != 0.0), "x-part of a wall gradient vanishes"
+        assert np.any(traj.snapshots[-1].u.components[0] != 0.0), "the run must move the fluid"
+    fresh_E = np.array([free_energy(g, s, bdata, p) for s in traj.snapshots])
+    fresh_res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
+    assert np.array(traj.diagnostics.E).tobytes() == fresh_E.tobytes()
+    assert np.array(traj.diagnostics.dissipation_residual).tobytes() == fresh_res.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wall_keyword_matches_per_call_build(d):
+    g, bdata, p, traj = wall_driven_run(d)
+    wall = wall_fields(g, bdata)
+    for a in (wall.phiw, wall.gamma1, *wall.grad_log_gamma2):
+        assert not a.flags.writeable
+    s = traj.snapshots[-1]
+    assert free_energy(g, s, bdata, p, wall=wall) == free_energy(g, s, bdata, p)
+    assert dissipation_lower_bound(g, s, bdata, p, wall=wall) == dissipation_lower_bound(g, s, bdata, p)
+    cached = electrochemical_potentials(g, s, bdata, p, wall=wall)
+    for key, value in electrochemical_potentials(g, s, bdata, p).items():
+        assert np.array_equal(cached[key], value), key
+    res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
+    assert np.array_equal(dissipation_identity_residual(g, traj.snapshots, bdata, p, wall=wall), res)
+    with pytest.raises(ValueError):
+        dissipation_identity_residual(g, traj.snapshots, bdata, p, energies=traj.diagnostics.E[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Integrator tests: exact discrete fixed points, amplification factors,
 charge relaxation, self-convergence, and guard behavior."""
 
+import dataclasses
 import itertools
 import pickle
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
-from debyeflow import npns
+from debyeflow import elliptic, npns
 from debyeflow.diagnostics import max_principle_check
 from debyeflow.npns import (
     MaxPrincipleViolation,
@@ -345,3 +347,32 @@ def test_run_with_shared_workspace_matches_fresh_steps():
         s.t = k * cfg.dt
         for name in ("c1", "c2", "psi"):
             assert np.array_equal(getattr(snap, name), getattr(s, name)), f"step {k}: {name} differs"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wall_data_is_extended_once_per_run(d, monkeypatch):
+    # the wall data is fixed for a run: its harmonic extensions are built
+    # once, whatever the number of steps and snapshots
+    calls = []
+    original = elliptic.harmonic_extension
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "debyeflow" and vars(module).get("harmonic_extension") is original:
+            monkeypatch.setattr(module, "harmonic_extension", counted)
+    counts = []
+    for t_end, save_every in ((4e-3, 1), (1.2e-2, 2)):
+        if d == 1:
+            cfg = make_cfg(ny=33, dt=1e-3, t_end=t_end, w=(0.0, 0.5))
+            s0 = well_prepared_init(cfg.grid, 2.0 + 0.5 * np.sin(np.pi * cfg.grid.yy), VelocityField.zero(cfg.grid), cfg)
+        else:
+            cfg, s0 = _d2_cfg(0.25)
+            cfg = dataclasses.replace(cfg, t_end=t_end)
+        calls.clear()
+        traj = run_npns(s0, cfg, save_every=save_every)
+        assert len(traj) >= 3, "the run must reach the energy residual"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3, f"harmonic_extension calls per run: {counts}"
