@@ -8,9 +8,10 @@ mode's tridiagonal in y into one block-diagonal tridiagonal, factored
 once per (grid, shift) and cached, so a call costs one triangular solve;
 in d = 1 that solve runs on the real right side, skipping the FFTs.
 The projection is one batched pentadiagonal solve over all modes, and
-the divergence form a tridiagonal solve (d = 1) or a sparse LU of the
-assembled interior operator (d = 2).  The package's only iterative
-solve is the d = 2 coupled step in npns.py.
+the divergence form a tridiagonal solve (d = 1) or a banded Cholesky
+factorization (d = 2): numbered x-fastest, the negated interior
+operator is a symmetric positive definite band of half-width nx.  The
+package's only iterative solve is the d = 2 coupled step in npns.py.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import functools
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .grid import ChannelGrid, VelocityField
-from .operators import div_a_grad_matrix, half_node_average_y
+from .operators import half_node_average_y
 
 __all__ = [
     "solve_shifted_poisson",
@@ -185,6 +184,11 @@ def solve_div_form(
     of the coefficient, periodic wraparound in x.  The coefficient must
     be strictly positive (the solve refuses sign-degenerate input so a
     silent loss of ellipticity cannot slip through).
+
+    The solve is direct, with no tolerance: a tridiagonal solve in
+    d = 1, and in d = 2 a banded Cholesky factorization (LAPACK
+    dpbtrf/dpbtrs) of -div(a grad .) on the interior nodes, numbered
+    x-fastest so the band has half-width nx.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(a > 0.0):
@@ -212,20 +216,34 @@ def solve_div_form(
         u[0, 1:-1] = x
         return u
 
-    # d = 2: interior rows and columns of the assembled operator; u holds
-    # only the wall values here, so L @ u is the wall-column contribution
+    # d = 2: -div(a grad .) on the interior nodes, numbered x-fastest as
+    # (j-1) nx + i, is symmetric positive definite with couplings at
+    # offsets 1 (x neighbour), nx-1 (periodic wrap) and nx (y neighbour).
+    # Upper band storage of half-width nx: entry (q-k, q) sits in row
+    # nx-k, column q; band[j-1, i, nx-k] is that slot for q = (j-1) nx + i
+    nx = grid.nx
+    ay = half_node_average_y(a) / h2  # couples (i, j) and (i, j+1)
+    ax = 0.5 * (a + np.roll(a, -1, axis=0)) / grid.hx ** 2  # (i, j) and (i+1, j)
+    band = np.zeros((m, nx, nx + 1))
+    band[:, :, nx] = (ay[:, :-1] + ay[:, 1:] + ax[:, 1:-1] + np.roll(ax, 1, axis=0)[:, 1:-1]).T
+    band[:, 1:, nx - 1] = -ax[:-1, 1:-1].T
+    band[:, -1, 1] = -ax[-1, 1:-1]
+    band[1:, :, 0] = -ay[:, 1:-1].T
+    # the wall values move to the right side
+    b = -rhs[:, 1:-1].T.copy()
+    b[0] += ay[:, 0] * b0
+    b[-1] += ay[:, -1] * b1
+    # band.reshape(m nx, nx+1).T is the Fortran-order band LAPACK factors in place
+    chol, info = scipy.linalg.lapack.dpbtrf(band.reshape(m * nx, nx + 1).T, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"divergence-form matrix is not positive definite (dpbtrf info={info})")
+    x, info = scipy.linalg.lapack.dpbtrs(chol, b.reshape(m * nx, 1), overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"divergence-form band solve failed (dpbtrs info={info})")
     u = grid.zeros()
     u[:, 0] = b0
     u[:, -1] = b1
-    interior = np.zeros(grid.shape, dtype=bool)
-    interior[:, 1:-1] = True
-    interior = interior.ravel()
-    L = div_a_grad_matrix(grid, a)[interior]
-    b = rhs[:, 1:-1].ravel() - L @ u.ravel()
-    # the operator's sparsity is symmetric, so a minimum-degree ordering
-    # of A^T + A fills less than the default column ordering
-    lu = scipy.sparse.linalg.splu(L[:, interior].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    u[:, 1:-1] = lu.solve(b).reshape(grid.nx, m)
+    u[:, 1:-1] = x.reshape(m, nx).T
     return u
 
 

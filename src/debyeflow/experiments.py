@@ -155,8 +155,8 @@ def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, LimitTraj
     init = well_prepared_init(g, fx.c1_eps0, VelocityField.zero(g), ncfg)
     traj = run_npns(init, ncfg, save_every=cfg.save_every)
     lcfg = LimitConfig(params=fx.params, bdata=fx.bdata, grid=g, dt=fx.dt, t_end=cfg.t_end)
-    linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), lcfg)
-    ltraj = run_limit(linit, lcfg, save_every=cfg.save_every)
+    linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), lcfg, fx.phiw)
+    ltraj = run_limit(linit, lcfg, save_every=cfg.save_every, phiw=fx.phiw)
     if len(traj.snapshots) != len(ltraj.snapshots) or np.max(
         np.abs(traj.times - ltraj.times)
     ) > 1e-12 * max(1.0, cfg.t_end):

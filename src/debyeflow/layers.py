@@ -110,9 +110,7 @@ class BoundaryLayerProfile:
 
     Every component is coefficient * exp(-rate * xi) in the stretched
     wall distance xi, so derivatives of any order are analytic: pass
-    ``derivative=n`` to multiply by (-rate)^n.  Velocity and pressure
-    carry no wall layer at this order; the methods exist so composite
-    code can treat all components uniformly.
+    ``derivative=n`` to multiply by (-rate)^n.
 
     Attributes
     ----------
@@ -152,13 +150,6 @@ class BoundaryLayerProfile:
     def phi(self, xi, derivative: int = 0) -> np.ndarray:
         coef = -self.amplitude / (self.z1 * (self.z1 - self.z2) * self.gamma1)
         return self._eval(coef, xi, derivative)
-
-    def velocity(self, xi) -> np.ndarray:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return np.zeros((self.amplitude.size, xi.size))
-
-    def pressure(self, xi) -> np.ndarray:
-        return self.velocity(xi)
 
 
 def boundary_layer(wall: str, amplitude, gamma1_trace, p: Params) -> BoundaryLayerProfile:

@@ -171,8 +171,12 @@ def _momentum_step(grid: ChannelGrid, u: VelocityField, dt: float, nu: float,
 
 
 def initial_limit_state(grid: ChannelGrid, c1_0: np.ndarray, u_0: VelocityField,
-                        cfg: LimitConfig) -> LimitState:
-    """Validated initial state with the potential already solved."""
+                        cfg: LimitConfig, phiw: np.ndarray | None = None) -> LimitState:
+    """Validated initial state with the potential already solved.
+
+    phiw is the harmonic extension of cfg.bdata.w; it is computed here
+    when the caller does not pass it.
+    """
     c1_0 = np.asarray(c1_0, dtype=float)
     if c1_0.shape != grid.shape:
         raise ValueError(f"c1 shape {c1_0.shape} does not match grid {grid.shape}")
@@ -184,7 +188,8 @@ def initial_limit_state(grid: ChannelGrid, c1_0: np.ndarray, u_0: VelocityField,
     )
     if mismatch > 1e-10:
         raise ValueError(f"initial trace mismatch {mismatch:.2e} against the wall data")
-    phiw = harmonic_extension(grid, cfg.bdata.w)
+    if phiw is None:
+        phiw = harmonic_extension(grid, cfg.bdata.w)
     u = project_div_free(grid, u_0)
     psi = solve_limit_psi(grid, c1_0, cfg.params, phiw)
     return LimitState(t=0.0, c1=c1_0.copy(), u=u, psi=psi)
@@ -201,7 +206,7 @@ def step_limit(s: LimitState, cfg: LimitConfig, phiw: np.ndarray | None = None) 
     if phiw is None:
         phiw = harmonic_extension(g, cfg.bdata.w)
     deff = effective_diffusivity(p)
-    explicit = -advect(g, s.u, s.c1)
+    explicit = -advect(g, s.u, s.c1) if g.d == 2 else 0.0
     c1 = _transport_delta_step(g, s.c1, deff, cfg.dt, explicit)
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
@@ -212,10 +217,15 @@ def step_limit(s: LimitState, cfg: LimitConfig, phiw: np.ndarray | None = None) 
 
 
 def run_limit(init: LimitState, cfg: LimitConfig, save_every: int = 1,
-              check_max_principle: bool = True) -> LimitTrajectory:
-    """March the limit system, enforcing the maximum principle bounds."""
+              check_max_principle: bool = True, phiw: np.ndarray | None = None) -> LimitTrajectory:
+    """March the limit system, enforcing the maximum principle bounds.
+
+    phiw is the harmonic extension of cfg.bdata.w, computed here when
+    not passed.
+    """
     g, p = cfg.grid, cfg.params
-    phiw = harmonic_extension(g, cfg.bdata.w)
+    if phiw is None:
+        phiw = harmonic_extension(g, cfg.bdata.w)
     lo1 = min(float(np.min(cfg.bdata.gamma1)), float(np.min(init.c1)))
     hi1 = max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1)))
     ratio = -p.z1 / p.z2
@@ -275,7 +285,7 @@ def _solve_order0(cfg: LimitConfig, c1_0, u_0) -> InnerExpansion:
     phiw = harmonic_extension(g, cfg.bdata.w)
     if u_0 is None:
         u_0 = VelocityField.zero(g)
-    s = initial_limit_state(g, c1_0, u_0, cfg)
+    s = initial_limit_state(g, c1_0, u_0, cfg, phiw)
     exp = InnerExpansion(grid=g, params=p, bdata=cfg.bdata, phiw=phiw)
     exp.times = [0.0]
     exp.c1[0] = [s.c1.copy()]

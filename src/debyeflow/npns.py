@@ -15,10 +15,12 @@ zeros and exact equilibria are bitwise fixed points.
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
 entries that depend on the concentrations and factors into the same
-buffer, so the step allocates no factor storage.  In d = 2 it
-is solved by restarted GMRES (Saad & Schultz 1986), preconditioned by
-the same operator with x-mean coefficients, which the rfft in x splits
-into one banded matrix per mode.  GMRES stops once the residual norm has
+buffer, so the step allocates no factor storage.  In d = 2 a run
+likewise assembles one CSR matrix, and each step refills only the data
+slots of its two coupling blocks.  That system is solved by restarted
+GMRES (Saad & Schultz 1986), preconditioned by the same operator with
+x-mean coefficients, which the rfft in x splits into one banded matrix
+per mode.  GMRES stops once the residual norm has
 dropped by GMRES_RTOL = 1e-13, or to the rounding level of the residual
 being solved for if that is larger; a step whose GMRES does not
 converge raises StepError.  A zero residual gives an exact zero
@@ -46,7 +48,16 @@ from .diagnostics import (
 )
 from .elliptic import project_div_free, solve_poisson, solve_shifted_poisson
 from .grid import ChannelGrid, State, VelocityField
-from .operators import BandedMatrix, advect, div_a_grad, div_a_grad_matrix, grad, laplacian
+from .operators import (
+    BandedMatrix,
+    advect,
+    div_a_grad,
+    div_a_grad_matrix,
+    div_a_grad_pattern,
+    div_a_grad_values,
+    grad,
+    laplacian,
+)
 from .params import BoundaryData, Params
 
 logger = logging.getLogger(__name__)
@@ -162,9 +173,10 @@ class _StepWorkspace:
 
     Holds the run's WallFields (the harmonic extensions of the wall data
     and their gradients, used by the steps and the energy diagnostics
-    alike) and, for the d = 1 coupled step, the one band matrix (with
-    its LU buffer) that each step refills with its coupling entries and
-    solves.
+    alike) and the one coupled-step matrix of the run, which each step
+    refills with the coupling entries of its concentrations: in d = 1 a
+    band matrix with its LU buffer, in d = 2 a CSR matrix together with
+    the positions of its two coupling blocks' entries in its data.
     """
 
     def __init__(self, cfg: NpnsConfig):
@@ -173,9 +185,15 @@ class _StepWorkspace:
         self.gamma1_trace = cfg.bdata.gamma1
         self.gamma2_trace = cfg.bdata.gamma2
         self.coupled = None
-        if g.d == 1 and cfg.stiff_mode == "implicit-coupled":
+        self.coupling_slots = None
+        if cfg.stiff_mode == "implicit-coupled":
             # the coupling entries written here are overwritten by every step
-            self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
+            if g.d == 1:
+                self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
+            else:
+                ones = np.ones(g.shape)
+                self.coupled = _coupled_sparse_2d(g, cfg.params, cfg.dt, ones, ones)
+                self.coupling_slots = _coupling_slots_2d(self.coupled, g)
 
 
 def well_prepared_init(
@@ -296,6 +314,41 @@ def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> sci
     pois = -p.eps ** 2 * lap + I_wall
     blocks.append([-p.z1 * I_int, -p.z2 * I_int, pois])
     return scipy.sparse.bmat(blocks, format="csr")
+
+
+def _coupling_slots_2d(A: scipy.sparse.csr_matrix, grid: ChannelGrid) -> np.ndarray:
+    """Where the coupling entries of _coupled_sparse_2d sit in A.data.
+
+    Row v holds, in div_a_grad_pattern order, the data positions of
+    species v's block -z D div(c_n grad .), which spans rows v N to
+    (v+1) N and the psi columns 2N to 3N.  Each entry's flat index
+    row * 3N + column is looked up among A's stored entries, which
+    increase strictly in a canonical CSR matrix; a non-canonical A or an
+    entry A does not store raises ValueError.
+    """
+    N = grid.nx * grid.ny
+    n_rows, n_cols = A.shape
+    stored = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(A.indptr)) * n_cols + A.indices
+    rows, cols = div_a_grad_pattern(grid)
+    slots = np.empty((2, len(rows)), dtype=np.intp)
+    for v in range(2):
+        wanted = (v * N + rows.astype(np.int64)) * n_cols + 2 * N + cols
+        slots[v] = np.searchsorted(stored, wanted)
+        if not (A.has_canonical_format and np.array_equal(stored.take(slots[v], mode="clip"), wanted)):
+            raise ValueError("matrix does not store every coupling entry in canonical order")
+    return slots
+
+
+def _set_coupling_2d(A: scipy.sparse.csr_matrix, slots: np.ndarray, grid: ChannelGrid, p: Params,
+                     c1n, c2n) -> None:
+    """Write the coupling entries of the frozen concentrations into A.data.
+
+    The values are the div_a_grad_matrix entries scaled as in
+    _coupled_sparse_2d, so A becomes bitwise the matrix it would build
+    from c1n and c2n.  No other entry of A is touched.
+    """
+    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n), (p.z2, p.D2, c2n))):
+        A.data[slots[v]] = -z * D * div_a_grad_values(grid, a)
 
 
 def _mode_preconditioner(grid: ChannelGrid, p: Params, dt: float, c1n, c2n):
@@ -424,7 +477,8 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
             c1 = x[0::3][None, :].copy()
             c2 = x[1::3][None, :].copy()
         else:
-            A = _coupled_sparse_2d(g, p, dt, s.c1, s.c2)
+            A = _ws.coupled
+            _set_coupling_2d(A, _ws.coupling_slots, g, p, s.c1, s.c2)
             N = g.nx * g.ny
             x = np.concatenate([s.c1.ravel(), s.c2.ravel(), s.psi.ravel()])
             b = np.concatenate([b1.ravel(), b2.ravel(), np.zeros(N)])

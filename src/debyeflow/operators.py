@@ -34,6 +34,8 @@ __all__ = [
     "norms",
     "half_node_average_y",
     "div_a_grad",
+    "div_a_grad_pattern",
+    "div_a_grad_values",
     "div_a_grad_matrix",
     "BandedMatrix",
 ]
@@ -234,40 +236,57 @@ def div_a_grad(grid: ChannelGrid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def div_a_grad_pattern(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the div_a_grad_matrix triplets.
+
+    Node (i, j) is row-major index i ny + j.  Each interior node
+    contributes its diagonal, then its y neighbours j-1 and j+1, then in
+    d = 2 its x neighbours i+1 and i-1 (periodic); each group runs over
+    the interior nodes in row-major order.  The arrays depend only on
+    the grid and are cached, shared and read-only.
+    """
+    nx, ny = grid.shape
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny - 1), indexing="ij")
+    ii = ii.ravel()
+    jj = jj.ravel()
+    row = ii * ny + jj
+    rows = [row, row, row]
+    cols = [row, row - 1, row + 1]
+    if grid.d == 2:
+        rows += [row, row]
+        cols += [(ii + 1) % nx * ny + jj, (ii - 1) % nx * ny + jj]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
+    """Entries of div_a_grad_matrix(grid, a), in div_a_grad_pattern order."""
+    h2 = grid.hy ** 2
+    a_lo = (0.5 * (a[:, :-2] + a[:, 1:-1]) / h2).ravel()
+    a_hi = (0.5 * (a[:, 1:-1] + a[:, 2:]) / h2).ravel()
+    vals = [-(a_lo + a_hi), a_lo, a_hi]
+    if grid.d == 2:
+        # the west coefficient of node i is the east one of node i-1
+        a_e = 0.5 * (a + np.roll(a, -1, axis=0))[:, 1:-1] / grid.hx ** 2
+        a_w = np.roll(a_e, 1, axis=0)
+        vals[0] = vals[0] - (a_e + a_w).ravel()
+        vals += [a_e.ravel(), a_w.ravel()]
+    return np.concatenate(vals)
+
+
 def div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matrix:
     """Assembled div_a_grad(grid, a, .) over all nodes, row-major (i, j).
 
     Wall rows are zero, as in div_a_grad.  With a = 1 this is the
     five-point Laplacian (periodic in x).
     """
-    nx, ny = grid.shape
-    N = nx * ny
-    h2 = grid.hy ** 2
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny - 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    row = ii * ny + jj
-
-    a_lo = 0.5 * (a[ii, jj - 1] + a[ii, jj]) / h2
-    a_hi = 0.5 * (a[ii, jj] + a[ii, jj + 1]) / h2
-    rows = [row, row, row]
-    cols = [row, ii * ny + jj - 1, ii * ny + jj + 1]
-    vals = [-(a_lo + a_hi), a_lo, a_hi]
-
-    if grid.d == 2:
-        hx2 = grid.hx ** 2
-        ip = (ii + 1) % nx
-        im = (ii - 1) % nx
-        a_e = 0.5 * (a[ii, jj] + a[ip, jj]) / hx2
-        a_w = 0.5 * (a[im, jj] + a[ii, jj]) / hx2
-        vals[0] = vals[0] - (a_e + a_w)
-        rows += [row, row]
-        cols += [ip * ny + jj, im * ny + jj]
-        vals += [a_e, a_w]
-
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    )
+    N = grid.nx * grid.ny
+    rows, cols = div_a_grad_pattern(grid)
+    return scipy.sparse.csr_matrix((div_a_grad_values(grid, a), (rows, cols)), shape=(N, N))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import scipy.linalg
 import scipy.sparse
 
 from debyeflow.grid import ChannelGrid
-from debyeflow.operators import BandedMatrix, d2dx2, ddx, div_a_grad
+from debyeflow.limit import _transport_delta_step, effective_diffusivity
+from debyeflow.operators import BandedMatrix, advect, d2dx2, ddx, div_a_grad
 
 
 def interior_laplacian_action(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
@@ -258,3 +259,18 @@ def dense_projection(grid: ChannelGrid, u) -> list[np.ndarray]:
         c[:, 1:-1] = part.reshape(nx, ny - 2)
         comps.append(c)
     return comps
+
+
+def advected_limit_c1(s, cfg) -> np.ndarray:
+    """c1 after one limit step with the advection term always evaluated.
+
+    step_limit skips advect in d = 1, where the velocity is identically
+    zero; this keeps the explicit -advect(u, c1) term in the library's
+    transport step, as the step once did in every dimension.
+    """
+    g = cfg.grid
+    deff = effective_diffusivity(cfg.params)
+    c1 = _transport_delta_step(g, s.c1, deff, cfg.dt, -advect(g, s.u, s.c1))
+    c1[:, 0] = cfg.bdata.gamma1[0]
+    c1[:, -1] = cfg.bdata.gamma1[1]
+    return c1

@@ -400,6 +400,23 @@ def test_div_form_matches_dense_solve():
     assert err <= 1e-12, f"sparse div-form solve differs from the dense one by {err:.2e}"
 
 
+@pytest.mark.parametrize("nx, ny", [(4, 8), (8, 12), (16, 33)])
+@pytest.mark.parametrize("contrast", [1.0, 1e3])
+def test_div_form_band_solve_matches_dense(nx, ny, contrast):
+    # nx = 4 is the smallest grid on which the band's x-neighbour (1),
+    # periodic-wrap (nx-1) and y-neighbour (nx) offsets are all distinct
+    g = grid2d(nx, ny)
+    rng = np.random.default_rng(nx)
+    a = contrast ** rng.random(g.shape)
+    rhs = rng.standard_normal(g.shape)
+    bc = rng.standard_normal((2, nx))
+    u = solve_div_form(g, a, rhs, bc=bc)
+    ref = dense_div_form(g, a, rhs, bc[0], bc[1])
+    err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13, f"nx={nx}, contrast {contrast:g}: band solve differs from the dense one by {err:.2e}"
+    assert np.array_equal(u[:, 0], bc[0]) and np.array_equal(u[:, -1], bc[1])
+
+
 def test_div_form_rejects_degenerate_coeff():
     g = grid1d(17)
     with pytest.raises(ValueError):

@@ -2,16 +2,20 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from debyeflow import elliptic
 from debyeflow.config_io import preset_defaults
 from debyeflow.experiments import (
     ExperimentError,
     SWEEP_COLUMNS,
+    _run_pair,
+    build_fixture,
     refit_report,
     run_experiment,
 )
@@ -116,3 +120,23 @@ def test_refit_matches_original_report(tmp_path):
     assert np.isclose(refit["slope"], report["slope"], rtol=1e-12)
     assert refit["window"] == report["window"]
     assert refit["pass"] == report["pass"]
+
+
+def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
+    # the finite-eps run extends phiw, Gamma1 and Gamma2 once; the limit
+    # run takes the fixture's phiw instead of extending it again
+    calls = []
+    original = elliptic.harmonic_extension
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    cfg = replace(tiny_custom(), t_end=4e-3, save_every=1)
+    fx = build_fixture(cfg, 0.25)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "debyeflow" and vars(module).get("harmonic_extension") is original:
+            monkeypatch.setattr(module, "harmonic_extension", counted)
+    traj, ltraj = _run_pair(cfg, fx)
+    assert len(traj.snapshots) == len(ltraj.snapshots) >= 3
+    assert len(calls) <= 3, f"harmonic_extension calls per pair: {len(calls)}"

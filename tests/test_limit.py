@@ -20,6 +20,8 @@ from debyeflow.limit import (
 )
 from debyeflow.operators import norm_l2, norm_linf
 
+from oracles import advected_limit_c1
+
 Z_SAFE = (-1.0, -2.0, -4.0)  # power-of-two magnitudes keep the constraint scaling exact
 
 
@@ -150,6 +152,18 @@ def test_step_limit_equilibrium_fixed_point():
     assert np.array_equal(s1.c1, s.c1)
     assert np.array_equal(s1.psi, s.psi)
     assert np.all(s1.u.components[0] == 0.0)
+
+
+def test_step_limit_d1_skips_advection_bitwise():
+    # in d = 1 the velocity is zero and the step leaves advect out; the
+    # concentration must keep the bytes of the step that evaluated it
+    cfg = make_cfg(ny=65, dt=1e-3, gamma=(2.0, 1.5), w=(0.0, 0.5))
+    g = cfg.grid
+    s = initial_limit_state(g, 2.0 - 0.5 * g.yy + 0.3 * np.sin(3.0 * np.pi * g.yy), VelocityField.zero(g), cfg)
+    for _ in range(4):
+        ref = advected_limit_c1(s, cfg)
+        s = step_limit(s, cfg)
+        assert s.c1.tobytes() == ref.tobytes()
 
 
 def test_step_limit_eigenmode_decay_oracle():

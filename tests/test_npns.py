@@ -349,6 +349,44 @@ def test_run_with_shared_workspace_matches_fresh_steps():
             assert np.array_equal(getattr(snap, name), getattr(s, name)), f"step {k}: {name} differs"
 
 
+def test_coupling_refill_2d_matches_fresh_assembly():
+    # the run's one CSR matrix, refilled in place as every step does, must
+    # be bitwise the matrix assembled from the new concentrations
+    cfg, _ = _d2_cfg(1 / 16)
+    g, p = cfg.grid, cfg.params
+    ws = npns._StepWorkspace(cfg)
+    A = ws.coupled
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        c1n = 0.5 + rng.random(g.shape)
+        c2n = 0.5 + rng.random(g.shape)
+        npns._set_coupling_2d(A, ws.coupling_slots, g, p, c1n, c2n)
+        fresh = npns._coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
+        for name in ("indptr", "indices", "data"):
+            mine, ref = getattr(A, name), getattr(fresh, name)
+            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), f"{name} differs"
+
+
+def test_d2_run_with_shared_matrix_matches_fresh_steps():
+    # a d = 2 run refills one matrix every step; stepping with a fresh
+    # workspace whose matrix is assembled from the step's own
+    # concentrations must give the same bytes
+    cfg, s = _d2_cfg(1 / 16)
+    cfg = dataclasses.replace(cfg, t_end=4e-3)
+    g = cfg.grid
+    traj = run_npns(s, cfg)
+    assert np.max(np.abs(traj.snapshots[-1].u.components[0])) > 0.0, "the flow must be driven"
+    for k, snap in enumerate(traj.snapshots[1:], start=1):
+        ws = npns._StepWorkspace(cfg)
+        ws.coupled = npns._coupled_sparse_2d(g, cfg.params, cfg.dt, s.c1, s.c2)
+        s = step_npns(s, cfg, ws)
+        s.t = k * cfg.dt
+        for name in ("c1", "c2", "psi"):
+            assert np.array_equal(getattr(snap, name), getattr(s, name)), f"step {k}: {name} differs"
+        for mine, ref in zip(snap.u.components, s.u.components):
+            assert np.array_equal(mine, ref), f"step {k}: velocity differs"
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_wall_data_is_extended_once_per_run(d, monkeypatch):
     # the wall data is fixed for a run: its harmonic extensions are built
