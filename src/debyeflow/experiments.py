@@ -28,10 +28,9 @@ import numpy as np
 
 from .config_io import ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
 from .diagnostics import modulated_energy, rate_fit
-from .elliptic import harmonic_extension
 from .grid import ChannelGrid, VelocityField
-from .layers import boundary_layer, cutoff_left, cutoff_right, solve_initial_layer
-from .limit import LimitConfig, LimitTrajectory, initial_limit_state, run_limit
+from .layers import cutoff_left, cutoff_right, solve_initial_layer, wall_layers
+from .limit import initial_limit_state, run_limit
 from .npns import MaxPrincipleViolation, NpnsConfig, StepError, Trajectory, run_npns, well_prepared_init
 from .operators import laplacian, norm_h1_semi, norm_h2, norm_l2
 from .params import BoundaryData, Params
@@ -93,15 +92,14 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class Fixture:
-    """Everything one (config, eps) run needs, fully materialized."""
+    """Everything one (config, eps) run needs, fully materialized.
 
-    grid: ChannelGrid
-    params: Params
-    bdata: BoundaryData
-    phiw: np.ndarray
+    run is the config both runs of the pair read, wall data included.
+    """
+
+    run: NpnsConfig
     c1_lim0: np.ndarray
     c1_eps0: np.ndarray
-    dt: float
 
 
 def _graded_ny(cfg: ExperimentConfig, eps: float) -> int:
@@ -144,24 +142,18 @@ def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
         c_lower=lo * min(1.0, -cfg.z1 / cfg.z2), c_upper=hi * ratio_max,
     )
     bdata = BoundaryData.electroneutral(gamma1=g1, w=w, params=p)
-    phiw = harmonic_extension(grid, bdata.w)
-    return Fixture(grid=grid, params=p, bdata=bdata, phiw=phiw,
-                   c1_lim0=c1_lim0, c1_eps0=c1_eps0, dt=_effective_dt(cfg, eps))
+    run = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=_effective_dt(cfg, eps), t_end=cfg.t_end)
+    return Fixture(run=run, c1_lim0=c1_lim0, c1_eps0=c1_eps0)
 
 
-def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, LimitTrajectory]:
-    g = fx.grid
-    ncfg = NpnsConfig(params=fx.params, bdata=fx.bdata, grid=g, dt=fx.dt, t_end=cfg.t_end)
-    init = well_prepared_init(g, fx.c1_eps0, VelocityField.zero(g), ncfg)
-    traj = run_npns(init, ncfg, save_every=cfg.save_every)
-    lcfg = LimitConfig(params=fx.params, bdata=fx.bdata, grid=g, dt=fx.dt, t_end=cfg.t_end)
-    linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), lcfg, fx.phiw)
-    ltraj = run_limit(linit, lcfg, save_every=cfg.save_every, phiw=fx.phiw)
-    if len(traj.snapshots) != len(ltraj.snapshots) or np.max(
-        np.abs(traj.times - ltraj.times)
-    ) > 1e-12 * max(1.0, cfg.t_end):
-        raise RuntimeError("finite-eps and limit snapshot times diverged")
-    return traj, ltraj
+def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, Trajectory]:
+    """Both runs of one fixture; one driver gives them the same snapshot times."""
+    run = fx.run
+    g = run.grid
+    init = well_prepared_init(g, fx.c1_eps0, VelocityField.zero(g), run)
+    traj = run_npns(init, run, save_every=cfg.save_every)
+    linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), run)
+    return traj, run_limit(linit, run, save_every=cfg.save_every)
 
 
 def _composite_fields(fx: Fixture, psi_lim: np.ndarray, c1_lim: np.ndarray,
@@ -171,10 +163,8 @@ def _composite_fields(fx: Fixture, psi_lim: np.ndarray, c1_lim: np.ndarray,
     The layer amplitudes are slaved to the wall Laplacian of the limit
     potential at the same instant, so this needs no extra marching.
     """
-    g, p, bdata = fx.grid, fx.params, fx.bdata
-    lap0 = laplacian(g, psi_lim + fx.phiw)
-    bl_left = boundary_layer("left", lap0[:, 0], bdata.gamma1[0], p)
-    bl_right = boundary_layer("right", lap0[:, -1], bdata.gamma1[1], p)
+    g, p = fx.run.grid, fx.run.params
+    bl_left, bl_right = wall_layers(fx.run, psi_lim + fx.run.wall.phiw)
     xi = g.y / eps
     eta = (1.0 - g.y) / eps
     f = cutoff_left(g.y)[None, :]
@@ -195,7 +185,7 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float) -> dict[str, float]:
     """
     t0 = time.perf_counter()
     fx = build_fixture(cfg, eps)
-    g, p = fx.grid, fx.params
+    g, p = fx.run.grid, fx.run.params
     traj, ltraj = _run_pair(cfg, fx)
     times = traj.times
     ratio = -p.z1 / p.z2
@@ -227,7 +217,7 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float) -> dict[str, float]:
         "err_grad_c_L2L2": math.sqrt(_trapz(gc_sq, times)),
         "eps_grad_psi_LinfL2": eps_gpsi,
         "ny": float(g.ny),
-        "dt": fx.dt,
+        "dt": fx.run.dt,
         "wall_clock_s": time.perf_counter() - t0,
     }
 
@@ -254,7 +244,7 @@ def _energy_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         if divisor == 4:
             rec = traj.diagnostics
             for k, (s, sl) in enumerate(zip(traj.snapshots, ltraj.snapshots)):
-                me = modulated_energy(fx.grid, s, fx.params, sl.c1, sl.u, sl.psi)
+                me = modulated_energy(fx.run.grid, s, fx.run.params, sl.c1, sl.u, sl.psi)
                 diag_rows.append({
                     "t": rec.t[k], "E": rec.E[k], "H": me["H"], "Theta": me["Theta"],
                     "min_c1": rec.min_c1[k], "max_c1": rec.max_c1[k],
@@ -294,14 +284,13 @@ def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], d
     """Scaled charge profile against the closed layer form near y = 0."""
     cfg, eps = item
     fx = build_fixture(cfg, eps)
-    g, p = fx.grid, fx.params
+    g, p = fx.run.grid, fx.run.params
     traj, ltraj = _run_pair(cfg, fx)
     s, sl = traj.snapshots[-1], ltraj.snapshots[-1]
 
-    lap0 = laplacian(g, sl.psi + fx.phiw)
-    bl_l = boundary_layer("left", lap0[:, 0], fx.bdata.gamma1[0], p)
-    bl_r = boundary_layer("right", lap0[:, -1], fx.bdata.gamma1[1], p)
-    model = -lap0 + bl_l.charge(g.y / eps) + bl_r.charge((1.0 - g.y) / eps)
+    phi0 = sl.psi + fx.run.wall.phiw
+    bl_l, bl_r = wall_layers(fx.run, phi0)
+    model = -laplacian(g, phi0) + bl_l.charge(g.y / eps) + bl_r.charge((1.0 - g.y) / eps)
     measured = s.rho(p) / eps ** 2
 
     # x-averaged traces on the near-wall window y <= 8 eps
@@ -310,7 +299,7 @@ def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], d
     mw = np.mean(measured, axis=0)[window]
     dw = np.mean(model, axis=0)[window]
     rel = math.sqrt(_trapz((mw - dw) ** 2, yw) / _trapz(dw ** 2, yw))
-    entry = {"epsilon": eps, "rel_l2_err": rel, "ny": g.ny, "dt": fx.dt}
+    entry = {"epsilon": eps, "rel_l2_err": rel, "ny": g.ny, "dt": fx.run.dt}
     rows = [{"epsilon": eps, "y": float(yj), "rho_scaled": float(mj), "rho_model": float(dj)}
             for yj, mj, dj in zip(yw, mw, dw)]
     return rows, entry
@@ -352,7 +341,7 @@ def _layer_profile_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tupl
 def _decay_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Fast-time charge relaxation march and its tail decay slope."""
     fx = build_fixture(cfg, cfg.eps)
-    g, p = fx.grid, fx.params
+    g, p = fx.run.grid, fx.run.params
     background = fx.c1_lim0
     rho0 = cfg.rho0_amp * np.sin(math.pi * g.y)[None, :] * np.ones(g.shape)
     n = int(round(cfg.t_end / cfg.dt))

@@ -26,6 +26,7 @@ import scipy.sparse.linalg
 from .elliptic import solve_div_form, solve_poisson
 from .grid import ChannelGrid, State, VelocityField
 from .limit import InnerExpansion
+from .npns import NpnsConfig
 from .operators import div_a_grad, laplacian
 from .params import Params
 
@@ -191,18 +192,18 @@ def boundary_layer(wall: str, amplitude, gamma1_trace, p: Params) -> BoundaryLay
     )
 
 
-def wall_layers(inner: InnerExpansion, k: int) -> tuple[BoundaryLayerProfile, BoundaryLayerProfile]:
-    """Left and right wall profiles at time index k of an inner expansion.
+def wall_layers(cfg: NpnsConfig, phi0: np.ndarray) -> tuple[BoundaryLayerProfile, BoundaryLayerProfile]:
+    """Left and right wall profiles driven by a zeroth-order potential.
 
-    The driving amplitude is the wall trace of the discrete curvature of
-    the stored zeroth-order potential, evaluated with the same operator
-    the order-two inner solve uses, so the wall values cancel exactly in
-    the composite.
+    phi0 is the full zeroth-order potential at one instant, limit psi
+    plus the wall extension (InnerExpansion.phi[0][k]).  The driving
+    amplitude is the wall trace of its discrete curvature, evaluated
+    with the same operator the order-two inner solve uses, so the wall
+    values cancel exactly in the composite.
     """
-    g = inner.grid
-    lap = laplacian(g, inner.phi[0][k])
-    left = boundary_layer("left", lap[:, 0], inner.bdata.gamma1[0], inner.params)
-    right = boundary_layer("right", lap[:, -1], inner.bdata.gamma1[1], inner.params)
+    lap = laplacian(cfg.grid, phi0)
+    left = boundary_layer("left", lap[:, 0], cfg.bdata.gamma1[0], cfg.params)
+    right = boundary_layer("right", lap[:, -1], cfg.bdata.gamma1[1], cfg.params)
     return left, right
 
 
@@ -375,10 +376,6 @@ class MixedLayerState:
 
     def c2(self) -> np.ndarray:
         return self.alpha2 + self.a2 * np.exp(-self.xi_grid)
-
-    def omega(self, p: Params) -> np.ndarray:
-        """Charge of the shifted unknowns, z1 alpha1 + z2 alpha2."""
-        return p.z1 * self.alpha1 + p.z2 * self.alpha2
 
 
 def _nonuniform_second_derivative(xi: np.ndarray) -> scipy.sparse.csr_matrix:

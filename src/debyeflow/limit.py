@@ -7,6 +7,9 @@ and 2 of the inner expansion reuse the same transport machinery with
 source terms built from the lower orders; at every order the second
 species is represented through the charge constraint instead of being
 marched, so the constraint cannot drift.
+
+A limit run reads the finite-eps run config npns.NpnsConfig and is
+marched by npns.march, with the same diffusion and velocity steps.
 """
 
 from __future__ import annotations
@@ -16,10 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import harmonic_extension, solve_div_form, solve_shifted_poisson, project_div_free
+from .elliptic import solve_div_form
 from .grid import ChannelGrid, VelocityField
-from .npns import MaxPrincipleViolation, advance_velocity
-from .diagnostics import max_principle_check
+from .npns import (
+    NpnsConfig,
+    Trajectory,
+    _advect_vector,
+    _implicit_diffusion,
+    _initial_fields,
+    advance_velocity,
+    march,
+)
 from .operators import advect, div_a_grad, grad, laplacian, norm_linf
 from .params import BoundaryData, Params
 
@@ -27,8 +37,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "LimitState",
-    "LimitConfig",
-    "LimitTrajectory",
     "InnerExpansion",
     "effective_diffusivity",
     "solve_limit_psi",
@@ -67,41 +75,6 @@ class LimitState:
             u=self.u.copy(),
             psi=self.psi.copy(),
         )
-
-
-@dataclass
-class LimitConfig:
-    params: Params
-    bdata: BoundaryData
-    grid: ChannelGrid
-    dt: float
-    t_end: float
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if 0.0 < self.t_end < self.dt:
-            raise ValueError(f"t_end={self.t_end} smaller than one step dt={self.dt}")
-        if self.bdata.gamma1.shape[1] != self.grid.nx:
-            raise ValueError("boundary data does not match the grid in x")
-
-    @property
-    def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError(f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
-        return n
-
-
-@dataclass
-class LimitTrajectory:
-    snapshots: list[LimitState] = field(default_factory=list)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
 
 def solve_limit_psi(grid: ChannelGrid, c1: np.ndarray, p: Params, phiw: np.ndarray) -> np.ndarray:
@@ -145,57 +118,14 @@ def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray,
     }
 
 
-def _transport_delta_step(grid: ChannelGrid, c: np.ndarray, deff: float, dt: float,
-                          explicit: np.ndarray, bc_delta=None) -> np.ndarray:
-    # delta form: (1/(dt deff) - Lap) delta = Lap c + explicit/deff, so
-    # equilibria are bitwise fixed points of the solve
-    rhs = laplacian(grid, c) + explicit / deff
-    return c + solve_shifted_poisson(grid, 1.0 / (dt * deff), rhs, bc=bc_delta)
-
-
-def _advect_vector(grid: ChannelGrid, a: VelocityField, b: VelocityField) -> list[np.ndarray]:
-    return [advect(grid, a, comp) for comp in b.components]
-
-
-def _momentum_step(grid: ChannelGrid, u: VelocityField, dt: float, nu: float,
-                   explicit: list[np.ndarray]) -> VelocityField:
-    # implicit viscosity, everything else explicit, then projection
-    if grid.d == 1:
-        return VelocityField.zero(grid)
-    alpha = 1.0 / (dt * nu)
-    comps = [
-        solve_shifted_poisson(grid, alpha, (c / dt + e) / nu, bc=None)
-        for c, e in zip(u.components, explicit)
-    ]
-    return project_div_free(grid, VelocityField(grid, comps))
-
-
 def initial_limit_state(grid: ChannelGrid, c1_0: np.ndarray, u_0: VelocityField,
-                        cfg: LimitConfig, phiw: np.ndarray | None = None) -> LimitState:
-    """Validated initial state with the potential already solved.
-
-    phiw is the harmonic extension of cfg.bdata.w; it is computed here
-    when the caller does not pass it.
-    """
-    c1_0 = np.asarray(c1_0, dtype=float)
-    if c1_0.shape != grid.shape:
-        raise ValueError(f"c1 shape {c1_0.shape} does not match grid {grid.shape}")
-    if np.min(c1_0) <= 0.0:
-        raise ValueError("initial concentration must be positive")
-    mismatch = max(
-        float(np.max(np.abs(c1_0[:, 0] - cfg.bdata.gamma1[0]))),
-        float(np.max(np.abs(c1_0[:, -1] - cfg.bdata.gamma1[1]))),
-    )
-    if mismatch > 1e-10:
-        raise ValueError(f"initial trace mismatch {mismatch:.2e} against the wall data")
-    if phiw is None:
-        phiw = harmonic_extension(grid, cfg.bdata.w)
-    u = project_div_free(grid, u_0)
-    psi = solve_limit_psi(grid, c1_0, cfg.params, phiw)
-    return LimitState(t=0.0, c1=c1_0.copy(), u=u, psi=psi)
+                        cfg: NpnsConfig) -> LimitState:
+    """Validated initial state with the potential already solved."""
+    c1_0, u = _initial_fields(grid, c1_0, u_0, cfg.bdata)
+    return LimitState(t=0.0, c1=c1_0, u=u, psi=solve_limit_psi(grid, c1_0, cfg.params, cfg.wall.phiw))
 
 
-def step_limit(s: LimitState, cfg: LimitConfig, phiw: np.ndarray | None = None) -> LimitState:
+def step_limit(s: LimitState, cfg: NpnsConfig) -> LimitState:
     """One step: explicit advection, implicit ambipolar diffusion.
 
     The velocity uses the same scheme as the full solver minus the
@@ -203,50 +133,30 @@ def step_limit(s: LimitState, cfg: LimitConfig, phiw: np.ndarray | None = None) 
     a diagnostic and does not feed back into the concentration.
     """
     g, p = cfg.grid, cfg.params
-    if phiw is None:
-        phiw = harmonic_extension(g, cfg.bdata.w)
-    deff = effective_diffusivity(p)
     explicit = -advect(g, s.u, s.c1) if g.d == 2 else 0.0
-    c1 = _transport_delta_step(g, s.c1, deff, cfg.dt, explicit)
+    c1 = _implicit_diffusion(g, s.c1, effective_diffusivity(p), cfg.dt, explicit)
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
-    zero_force = [np.zeros(g.shape) for _ in range(g.d)]
-    u = advance_velocity(g, s.u, cfg.dt, p.nu, zero_force)
-    psi = solve_limit_psi(g, c1, p, phiw)
+    if g.d == 1:
+        u = VelocityField.zero(g)
+    else:
+        zero_force = [np.zeros(g.shape)] * g.d
+        u = advance_velocity(g, s.u, cfg.dt, p.nu, _advect_vector(g, s.u, s.u), zero_force)
+    psi = solve_limit_psi(g, c1, p, cfg.wall.phiw)
     return LimitState(t=s.t + cfg.dt, c1=c1, u=u, psi=psi)
 
 
-def run_limit(init: LimitState, cfg: LimitConfig, save_every: int = 1,
-              check_max_principle: bool = True, phiw: np.ndarray | None = None) -> LimitTrajectory:
-    """March the limit system, enforcing the maximum principle bounds.
-
-    phiw is the harmonic extension of cfg.bdata.w, computed here when
-    not passed.
-    """
-    g, p = cfg.grid, cfg.params
-    if phiw is None:
-        phiw = harmonic_extension(g, cfg.bdata.w)
-    lo1 = min(float(np.min(cfg.bdata.gamma1)), float(np.min(init.c1)))
-    hi1 = max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1)))
-    ratio = -p.z1 / p.z2
-    bounds = (lo1, hi1, ratio * lo1, ratio * hi1)
+def run_limit(init: LimitState, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
+    """March the limit system, saving as run_npns does and enforcing the maximum principle."""
+    p = cfg.params
     # scheme slack: implicit diffusion will not overshoot by more than
     # one step's worth of change plus spatial truncation
-    tol = 1e-6 + hi1 * (cfg.dt + g.hy ** 2)
-
-    traj = LimitTrajectory(snapshots=[init.copy()])
-    s = init
-    n = cfg.n_steps
-    for k in range(1, n + 1):
-        s = step_limit(s, cfg, phiw)
-        s.t = k * cfg.dt
-        if check_max_principle:
-            rep = max_principle_check(s.c1, s.c2(p), bounds, tol=tol)
-            if not rep.ok:
-                raise MaxPrincipleViolation(s.t, rep, p.eps)
-        if k % save_every == 0 or k == n:
-            traj.snapshots.append(s.copy())
-    logger.info("limit run: %d steps to t=%g, %d snapshots", n, cfg.t_end, len(traj.snapshots))
+    hi1 = max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1)))
+    tol = 1e-6 + hi1 * (cfg.dt + cfg.grid.hy ** 2)
+    traj = Trajectory()
+    s = march(init, cfg, lambda s: step_limit(s, cfg), lambda s: traj.snapshots.append(s.copy()),
+              save_every, tol, species=lambda s: (s.c1, s.c2(p)))
+    logger.info("limit run: %d steps to t=%g, %d snapshots", cfg.n_steps, s.t, len(traj))
     return traj
 
 
@@ -280,30 +190,20 @@ def _hierarchy_coefficient(grid: ChannelGrid, p: Params, c1_0: np.ndarray) -> np
     return (p.z1 ** 2 * p.D1 - p.z1 * p.z2 * p.D2) * c1_0
 
 
-def _solve_order0(cfg: LimitConfig, c1_0, u_0) -> InnerExpansion:
+def _solve_order0(cfg: NpnsConfig, c1_0, u_0) -> InnerExpansion:
     g, p = cfg.grid, cfg.params
-    phiw = harmonic_extension(g, cfg.bdata.w)
     if u_0 is None:
         u_0 = VelocityField.zero(g)
-    s = initial_limit_state(g, c1_0, u_0, cfg, phiw)
-    exp = InnerExpansion(grid=g, params=p, bdata=cfg.bdata, phiw=phiw)
-    exp.times = [0.0]
-    exp.c1[0] = [s.c1.copy()]
-    exp.c2[0] = [s.c2(p)]
-    exp.u[0] = [s.u.copy()]
-    exp.phi[0] = [s.psi + phiw]
-    for k in range(1, cfg.n_steps + 1):
-        s = step_limit(s, cfg, phiw)
-        s.t = k * cfg.dt
-        exp.times.append(s.t)
-        exp.c1[0].append(s.c1.copy())
-        exp.c2[0].append(s.c2(p))
-        exp.u[0].append(s.u.copy())
-        exp.phi[0].append(s.psi + phiw)
-    return exp
+    snaps = run_limit(initial_limit_state(g, c1_0, u_0, cfg), cfg, save_every=1).snapshots
+    phiw = cfg.wall.phiw
+    return InnerExpansion(
+        grid=g, params=p, bdata=cfg.bdata, phiw=phiw, times=[s.t for s in snaps],
+        c1={0: [s.c1 for s in snaps]}, c2={0: [s.c2(p) for s in snaps]},
+        u={0: [s.u for s in snaps]}, phi={0: [s.psi + phiw for s in snaps]},
+    )
 
 
-def _solve_order1(cfg: LimitConfig, exp: InnerExpansion) -> InnerExpansion:
+def _solve_order1(cfg: NpnsConfig, exp: InnerExpansion) -> InnerExpansion:
     g, p = cfg.grid, cfg.params
     deff = effective_diffusivity(p)
     zr = -p.z1 / p.z2
@@ -319,11 +219,11 @@ def _solve_order1(cfg: LimitConfig, exp: InnerExpansion) -> InnerExpansion:
         u0 = exp.u[0][k - 1]
         c10 = exp.c1[0][k - 1]
         explicit = -advect(g, u0, c1k) - advect(g, uk, c10)
-        c1k = _transport_delta_step(g, c1k, deff, cfg.dt, explicit)
+        c1k = _implicit_diffusion(g, c1k, deff, cfg.dt, explicit)
         c1k[:, 0] = 0.0
         c1k[:, -1] = 0.0
         adv = [a + b for a, b in zip(_advect_vector(g, uk, u0), _advect_vector(g, u0, uk))]
-        uk = _momentum_step(g, uk, cfg.dt, p.nu, [-a for a in adv])
+        uk = advance_velocity(g, uk, cfg.dt, p.nu, adv, [np.zeros(g.shape)] * g.d)
         exp.c1[1].append(c1k.copy())
         exp.c2[1].append(zr * c1k)
         exp.u[1].append(uk.copy())
@@ -343,13 +243,12 @@ def _order1_potential(g, p, exp, c1k, k):
     return solve_div_form(g, a0, rhs, bc=None)
 
 
-def _solve_order2(cfg: LimitConfig, exp: InnerExpansion) -> InnerExpansion:
+def _solve_order2(cfg: NpnsConfig, exp: InnerExpansion) -> InnerExpansion:
     g, p = cfg.grid, cfg.params
     deff = effective_diffusivity(p)
     denom = p.z1 * p.D1 - p.z2 * p.D2
     n = cfg.n_steps
     dt = cfg.dt
-    ones = np.ones(g.shape)
 
     lap_phi0 = [laplacian(g, f) for f in exp.phi[0]]
 
@@ -388,7 +287,7 @@ def _solve_order2(cfg: LimitConfig, exp: InnerExpansion) -> InnerExpansion:
 
         cw_new, pw_new = wall_traces(k)
         cw_now = np.stack([c1k[:, 0], c1k[:, -1]])
-        c1k = _transport_delta_step(g, c1k, deff, dt, explicit, bc_delta=cw_new - cw_now)
+        c1k = _implicit_diffusion(g, c1k, deff, dt, explicit, bc_delta=cw_new - cw_now)
         c1k[:, 0] = cw_new[0]
         c1k[:, -1] = cw_new[1]
         c2k = (-lap_np1 - p.z1 * c1k) / p.z2
@@ -399,7 +298,7 @@ def _solve_order2(cfg: LimitConfig, exp: InnerExpansion) -> InnerExpansion:
             _advect_vector(g, u1, u1),
             _advect_vector(g, u0, uk),
         )]
-        uk = _momentum_step(g, uk, dt, p.nu, [f - a for f, a in zip(force, adv)])
+        uk = advance_velocity(g, uk, dt, p.nu, adv, force)
 
         exp.c1[2].append(c1k.copy())
         exp.c2[2].append(c2k.copy())
@@ -427,7 +326,7 @@ def _order2_potential(g, p, exp, lap_phi0, c1k, c2k, pw, k, dt):
     return solve_div_form(g, a0, rhs, bc=pw)
 
 
-def solve_inner_hierarchy(order: int, base: InnerExpansion | None, cfg: LimitConfig,
+def solve_inner_hierarchy(order: int, base: InnerExpansion | None, cfg: NpnsConfig,
                           c1_0: np.ndarray | None = None,
                           u_0: VelocityField | None = None) -> InnerExpansion:
     """Compute inner terms at the given order on top of the lower ones.

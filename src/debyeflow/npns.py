@@ -12,6 +12,9 @@ Stepping is organized in delta form: we solve for the increment against
 the residual of the previous state, so Dirichlet rows carry exact
 zeros and exact equilibria are bitwise fixed points.
 
+The quasi-neutral limit (limit.py) shares the run config NpnsConfig,
+the time loop march, the velocity step and the delta-form diffusion.
+
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
 entries that depend on the concentrations and factors into the same
@@ -43,6 +46,7 @@ from .diagnostics import (
     MaxPrincipleReport,
     dissipation_identity_residual,
     free_energy,
+    WallFields,
     max_principle_check,
     wall_fields,
 )
@@ -70,6 +74,7 @@ __all__ = [
     "well_prepared_init",
     "step_npns",
     "run_npns",
+    "march",
     "advance_velocity",
 ]
 
@@ -117,12 +122,15 @@ class MaxPrincipleViolation(RuntimeError):
 
 @dataclass
 class NpnsConfig:
+    """One run of either stack; wall holds its WallFields, built once here."""
+
     params: Params
     bdata: BoundaryData
     grid: ChannelGrid
     dt: float
     t_end: float
     stiff_mode: str = "implicit-coupled"
+    wall: WallFields = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -146,6 +154,7 @@ class NpnsConfig:
                     f"scale eps^2/(z1^2 D1 Lambda) = {dt_stiff:.3g}; expect instability",
                     stacklevel=2,
                 )
+        self.wall = wall_fields(self.grid, self.bdata)
 
     @property
     def n_steps(self) -> int:
@@ -157,7 +166,9 @@ class NpnsConfig:
 
 @dataclass
 class Trajectory:
-    snapshots: list[State] = field(default_factory=list)
+    """Saved states of a run; run_limit's are LimitStates and carry no diagnostics."""
+
+    snapshots: list = field(default_factory=list)
     diagnostics: DiagnosticsRecord = field(default_factory=DiagnosticsRecord)
 
     @property
@@ -171,9 +182,7 @@ class Trajectory:
 class _StepWorkspace:
     """Per-run state shared by every step.
 
-    Holds the run's WallFields (the harmonic extensions of the wall data
-    and their gradients, used by the steps and the energy diagnostics
-    alike) and the one coupled-step matrix of the run, which each step
+    Holds the one coupled-step matrix of the run, which each step
     refills with the coupling entries of its concentrations: in d = 1 a
     band matrix with its LU buffer, in d = 2 a CSR matrix together with
     the positions of its two coupling blocks' entries in its data.
@@ -181,9 +190,6 @@ class _StepWorkspace:
 
     def __init__(self, cfg: NpnsConfig):
         g = cfg.grid
-        self.wall = wall_fields(g, cfg.bdata)
-        self.gamma1_trace = cfg.bdata.gamma1
-        self.gamma2_trace = cfg.bdata.gamma2
         self.coupled = None
         self.coupling_slots = None
         if cfg.stiff_mode == "implicit-coupled":
@@ -208,14 +214,20 @@ def well_prepared_init(
     turn forces the potential to zero.  The velocity is projected.
     """
     p = cfg.params
-    c1_0 = np.asarray(c1_0, dtype=float)
+    c1_0, u = _initial_fields(grid, c1_0, u_0, cfg.bdata)
+    return State(t=0.0, c1=c1_0, c2=-(p.z1 / p.z2) * c1_0, u=u, psi=grid.zeros())
+
+
+def _initial_fields(grid: ChannelGrid, c1_0, u_0: VelocityField, bdata: BoundaryData):
+    """Checked copy of c1_0 and the projected u_0, shared by both initial states."""
+    c1_0 = np.array(c1_0, dtype=float)
     if c1_0.shape != grid.shape:
         raise ValueError(f"initial field shape {c1_0.shape} != grid {grid.shape}")
     if np.any(c1_0 <= 0.0):
         raise ValueError(f"initial concentration must be positive, min={np.min(c1_0)}")
     mismatch = max(
-        float(np.max(np.abs(c1_0[:, 0] - cfg.bdata.gamma1[0]))),
-        float(np.max(np.abs(c1_0[:, -1] - cfg.bdata.gamma1[1]))),
+        float(np.max(np.abs(c1_0[:, 0] - bdata.gamma1[0]))),
+        float(np.max(np.abs(c1_0[:, -1] - bdata.gamma1[1]))),
     )
     if mismatch > 1e-10:
         raise ValueError(f"initial trace differs from wall data by {mismatch:.3e}")
@@ -223,8 +235,7 @@ def well_prepared_init(
         wall = max(float(np.max(np.abs(comp[:, 0]))), float(np.max(np.abs(comp[:, -1]))))
         if wall > 1e-12:
             raise ValueError(f"initial velocity must vanish on the walls, got {wall:.3e}")
-    c2_0 = -(p.z1 / p.z2) * c1_0
-    return State(t=0.0, c1=c1_0.copy(), c2=c2_0, u=project_div_free(grid, u_0), psi=grid.zeros())
+    return c1_0, project_div_free(grid, u_0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +426,28 @@ def advance_velocity(
     u: VelocityField,
     dt: float,
     nu: float,
+    advection: list[np.ndarray],
     force: list[np.ndarray],
 ) -> VelocityField:
-    """Explicit advection + implicit viscosity + projection, no-slip walls.
+    """Explicit u/dt - advection + force, implicit viscosity, projection, no-slip walls.
 
-    In d = 1 the projection annihilates everything, so the velocity is
-    returned as exactly zero without any solves.
+    advection and force hold one field per velocity component.  In d = 1
+    the projection annihilates everything, so the velocity is returned
+    as exactly zero without any solves.
     """
     if grid.d == 1:
         return VelocityField.zero(grid)
     alpha = 1.0 / (dt * nu)
-    new_comps = []
-    for comp, f in zip(u.components, force):
-        rhs = comp / dt - advect(grid, u, comp) + f
-        new_comps.append(solve_shifted_poisson(grid, alpha, rhs / nu, bc=None))
+    new_comps = [
+        solve_shifted_poisson(grid, alpha, (comp / dt - a + f) / nu, bc=None)
+        for comp, a, f in zip(u.components, advection, force)
+    ]
     return project_div_free(grid, VelocityField(grid, new_comps))
+
+
+def _advect_vector(grid: ChannelGrid, a: VelocityField, b: VelocityField) -> list[np.ndarray]:
+    """(a . grad) b, one field per component of b."""
+    return [advect(grid, a, comp) for comp in b.components]
 
 
 def _extrema(c1, c2) -> dict[str, float]:
@@ -448,7 +466,7 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     g = cfg.grid
     p = cfg.params
     dt = cfg.dt
-    phiw = _ws.wall.phiw
+    phiw = cfg.wall.phiw
     t_new = s.t + dt
 
     adv1 = advect(g, s.u, s.c1) if g.d == 2 else 0.0
@@ -499,8 +517,8 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     else:
         # explicit coupling: the stiff term uses psi at level n
         psi_tot = s.psi + phiw
-        c1 = _implicit_diffusion(g, p.D1, dt, s.c1, -adv1 + p.z1 * p.D1 * div_a_grad(g, s.c1, psi_tot))
-        c2 = _implicit_diffusion(g, p.D2, dt, s.c2, -adv2 + p.z2 * p.D2 * div_a_grad(g, s.c2, psi_tot))
+        c1 = _implicit_diffusion(g, s.c1, p.D1, dt, -adv1 + p.z1 * p.D1 * div_a_grad(g, s.c1, psi_tot))
+        c2 = _implicit_diffusion(g, s.c2, p.D2, dt, -adv2 + p.z2 * p.D2 * div_a_grad(g, s.c2, psi_tot))
 
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
         raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
@@ -508,10 +526,10 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
         raise StepError(t_new, "concentration lost positivity", _extrema(c1, c2), p.eps)
 
     # exact wall reimposition, then the charge relation defines psi
-    c1[:, 0] = _ws.gamma1_trace[0]
-    c1[:, -1] = _ws.gamma1_trace[1]
-    c2[:, 0] = _ws.gamma2_trace[0]
-    c2[:, -1] = _ws.gamma2_trace[1]
+    c1[:, 0] = cfg.bdata.gamma1[0]
+    c1[:, -1] = cfg.bdata.gamma1[1]
+    c2[:, 0] = cfg.bdata.gamma2[0]
+    c2[:, -1] = cfg.bdata.gamma2[1]
     rho = p.z1 * c1 + p.z2 * c2
     psi = solve_poisson(g, rho, coeff=p.eps ** 2)
 
@@ -520,16 +538,55 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     else:
         gpsi = grad(g, psi + phiw)
         force = [-rho * df for df in gpsi]
-        u = advance_velocity(g, s.u, dt, p.nu, force)
+        u = advance_velocity(g, s.u, dt, p.nu, _advect_vector(g, s.u, s.u), force)
     return State(t=t_new, c1=c1, c2=c2, u=u, psi=psi)
 
 
-def _implicit_diffusion(grid, D, dt, c, explicit):
-    # delta form: the increment solves (1/(dt D) - Lap) delta = Lap c + explicit/D
-    # with zero wall data, so wall values and exact equilibria are untouched
-    alpha = 1.0 / (dt * D)
+def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, explicit,
+                        bc_delta=None) -> np.ndarray:
+    """c after one implicit diffusion step with explicit source terms.
+
+    Delta form: the increment solves (1/(dt D) - Lap) delta = Lap c +
+    explicit/D with wall values bc_delta (zero by default), so wall
+    values and exact equilibria are bitwise fixed points of the solve.
+    """
     rhs = laplacian(grid, c) + explicit / D
-    return c + solve_shifted_poisson(grid, alpha, rhs, bc=None)
+    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs, bc=bc_delta)
+
+
+def march(init, cfg: NpnsConfig, step, record, save_every: int, tol: float,
+          species=lambda s: (s.c1, s.c2)):
+    """Step init to cfg.t_end; return the final state.
+
+    record is called on init, on every save_every-th state and on the
+    last one.  After each step the state's time is set to k dt, so
+    repeated addition cannot drift, and its species, given by
+    species(state) as (c1, c2), must stay in the band spanned by the
+    wall data and the initial state, widened by tol, or the march aborts
+    through MaxPrincipleViolation.
+    """
+    if save_every < 1:
+        raise ValueError(f"save_every must be >= 1, got {save_every}")
+    n = cfg.n_steps
+    c1_0, c2_0 = species(init)
+    bounds = (
+        min(float(np.min(cfg.bdata.gamma1)), float(np.min(c1_0))),
+        max(float(np.max(cfg.bdata.gamma1)), float(np.max(c1_0))),
+        min(float(np.min(cfg.bdata.gamma2)), float(np.min(c2_0))),
+        max(float(np.max(cfg.bdata.gamma2)), float(np.max(c2_0))),
+    )
+    record(init)
+    s = init
+    for k in range(1, n + 1):
+        s = step(s)
+        s.t = k * cfg.dt
+        report = max_principle_check(*species(s), bounds, tol=tol)
+        if not report.ok:
+            logger.error("max principle violated at t=%.6g: %s", s.t, report)
+            raise MaxPrincipleViolation(s.t, report, cfg.params.eps)
+        if k % save_every == 0 or k == n:
+            record(s)
+    return s
 
 
 def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
@@ -539,43 +596,22 @@ def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
     band implied by the wall data and the initial state by more than the
     blow-up guard of 1e-4.
     """
-    if save_every < 1:
-        raise ValueError(f"save_every must be >= 1, got {save_every}")
     g = cfg.grid
     p = cfg.params
     ws = _StepWorkspace(cfg)
-    # per-species admissible band from wall data and initial state
-    bounds = (
-        min(float(np.min(cfg.bdata.gamma1)), float(np.min(init.c1))),
-        max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1))),
-        min(float(np.min(cfg.bdata.gamma2)), float(np.min(init.c2))),
-        max(float(np.max(cfg.bdata.gamma2)), float(np.max(init.c2))),
-    )
-
     traj = Trajectory()
 
     def record(state: State) -> None:
         traj.snapshots.append(state.copy())
-        E = free_energy(g, state, cfg.bdata, p, wall=ws.wall)
+        E = free_energy(g, state, cfg.bdata, p, wall=cfg.wall)
         ext = (np.min(state.c1), np.max(state.c1), np.min(state.c2), np.max(state.c2))
         traj.diagnostics.append(state.t, E, ext)
 
-    record(init)
-    s = init
-    n = cfg.n_steps
-    for k in range(1, n + 1):
-        s = step_npns(s, cfg, ws)
-        s.t = k * cfg.dt  # avoid accumulated addition drift
-        report = max_principle_check(s.c1, s.c2, bounds, tol=1e-4)
-        if not report.ok:
-            logger.error("max principle violated at t=%.6g: %s", s.t, report)
-            raise MaxPrincipleViolation(s.t, report, p.eps)
-        if k % save_every == 0 or k == n:
-            record(s)
+    s = march(init, cfg, lambda s: step_npns(s, cfg, ws), record, save_every, tol=1e-4)
     if len(traj) >= 3:
         res = dissipation_identity_residual(
-            g, traj.snapshots, cfg.bdata, p, wall=ws.wall, energies=traj.diagnostics.E
+            g, traj.snapshots, cfg.bdata, p, wall=cfg.wall, energies=traj.diagnostics.E
         )
         traj.diagnostics.dissipation_residual = [float(r) for r in res]
-    logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", n, len(traj), s.t)
+    logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", cfg.n_steps, len(traj), s.t)
     return traj

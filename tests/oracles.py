@@ -14,7 +14,8 @@ import scipy.linalg
 import scipy.sparse
 
 from debyeflow.grid import ChannelGrid
-from debyeflow.limit import _transport_delta_step, effective_diffusivity
+from debyeflow.limit import effective_diffusivity
+from debyeflow.npns import _implicit_diffusion
 from debyeflow.operators import BandedMatrix, advect, d2dx2, ddx, div_a_grad
 
 
@@ -270,7 +271,7 @@ def advected_limit_c1(s, cfg) -> np.ndarray:
     """
     g = cfg.grid
     deff = effective_diffusivity(cfg.params)
-    c1 = _transport_delta_step(g, s.c1, deff, cfg.dt, -advect(g, s.u, s.c1))
+    c1 = _implicit_diffusion(g, s.c1, deff, cfg.dt, -advect(g, s.u, s.c1))
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
     return c1

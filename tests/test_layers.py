@@ -25,7 +25,8 @@ from debyeflow.layers import (
     wall_layers,
 )
 from debyeflow.grid import VelocityField
-from debyeflow.limit import LimitConfig, solve_inner_hierarchy
+from debyeflow.limit import solve_inner_hierarchy
+from debyeflow.npns import NpnsConfig
 from debyeflow.operators import grad, laplacian, norm_l2
 
 from oracles import mixed_layer_direct
@@ -42,7 +43,7 @@ def make_cfg(ny=65, dt=1e-3, n_steps=5, gamma=(2.0, 2.0), w=(0.0, 0.0), **pkw):
     bdata = BoundaryData.electroneutral(
         np.array([[gamma[0]], [gamma[1]]]), w=np.array([[w[0]], [w[1]]]), params=p
     )
-    return LimitConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=n_steps * dt)
+    return NpnsConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=n_steps * dt)
 
 
 def trapezoid_weights(x):
@@ -465,7 +466,7 @@ def test_composite_wall_traces_match_boundary_data(generic_setup):
     g, p = cfg.grid, cfg.params
     eps = 0.1
     k = 3
-    bl, br = wall_layers(exp, k)
+    bl, br = wall_layers(cfg, exp.phi[0][k])
     layers = LayerSet(boundary_left=bl, boundary_right=br, initial=il,
                       mixed_left=ml, mixed_right=mr)
     comp = assemble_composite(exp, layers, eps, exp.times[k])
@@ -504,7 +505,7 @@ def test_composite_order_zero_plus_wall_layers_only():
     exp = solve_inner_hierarchy(0, None, cfg, c1_0=2.0 + 0.5 * np.sin(np.pi * g.yy))
     eps = 0.125
     k = 1
-    bl, br = wall_layers(exp, k)
+    bl, br = wall_layers(cfg, exp.phi[0][k])
     comp = assemble_composite(exp, LayerSet(boundary_left=bl, boundary_right=br),
                               eps, exp.times[k])
     f = cutoff_left(g.y)[None, :]
@@ -521,7 +522,7 @@ def test_composite_reduced_variant_drops_wall_and_second_order(generic_setup):
     g = cfg.grid
     eps = 0.1
     k = 3
-    bl, br = wall_layers(exp, k)
+    bl, br = wall_layers(cfg, exp.phi[0][k])
     layers = LayerSet(boundary_left=bl, boundary_right=br, initial=il,
                       mixed_left=ml, mixed_right=mr)
     full = assemble_composite(exp, layers, eps, exp.times[k], variant="full_S")
@@ -602,7 +603,7 @@ def test_wall_layers_read_the_stored_potential(generic_setup):
     cfg, exp, *_ = generic_setup
     g, p = cfg.grid, cfg.params
     k = 4
-    bl, br = wall_layers(exp, k)
+    bl, br = wall_layers(cfg, exp.phi[0][k])
     lap = laplacian(g, exp.phi[0][k])
     assert np.array_equal(bl.amplitude, lap[:, 0])
     assert np.array_equal(br.amplitude, lap[:, -1])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
 from debyeflow.elliptic import harmonic_extension
 from debyeflow.limit import (
-    LimitConfig,
     LimitState,
     effective_diffusivity,
     initial_limit_state,
@@ -18,6 +17,7 @@ from debyeflow.limit import (
     solve_limit_psi,
     step_limit,
 )
+from debyeflow.npns import NpnsConfig
 from debyeflow.operators import norm_l2, norm_linf
 
 from oracles import advected_limit_c1
@@ -36,7 +36,7 @@ def make_cfg(ny=65, dt=1e-3, n_steps=5, gamma=(2.0, 2.0), w=(0.0, 0.0), **pkw):
     bdata = BoundaryData.electroneutral(
         np.array([[gamma[0]], [gamma[1]]]), w=np.array([[w[0]], [w[1]]]), params=p
     )
-    return LimitConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=n_steps * dt)
+    return NpnsConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=n_steps * dt)
 
 
 def discrete_mu2(k, ny):
@@ -190,7 +190,7 @@ def test_step_limit_viscous_shear_decay_2d():
     g = ChannelGrid(d=2, nx=8, ny=33)
     ones_tr = np.ones((2, g.nx))
     bdata = BoundaryData.electroneutral(2.0 * ones_tr, w=0.0 * ones_tr, params=p)
-    cfg = LimitConfig(params=p, bdata=bdata, grid=g, dt=2e-3, t_end=8e-3)
+    cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=2e-3, t_end=8e-3)
     u0 = VelocityField(g, [np.sin(np.pi * g.yy) * np.ones(g.shape), g.zeros()])
     s = initial_limit_state(g, np.full(g.shape, 2.0), u0, cfg)
     factor = 1.0 / (1.0 + cfg.dt * p.nu * discrete_mu2(1, g.ny))
@@ -218,7 +218,7 @@ def test_limit_config_validation():
     with pytest.raises(ValueError):
         make_cfg(dt=-1e-3)
     cfg = make_cfg(dt=1e-3, n_steps=5)
-    bad = LimitConfig(params=cfg.params, bdata=cfg.bdata, grid=cfg.grid, dt=1e-3, t_end=5.5e-3)
+    bad = NpnsConfig(params=cfg.params, bdata=cfg.bdata, grid=cfg.grid, dt=1e-3, t_end=5.5e-3)
     with pytest.raises(ValueError, match="whole number"):
         bad.n_steps
 
