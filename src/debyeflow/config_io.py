@@ -278,9 +278,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
     },
 }
 
-_SECTION_OF = {attr: sec for sec, keys in _SCHEMA.items() for _, (attr, _, _) in keys.items()}
-
-
 def preset_defaults(preset: str) -> ExperimentConfig:
     """The full fixture each preset runs when the file sets nothing else."""
     if preset not in PRESET_NAMES:
