@@ -120,9 +120,9 @@ class MaxPrincipleViolation(RuntimeError):
         return (type(self), (self.t, self.report, self.eps))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NpnsConfig:
-    """One run of either stack; wall holds its WallFields, built once here."""
+    """One run of either stack; wall holds its WallFields, built once here (hence frozen)."""
 
     params: Params
     bdata: BoundaryData
@@ -154,7 +154,7 @@ class NpnsConfig:
                     f"scale eps^2/(z1^2 D1 Lambda) = {dt_stiff:.3g}; expect instability",
                     stacklevel=2,
                 )
-        self.wall = wall_fields(self.grid, self.bdata)
+        object.__setattr__(self, "wall", wall_fields(self.grid, self.bdata))
 
     @property
     def n_steps(self) -> int:
