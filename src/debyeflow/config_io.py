@@ -131,7 +131,6 @@ class ExperimentConfig:
     eps_list: tuple[float, ...] = (0.125, 0.0625, 0.03125)
     # [output]
     output_dir: str = "out"
-    seed: int = 0
     strict: bool = False
 
     def validate(self) -> "ExperimentConfig":
@@ -273,7 +272,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
     },
     "output": {
         "output_dir": ("output_dir", "string", _str),
-        "seed": ("seed", "int", _int),
         "strict": ("strict", "bool (true|false)", _bool),
     },
 }
