@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Print the sha256 digest of every artifact of the six shipped presets.
+
+Each preset runs twice, serial and through the worker pool, into a
+temporary directory.  One line per artifact: preset, mode, file name
+and digest.  sweep.csv's wall_clock_s column is measured time, so it is
+blanked before hashing; every other byte is part of the determinism
+contract.  Two source trees give the same bytes when this prints the
+same lines for both, e.g.
+
+    PYTHONPATH=src python3 scripts/preset_digests.py > new.txt
+    PYTHONPATH=../old/src python3 scripts/preset_digests.py > old.txt
+    diff old.txt new.txt
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import debyeflow
+from debyeflow.config_io import PRESET_NAMES, preset_defaults
+from debyeflow.experiments import run_experiment
+
+PRESETS = tuple(p for p in PRESET_NAMES if p != "custom")
+
+
+def _blank_column(text: str, column: str) -> str:
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if column not in header:
+        return text
+    k = header.index(column)
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) == len(header):
+            cells[k] = ""
+        out.append(",".join(cells))
+    return "\n".join(out)
+
+
+def artifact_digests(out: Path) -> dict[str, str]:
+    """sha256 of each file in out, sweep.csv with wall_clock_s blanked."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "sweep.csv":
+            data = _blank_column(data.decode("utf-8"), "wall_clock_s").encode("utf-8")
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def main() -> int:
+    print(f"# debyeflow from {Path(debyeflow.__file__).parent}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in PRESETS:
+            for mode in ("serial", "pooled"):
+                out = Path(tmp) / preset / mode
+                run_experiment(preset_defaults(preset), out_dir=str(out), parallel=(mode == "pooled"))
+                for name, digest in artifact_digests(out).items():
+                    print(f"{preset} {mode} {name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,15 +8,25 @@ scheme (the tests do that instead).
 The wall data is fixed for a run, so its harmonic extensions and their
 gradients are built once per run (wall_fields) and passed to every
 functional through the optional `wall` keyword; run_npns also hands the
-energy residual the free energies it recorded per snapshot instead of
-having them recomputed.  Called without these, each function builds
-what it needs from the boundary data itself.
+energy residual the free energies it computed instead of having them
+recomputed.  Called without these, each function builds what it needs
+from the boundary data itself.
+
+free_energy and modulated_energy take one snapshot, a State whose
+fields are (nx, ny), or a block of snapshots, a state whose fields
+stack them along a leading time axis; they return a float for a
+snapshot and one value per snapshot for a block, through the same
+code.  A trajectory is evaluated block by block (snapshot_blocks), so
+numpy's per-call overhead is paid once per block, not once per
+snapshot; dissipation_identity_residual does this itself.  Each
+snapshot's value in a block is bitwise the value it has on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +39,7 @@ from .params import BoundaryData, Params
 __all__ = [
     "WallFields",
     "wall_fields",
+    "snapshot_blocks",
     "phi_entropy",
     "free_energy",
     "electrochemical_potentials",
@@ -40,6 +51,36 @@ __all__ = [
     "rate_fit",
     "DiagnosticsRecord",
 ]
+
+
+# A block stacks at most this many values of each field, and at least one
+# snapshot: 31 snapshots at ny = 257, 4 at ny = 2048, one at 32x129.  On
+# the energy_identity preset this size ran fastest: 2**10 and 2**12 left
+# more per-call overhead, 2**14 doubled the minor page faults (its 128 KB
+# temporaries reach the allocator's mmap threshold) and 2**16 added 5 MB
+# to the peak memory.
+BLOCK_ELEMENTS = 2 ** 13
+
+
+def snapshot_blocks(grid: ChannelGrid, states: Sequence) -> Iterator:
+    """The states in order, in blocks of consecutive snapshots.
+
+    Each block is one state of the same type (State or LimitState)
+    whose arrays stack the snapshots' along a leading time axis and
+    whose t holds their times.
+    """
+    size = max(1, BLOCK_ELEMENTS // (grid.nx * grid.ny))
+    for k in range(0, len(states), size):
+        chunk = states[k : k + size]
+        fields = {}
+        for f in dataclasses.fields(chunk[0]):
+            values = [getattr(s, f.name) for s in chunk]
+            if isinstance(values[0], VelocityField):
+                comps = [np.stack(c) for c in zip(*(v.components for v in values))]
+                fields[f.name] = VelocityField(grid, comps)
+            else:
+                fields[f.name] = np.stack(values)
+        yield type(chunk[0])(**fields)
 
 
 def phi_entropy(s):
@@ -104,8 +145,11 @@ def wall_fields(grid: ChannelGrid, bdata: BoundaryData) -> WallFields:
 
 def free_energy(
     grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
-) -> float:
-    """Free energy: wall-relative entropy + electric field + kinetic energy."""
+) -> float | np.ndarray:
+    """Free energy: wall-relative entropy + electric field + kinetic energy.
+
+    One float for a snapshot, one value per snapshot for a block.
+    """
     if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
         raise ValueError("free energy undefined for non-positive concentrations")
     if wall is None:
@@ -116,7 +160,7 @@ def free_energy(
     kin = 0.0
     for comp in s.u.components:
         kin += 0.5 * integrate(grid, comp * comp)
-    return float(ent + elec + kin)
+    return ent + elec + kin
 
 
 def electrochemical_potentials(
@@ -138,8 +182,8 @@ def electrochemical_potentials(
     }
 
 
-def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[float, float, float]:
-    """Spatial terms of the energy balance at one snapshot.
+def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spatial terms of the energy balance, one value per snapshot of a block.
 
     Returns (dissipation, right_side, visc) where the balance reads
     dE/dt + visc + dissipation = right_side.
@@ -180,9 +224,9 @@ def dissipation_identity_residual(
 
     dE/dt is a centered difference of the free energy on the snapshot
     times (one-sided second order at the ends), the spatial terms are
-    evaluated per snapshot, and the mismatch is normalized by the size
-    of the dissipation plus the right side so the result is a relative
-    quantity comparable across runs.  energies, when given, are the free
+    evaluated per snapshot, block by block, and the mismatch is
+    normalized by the size of the dissipation plus the right side so the
+    result is a relative quantity comparable across runs.  energies, when given, are the free
     energies of the snapshots, already computed by the caller.
     """
     if len(snapshots) < 3:
@@ -191,19 +235,18 @@ def dissipation_identity_residual(
         wall = wall_fields(grid, bdata)
     times = np.array([s.t for s in snapshots])
     if energies is None:
-        E = np.array([free_energy(grid, s, bdata, p, wall=wall) for s in snapshots])
+        E = np.concatenate([free_energy(grid, blk, bdata, p, wall=wall)
+                            for blk in snapshot_blocks(grid, snapshots)])
     elif len(energies) != len(snapshots):
         raise ValueError(f"got {len(energies)} energies for {len(snapshots)} snapshots")
     else:
         E = np.array(energies, dtype=float)
     dEdt = np.gradient(E, times, edge_order=2)
-    res = np.empty(len(snapshots))
-    for k, s in enumerate(snapshots):
-        diss, rhs, visc = _identity_sides(grid, s, wall, p)
-        num = dEdt[k] + visc + diss - rhs
-        den = max(abs(visc) + diss + abs(rhs), 1e-14)
-        res[k] = num / den
-    return res
+    sides = [_identity_sides(grid, blk, wall, p) for blk in snapshot_blocks(grid, snapshots)]
+    diss, rhs, visc = (np.concatenate(side) for side in zip(*sides))
+    num = dEdt + visc + diss - rhs
+    den = np.maximum(np.abs(visc) + diss + np.abs(rhs), 1e-14)
+    return num / den
 
 
 def dissipation_lower_bound(
@@ -248,11 +291,13 @@ def modulated_energy(
     c1_lim: np.ndarray,
     u_lim: VelocityField,
     psi_lim: np.ndarray,
-) -> dict[str, float]:
+) -> dict[str, float | np.ndarray]:
     """Relative energy H and dissipation distance Theta against a limit state.
 
     The limit concentrations enter through c1 alone; c2 is reconstructed
     from the zero-charge constraint so the pair is always admissible.
+    For a block of snapshots the limit fields are stacked the same way,
+    and H and Theta hold one value per snapshot.
     """
     c2_lim = -p.z1 * c1_lim / p.z2
     for c in (s.c1, s.c2):
@@ -277,7 +322,7 @@ def modulated_energy(
     theta += p.D_star * integrate(grid, (s.rho(p) / p.eps) ** 2)
     for comp, comp_lim in zip(s.u.components, u_lim.components):
         theta += p.nu * integrate(grid, _grad_sq(grid, comp - comp_lim))
-    return {"H": float(H), "Theta": float(theta)}
+    return {"H": H, "Theta": theta}
 
 
 @dataclass
@@ -302,8 +347,13 @@ def max_principle_check(
 
     bounds = (lambda1, Lambda1, lambda2, Lambda2).  On failure the
     report carries the worst offending node so run logs are actionable.
+    The extrema decide whether any node is out of band; only then, or
+    when one of them is NaN, are the nodes searched.
     """
     lo1, hi1, lo2, hi2 = bounds
+    mn1, mx1, mn2, mx2 = float(np.min(c1)), float(np.max(c1)), float(np.min(c2)), float(np.max(c2))
+    if mn1 >= lo1 - tol and mx1 <= hi1 + tol and mn2 >= lo2 - tol and mx2 <= hi2 + tol:
+        return MaxPrincipleReport(True, mn1, mx1, mn2, mx2, 0.0, None, None)
     worst = 0.0
     species = None
     index = None
@@ -318,10 +368,10 @@ def max_principle_check(
             index = tuple(int(j) for j in np.unravel_index(np.argmax(viol), c.shape))
     return MaxPrincipleReport(
         ok=worst <= 0.0,
-        min_c1=float(np.min(c1)),
-        max_c1=float(np.max(c1)),
-        min_c2=float(np.min(c2)),
-        max_c2=float(np.max(c2)),
+        min_c1=mn1,
+        max_c1=mx1,
+        min_c2=mn2,
+        max_c2=mx2,
         worst_violation=worst,
         worst_species=species,
         worst_index=index,

@@ -7,10 +7,11 @@ constant-coefficient Poisson problems take an rfft in x and stack every
 mode's tridiagonal in y into one block-diagonal tridiagonal, factored
 once per (grid, shift) and cached, so a call costs one triangular solve;
 in d = 1 that solve runs on the real right side, skipping the FFTs.
-The projection is one batched pentadiagonal solve over all modes, and
-the divergence form a tridiagonal solve (d = 1) or a banded Cholesky
-factorization (d = 2): numbered x-fastest, the negated interior
-operator is a symmetric positive definite band of half-width nx.  The
+The projection is one batched pentadiagonal solve over all modes, its
+band LU cached per grid like the Poisson factors, and the divergence
+form a tridiagonal solve (d = 1) or a banded Cholesky factorization
+(d = 2): numbered x-fastest, the negated interior operator is a
+symmetric positive definite band of half-width nx.  The
 package's only iterative solve is the d = 2 coupled step in npns.py.
 """
 
@@ -251,6 +252,46 @@ def solve_div_form(
 # discrete Leray projection
 
 
+@functools.lru_cache(maxsize=8)
+def _projection_factors(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band LU of the projection's normal equations, all rfft modes stacked.
+
+    Per mode the matrix is T^T T + kappa^2 I (see project_div_free),
+    pentadiagonal with offsets 0 and +-2; the modes sit one after
+    another in a single block-diagonal band, which dgbtrf factors in one
+    call.  Returns the factors, the pivots and the pinned-mode mask.
+    Cached per grid; the arrays are read-only because every caller
+    shares them.
+    """
+    m = grid.ny - 2
+    c = 1.0 / (2.0 * grid.hy)
+    kx = grid.kx_first
+    nk = len(kx)
+    j = np.arange(m)
+    c2 = c * c
+    diag = c2 * ((j >= 1).astype(float) + (j <= m - 2)) + kx[:, None] ** 2
+    upper = np.tile(np.where(j >= 2, -c2, 0.0), (nk, 1))
+    lower = np.where(j <= m - 3, -c2, 0.0)
+    # kappa = 0 (the mean and the zeroed Nyquist mode) with odd m: T^T T
+    # is singular with the even-index indicator as null vector, which the
+    # right side is orthogonal to; pinning q_0 = 0 picks one solution and
+    # leaves G q unchanged
+    pinned = (kx == 0.0) & (m % 2 == 1)
+    diag[pinned, 0] = 1.0
+    upper[pinned, 2] = 0.0
+    # (2, 2) band storage below two rows for the fill-in of partial pivoting
+    ab = np.zeros((7, nk * m))
+    ab[2] = upper.ravel()
+    ab[4] = diag.ravel()
+    ab[6] = np.tile(lower, nk)
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"projection matrix is singular (dgbtrf info={info})")
+    for a in (lu, piv, pinned):
+        a.flags.writeable = False
+    return lu, piv, pinned
+
+
 def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
     """Project onto discretely divergence-free fields with no-slip walls.
 
@@ -280,29 +321,14 @@ def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
     # per mode: q minimizes |u - G q|^2 with G = (i kappa I; T), T the
     # centered y-difference on interior nodes with zero wall padding, so
     # T v is a slice difference of the wall-padded v and T^T = -T; kappa
-    # comes from the first-derivative wavenumbers so G matches ddx
+    # comes from the first-derivative wavenumbers so G matches ddx.  The
+    # normal equations (T^T T + kappa^2 I) q = g are factored once per grid
     g = -1j * kx[:, None] * uxh[:, 1:-1] - c * (uyh[:, 2:] - uyh[:, :-2])
-
-    # T^T T + kappa^2 I has offsets 0 and +-2 only; all modes are stacked
-    # into one block-diagonal pentadiagonal system
-    j = np.arange(m)
-    c2 = c * c
-    diag = c2 * ((j >= 1).astype(float) + (j <= m - 2)) + kx[:, None] ** 2
-    upper = np.tile(np.where(j >= 2, -c2, 0.0), (nk, 1))
-    lower = np.where(j <= m - 3, -c2, 0.0)
-    # kappa = 0 (the mean and the zeroed Nyquist mode) with odd m: T^T T
-    # is singular with the even-index indicator as null vector, which g
-    # is orthogonal to; pinning q_0 = 0 picks one solution and leaves G q
-    # unchanged
-    pinned = (kx == 0.0) & (m % 2 == 1)
-    diag[pinned, 0] = 1.0
-    upper[pinned, 2] = 0.0
+    lu, piv, pinned = _projection_factors(grid)
     g[pinned, 0] = 0.0
-    ab = np.zeros((5, nk * m))
-    ab[0] = upper.ravel()
-    ab[2] = diag.ravel()
-    ab[4] = np.tile(lower, nk)
-    sol = scipy.linalg.solve_banded((2, 2), ab, np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
+    # a non-finite velocity raises ValueError here rather than spreading
+    rhs = np.asarray_chkfinite(np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
+    sol, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, rhs, piv)
 
     q = np.zeros_like(uyh)
     q[:, 1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(nk, m)

@@ -111,7 +111,9 @@ class VelocityField:
     """Velocity sample with one component per spatial dimension.
 
     components[j] has shape (nx, ny); the last component is always the
-    wall-normal one.  For d = 1 there is a single component.
+    wall-normal one.  For d = 1 there is a single component.  A block of
+    snapshots (diagnostics.snapshot_blocks) stacks them along leading
+    axes, (..., nx, ny).
     """
 
     grid: ChannelGrid
@@ -124,7 +126,7 @@ class VelocityField:
             )
         self.components = [np.asarray(c, dtype=float) for c in self.components]
         for j, c in enumerate(self.components):
-            if c.shape != self.grid.shape:
+            if c.shape[-2:] != self.grid.shape:
                 raise ValueError(f"component {j} shape {c.shape} != grid {self.grid.shape}")
 
     @classmethod
@@ -142,7 +144,11 @@ class VelocityField:
 
 @dataclass
 class State:
-    """Snapshot of the coupled system at one time."""
+    """Snapshot of the coupled system at one time.
+
+    In a block of snapshots (diagnostics.snapshot_blocks) every field
+    has a leading time axis and t holds the snapshot times.
+    """
 
     t: float
     c1: np.ndarray

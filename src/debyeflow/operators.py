@@ -3,7 +3,11 @@
 Tangential derivatives are spectral (rfft), wall-normal derivatives are
 second-order finite differences with one-sided stencils at the walls.
 All operators take and return plain (nx, ny) arrays; the grid object
-carries the geometry.
+carries the geometry.  The derivatives and integrate also accept arrays
+with leading axes, (..., nx, ny), and act on every (nx, ny) slice: the
+diagnostics evaluate a whole block of snapshots stacked along a leading
+time axis in one call.  Each slice's result is bitwise the one an
+(nx, ny) call gives.
 """
 
 from __future__ import annotations
@@ -53,18 +57,18 @@ def ddx(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
     """
     if grid.nx == 1:
         return np.zeros_like(f)
-    fh = np.fft.rfft(f, axis=0)
+    fh = np.fft.rfft(f, axis=-2)
     fh *= 1j * grid.kx_first[:, None]
-    return np.fft.irfft(fh, n=grid.nx, axis=0)
+    return np.fft.irfft(fh, n=grid.nx, axis=-2)
 
 
 def d2dx2(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
     """Second tangential derivative; identically zero in d = 1."""
     if grid.nx == 1:
         return np.zeros_like(f)
-    fh = np.fft.rfft(f, axis=0)
+    fh = np.fft.rfft(f, axis=-2)
     fh *= -(grid.kx[:, None] ** 2)
-    return np.fft.irfft(fh, n=grid.nx, axis=0)
+    return np.fft.irfft(fh, n=grid.nx, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +79,9 @@ def ddy(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
     """First wall-normal derivative, one-sided second order at the walls."""
     h = grid.hy
     out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
     return out
 
 
@@ -85,9 +89,9 @@ def d2dy2(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
     """Second wall-normal derivative, one-sided second order at the walls."""
     h2 = grid.hy ** 2
     out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / h2
-    out[:, 0] = (2.0 * f[:, 0] - 5.0 * f[:, 1] + 4.0 * f[:, 2] - f[:, 3]) / h2
-    out[:, -1] = (2.0 * f[:, -1] - 5.0 * f[:, -2] + 4.0 * f[:, -3] - f[:, -4]) / h2
+    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h2
+    out[..., 0] = (2.0 * f[..., 0] - 5.0 * f[..., 1] + 4.0 * f[..., 2] - f[..., 3]) / h2
+    out[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / h2
     return out
 
 
@@ -141,8 +145,10 @@ def quad_weights(grid: ChannelGrid) -> np.ndarray:
     return w
 
 
-def integrate(grid: ChannelGrid, f: np.ndarray) -> float:
-    return float(np.sum(quad_weights(grid) * f))
+def integrate(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
+    """Quadrature of f; a float for one (nx, ny) field, else one value per slice."""
+    out = np.sum(quad_weights(grid) * f, axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def norm_l2(grid: ChannelGrid, f: np.ndarray) -> float:

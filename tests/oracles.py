@@ -13,10 +13,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from debyeflow.diagnostics import MaxPrincipleReport, phi_entropy, wall_fields
 from debyeflow.grid import ChannelGrid
 from debyeflow.limit import effective_diffusivity
 from debyeflow.npns import _implicit_diffusion
-from debyeflow.operators import BandedMatrix, advect, d2dx2, ddx, div_a_grad
+from debyeflow.operators import BandedMatrix, advect, d2dx2, ddx, div_a_grad, grad, integrate
 
 
 def interior_laplacian_action(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
@@ -275,3 +276,153 @@ def advected_limit_c1(s, cfg) -> np.ndarray:
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
     return c1
+
+
+# ---------------------------------------------------------------------------
+# per-snapshot diagnostics: the library evaluates blocks of snapshots
+# stacked along a leading time axis; these take one (nx, ny) snapshot at
+# a time, in the same floating-point operations, so the two routes must
+# agree bitwise
+
+
+def _grad_sq(grid, f):
+    out = np.zeros_like(f)
+    for df in grad(grid, f):
+        out += df * df
+    return out
+
+
+def per_snapshot_free_energy(grid, s, bdata, p) -> float:
+    """Free energy of one snapshot, the integrals taken one by one."""
+    if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
+        raise ValueError("free energy undefined for non-positive concentrations")
+    wall = wall_fields(grid, bdata)
+    g1, g2 = wall.gamma1, wall.gamma2
+    ent = integrate(grid, g1 * phi_entropy(s.c1 / g1) + g2 * phi_entropy(s.c2 / g2))
+    elec = 0.5 * p.eps ** 2 * integrate(grid, _grad_sq(grid, s.psi))
+    kin = 0.0
+    for comp in s.u.components:
+        kin += 0.5 * integrate(grid, comp * comp)
+    return float(ent + elec + kin)
+
+
+def per_snapshot_identity_residual(grid, snapshots, bdata, p) -> np.ndarray:
+    """Energy-balance residual along a trajectory, one snapshot at a time."""
+    wall = wall_fields(grid, bdata)
+    times = np.array([s.t for s in snapshots])
+    E = np.array([per_snapshot_free_energy(grid, s, bdata, p) for s in snapshots])
+    dEdt = np.gradient(E, times, edge_order=2)
+    res = np.empty(len(snapshots))
+    for k, s in enumerate(snapshots):
+        rho = s.rho(p)
+        visc = 0.0
+        for comp in s.u.components:
+            visc += p.nu * integrate(grid, _grad_sq(grid, comp))
+        diss = 0.0
+        rhs = 0.0
+        grad_total = grad(grid, s.psi + wall.phiw)
+        for c, z, D, glog_gam in (
+            (s.c1, p.z1, p.D1, wall.grad_log_gamma1),
+            (s.c2, p.z2, p.D2, wall.grad_log_gamma2),
+        ):
+            gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad_total)]
+            gmu_star = [a + z * dw for a, dw in zip(glog_gam, wall.grad_phiw)]
+            diss += D * integrate(grid, c * sum(a * a for a in gmu))
+            rhs += D * integrate(grid, c * sum(a * b for a, b in zip(gmu, gmu_star)))
+            rhs -= integrate(grid, c * sum(uc * a for uc, a in zip(s.u.components, glog_gam)))
+        rhs -= integrate(grid, rho * sum(uc * dw for uc, dw in zip(s.u.components, wall.grad_phiw)))
+        num = dEdt[k] + visc + diss - rhs
+        den = max(abs(visc) + diss + abs(rhs), 1e-14)
+        res[k] = num / den
+    return res
+
+
+def per_snapshot_modulated_energy(grid, s, p, c1_lim, u_lim, psi_lim) -> dict[str, float]:
+    """H and Theta of one snapshot against one limit snapshot."""
+    c2_lim = -p.z1 * c1_lim / p.z2
+    H = integrate(grid, c1_lim * phi_entropy(s.c1 / c1_lim) + c2_lim * phi_entropy(s.c2 / c2_lim))
+    H += 0.5 * p.eps ** 2 * integrate(grid, _grad_sq(grid, s.psi))
+    for comp, comp_lim in zip(s.u.components, u_lim.components):
+        H += 0.5 * integrate(grid, (comp - comp_lim) ** 2)
+    theta = 0.0
+    dpsi = grad(grid, s.psi)
+    dpsil = grad(grid, psi_lim)
+    for c, c_lim, D, z in ((s.c1, c1_lim, p.D1, p.z1), (s.c2, c2_lim, p.D2, p.z2)):
+        dc = grad(grid, c)
+        dcl = grad(grid, c_lim)
+        theta += D * integrate(grid, sum((a - b) ** 2 for a, b in zip(dc, dcl)) / c)
+        theta += z ** 2 * D * integrate(grid, c * sum((a - b) ** 2 for a, b in zip(dpsi, dpsil)))
+    theta += p.D_star * integrate(grid, (s.rho(p) / p.eps) ** 2)
+    for comp, comp_lim in zip(s.u.components, u_lim.components):
+        theta += p.nu * integrate(grid, _grad_sq(grid, comp - comp_lim))
+    return {"H": float(H), "Theta": float(theta)}
+
+
+def full_search_max_principle(c1, c2, bounds, tol) -> MaxPrincipleReport:
+    """The band check by a worst-node search over both species, always."""
+    lo1, hi1, lo2, hi2 = bounds
+    worst = 0.0
+    species = None
+    index = None
+    for i, (c, lo, hi) in enumerate(((c1, lo1, hi1), (c2, lo2, hi2)), start=1):
+        viol = np.maximum((lo - tol) - c, c - (hi + tol))
+        v = float(np.max(viol))
+        if v > worst:
+            worst = v
+            species = i
+            index = tuple(int(j) for j in np.unravel_index(np.argmax(viol), c.shape))
+    return MaxPrincipleReport(
+        ok=worst <= 0.0,
+        min_c1=float(np.min(c1)),
+        max_c1=float(np.max(c1)),
+        min_c2=float(np.min(c2)),
+        max_c2=float(np.max(c2)),
+        worst_violation=worst,
+        worst_species=species,
+        worst_index=index,
+    )
+
+
+def solve_banded_projection(grid: ChannelGrid, u) -> list[np.ndarray]:
+    """The library's projection with its pentadiagonal assembled and
+    solved afresh by scipy.linalg.solve_banded on every call.
+
+    The floating-point operations are the library's, so the two must
+    agree bitwise; only the library caches the band factorization.
+    """
+    m = grid.ny - 2
+    c = 1.0 / (2.0 * grid.hy)
+    ux = u.components[0].copy()
+    uy = u.components[1].copy()
+    for comp in (ux, uy):
+        comp[:, 0] = 0.0
+        comp[:, -1] = 0.0
+    uxh = np.fft.rfft(ux, axis=0)
+    uyh = np.fft.rfft(uy, axis=0)
+    kx = grid.kx_first
+    nk = len(kx)
+    g = -1j * kx[:, None] * uxh[:, 1:-1] - c * (uyh[:, 2:] - uyh[:, :-2])
+    j = np.arange(m)
+    c2 = c * c
+    diag = c2 * ((j >= 1).astype(float) + (j <= m - 2)) + kx[:, None] ** 2
+    upper = np.tile(np.where(j >= 2, -c2, 0.0), (nk, 1))
+    lower = np.where(j <= m - 3, -c2, 0.0)
+    pinned = (kx == 0.0) & (m % 2 == 1)
+    diag[pinned, 0] = 1.0
+    upper[pinned, 2] = 0.0
+    g[pinned, 0] = 0.0
+    ab = np.zeros((5, nk * m))
+    ab[0] = upper.ravel()
+    ab[2] = diag.ravel()
+    ab[4] = np.tile(lower, nk)
+    sol = scipy.linalg.solve_banded((2, 2), ab, np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
+    q = np.zeros_like(uyh)
+    q[:, 1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(nk, m)
+    uxh[:, 1:-1] -= 1j * kx[:, None] * q[:, 1:-1]
+    uyh[:, 1:-1] -= c * (q[:, 2:] - q[:, :-2])
+    ux = np.fft.irfft(uxh, n=grid.nx, axis=0)
+    uy = np.fft.irfft(uyh, n=grid.nx, axis=0)
+    for comp in (ux, uy):
+        comp[:, 0] = 0.0
+        comp[:, -1] = 0.0
+    return [ux, uy]

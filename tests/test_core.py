@@ -16,7 +16,9 @@ from debyeflow.elliptic import (
 )
 from debyeflow.operators import (
     BandedMatrix,
+    d2dx2,
     d2dy2,
+    ddx,
     ddy,
     div_a_grad,
     div_a_grad_matrix,
@@ -36,6 +38,7 @@ from oracles import (
     dense_projection,
     interior_laplacian_action,
     per_mode_shifted_poisson,
+    solve_banded_projection,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -488,11 +491,51 @@ def test_projection_matches_dense_lstsq(ny):
     assert err <= 1e-10, f"banded projection differs from dense lstsq by {err:.2e}"
 
 
+@pytest.mark.parametrize("ny", [12, 13, 129])
+def test_cached_projection_matches_a_fresh_band_solve(ny):
+    # the band factors are cached per grid and read-only; every call must
+    # give the bytes of assembling and solving the band from scratch
+    g = grid2d(nx=8 if ny < 100 else 32, ny=ny)
+    rng = np.random.default_rng(ny)
+    for _ in range(2):
+        u = VelocityField(g, [rng.standard_normal(g.shape) for _ in range(2)])
+        pu = project_div_free(g, u)
+        for mine, ref in zip(pu.components, solve_banded_projection(g, u)):
+            assert mine.tobytes() == ref.tobytes()
+    factors = elliptic._projection_factors(g)
+    assert elliptic._projection_factors(g) is factors
+    assert not any(a.flags.writeable for a in factors)
+
+
 def test_projection_d1_is_zero():
     g = grid1d(33)
     w = np.sin(np.pi * g.yy)
     pu = project_div_free(g, VelocityField(g, [w]))
     assert np.all(pu.components[0] == 0.0), "d=1 no-slip divergence-free velocity is zero"
+
+
+@pytest.mark.parametrize("shape", [(1, 257), (1, 2048), (8, 17), (32, 129)])
+def test_operators_act_on_every_stacked_slice(shape):
+    # fields stacked along leading axes give each slice's own bytes, and
+    # integrate keeps returning a float for a single field
+    nx, ny = shape
+    g = ChannelGrid(d=1 if nx == 1 else 2, nx=nx, ny=ny)
+    rng = np.random.default_rng(nx * ny)
+    stack = rng.standard_normal((2, 3, nx, ny))
+    for op in (ddx, d2dx2, ddy, d2dy2, laplacian):
+        out = op(g, stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert out[idx].tobytes() == op(g, stack[idx]).tobytes(), (op.__name__, idx)
+    for k, df in enumerate(grad(g, stack)):
+        for idx in np.ndindex(2, 3):
+            assert df[idx].tobytes() == grad(g, stack[idx])[k].tobytes()
+    f = stack * stack
+    total = integrate(g, f)
+    assert total.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = integrate(g, f[idx])
+        assert type(single) is float and single == total[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
+from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField, diagnostics
 from debyeflow.diagnostics import (
     dissipation_identity_residual,
     dissipation_lower_bound,
@@ -16,11 +16,20 @@ from debyeflow.diagnostics import (
     modulated_energy,
     phi_entropy,
     rate_fit,
+    snapshot_blocks,
     wall_fields,
 )
 from debyeflow.elliptic import harmonic_extension, solve_poisson
+from debyeflow.limit import initial_limit_state, run_limit
 from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
 from debyeflow.operators import ddy, norm_l2
+
+from oracles import (
+    full_search_max_principle,
+    per_snapshot_free_energy,
+    per_snapshot_identity_residual,
+    per_snapshot_modulated_energy,
+)
 
 
 def setup_1d(ny=65, eps=0.1, gamma=(2.0, 2.0), w=(0.0, 0.0), z1=1.0, z2=-1.0, D1=1.0, D2=1.0,
@@ -295,6 +304,84 @@ def test_wall_keyword_matches_per_call_build(d):
         dissipation_identity_residual(g, traj.snapshots, bdata, p, energies=traj.diagnostics.E[1:])
 
 
+def oracle_fixture(d):
+    """Config, initial state and limit initial state of an 11-snapshot run:
+    d = 1 at ny = 257, and d = 2 at 8x17 with x-varying Gamma1 and w,
+    which drive a nonzero velocity."""
+    if d == 1:
+        p, g, bdata = setup_1d(ny=257, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5), c_bounds=(2.0, 2.8))
+        c1 = 2.0 + 0.5 * g.yy + 0.3 * np.sin(np.pi * g.yy)
+    else:
+        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25, c_lower=1.8, c_upper=2.2)
+        g = ChannelGrid(d=2, nx=8, ny=17)
+        gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
+        w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.full(g.nx, 0.3)])
+        bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
+        c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy
+    cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=1e-2)
+    s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
+    l0 = initial_limit_state(g, c1, VelocityField.zero(g), cfg)
+    return cfg, s0, l0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("block", [None, 4, 1])
+def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
+    # None is the shipped block size (one block holds all 11 snapshots);
+    # blocks of 4 leave a short last block and blocks of 1 are single
+    # snapshots with a leading axis
+    cfg, s0, l0 = oracle_fixture(d)
+    g, p, bdata = cfg.grid, cfg.params, cfg.bdata
+    if block is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
+    traj = run_npns(s0, cfg)
+    ltraj = run_limit(l0, cfg)
+    snaps = traj.snapshots
+    assert len(snaps) == 11
+    if d == 2:
+        assert np.any(snaps[-1].u.components[0] != 0.0), "the run must move the fluid"
+    sizes = [len(blk.t) for blk in snapshot_blocks(g, snaps)]
+    assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
+
+    rec = traj.diagnostics
+    E = np.array([per_snapshot_free_energy(g, s, bdata, p) for s in snaps])
+    assert np.array(rec.E).tobytes() == E.tobytes()
+    res = per_snapshot_identity_residual(g, snaps, bdata, p)
+    assert np.array(rec.dissipation_residual).tobytes() == res.tobytes()
+    assert dissipation_identity_residual(g, snaps, bdata, p).tobytes() == res.tobytes()
+    for name in ("c1", "c2"):
+        fields = [getattr(s, name) for s in snaps]
+        assert getattr(rec, f"min_{name}") == [float(np.min(f)) for f in fields]
+        assert getattr(rec, f"max_{name}") == [float(np.max(f)) for f in fields]
+
+    H, theta = [], []
+    for blk, lim in zip(snapshot_blocks(g, snaps), snapshot_blocks(g, ltraj.snapshots)):
+        me = modulated_energy(g, blk, p, lim.c1, lim.u, lim.psi)
+        H += me["H"].tolist()
+        theta += me["Theta"].tolist()
+    for k, (s, sl) in enumerate(zip(snaps, ltraj.snapshots)):
+        ref = per_snapshot_modulated_energy(g, s, p, sl.c1, sl.u, sl.psi)
+        assert (H[k], theta[k]) == (ref["H"], ref["Theta"]), f"snapshot {k}"
+        assert modulated_energy(g, s, p, sl.c1, sl.u, sl.psi) == ref
+        assert free_energy(g, s, bdata, p) == E[k]
+    assert H[-1] > 0.0 and theta[-1] > 0.0
+
+
+def test_blocks_reject_a_nonpositive_concentration_inside():
+    cfg, s0, l0 = oracle_fixture(1)
+    g, p, bdata = cfg.grid, cfg.params, cfg.bdata
+    snaps = [s.copy() for s in run_npns(s0, cfg).snapshots]
+    snaps[5].c2[0, 100] = 0.0
+    (blk,) = snapshot_blocks(g, snaps)
+    lim = next(snapshot_blocks(g, run_limit(l0, cfg).snapshots))
+    with pytest.raises(ValueError):
+        free_energy(g, blk, bdata, p)
+    with pytest.raises(ValueError):
+        modulated_energy(g, blk, p, lim.c1, lim.u, lim.psi)
+    with pytest.raises(ValueError):
+        dissipation_identity_residual(g, snaps, bdata, p)
+
+
 # ---------------------------------------------------------------------------
 # max principle report
 
@@ -311,6 +398,33 @@ def test_max_principle_pass_and_fail():
     assert not rep.ok
     assert rep.worst_species == 1
     assert rep.worst_index == (0, 5), f"violation located at {rep.worst_index}"
+
+
+BAND = (2.0, 3.0, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("species, node, value, ok", [
+    (None, None, None, True),
+    (1, (0, 5), 2.0 - 1e-6, True),    # exactly on the widened band
+    (1, (0, 5), 2.0 - 2e-6, False),
+    (1, (3, 0), 3.5, False),
+    (2, (7, 16), 0.5, False),
+    (2, (2, 9), 4.0 + 1e-5, False),
+    (1, (4, 4), np.nan, True),        # a NaN node is not searched out
+    (2, (1, 1), np.nan, True),
+    (2, (0, 3), np.inf, False),
+])
+def test_max_principle_fast_path_matches_full_search(species, node, value, ok):
+    # the in-band fast path and the worst-node search give the same report,
+    # field for field, NaN included
+    rng = np.random.default_rng(7)
+    c1 = 2.0 + rng.random((8, 17))
+    c2 = 1.0 + 3.0 * rng.random((8, 17))
+    if species is not None:
+        (c1, c2)[species - 1][node] = value
+    rep = max_principle_check(c1, c2, BAND, tol=1e-6)
+    assert rep.ok == ok
+    assert repr(rep) == repr(full_search_max_principle(c1, c2, BAND, tol=1e-6))
 
 
 # ---------------------------------------------------------------------------

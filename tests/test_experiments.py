@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debyeflow import elliptic
+from debyeflow import elliptic, experiments
 from debyeflow.config_io import preset_defaults
 from debyeflow.experiments import (
     ExperimentError,
     SWEEP_COLUMNS,
+    _energy_metrics,
     _run_pair,
     build_fixture,
     refit_report,
@@ -140,3 +141,21 @@ def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
     traj, ltraj = _run_pair(cfg, fx)
     assert len(traj.snapshots) == len(ltraj.snapshots) >= 3
     assert len(calls) <= 3, f"harmonic_extension calls per pair: {len(calls)}"
+
+
+def test_energy_equilibrium_run_marches_no_limit(monkeypatch):
+    # only the finite-eps residual of the equilibrium run is graded, so the
+    # limit is marched for the three dt levels alone
+    calls = []
+    original = experiments.run_limit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_limit", counted)
+    cfg = replace(preset_defaults("energy_identity"), ny=33, t_end=0.01)
+    rows, report = _energy_metrics(cfg)
+    assert len(calls) == 3, f"run_limit calls: {len(calls)}"
+    assert report["equilibrium_residual"] == 0.0
+    assert len(rows) == 41 and all(row["H"] > 0.0 for row in rows[1:])

@@ -367,6 +367,23 @@ def test_coupling_refill_2d_matches_fresh_assembly():
             assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), f"{name} differs"
 
 
+def test_rounding_level_matches_the_abs_matrix_product():
+    # |A| on A's own index arrays gives the bytes of the abs(A) CSR copy
+    cfg, s = _d2_cfg(1 / 16)
+    g, p = cfg.grid, cfg.params
+    ws = npns._StepWorkspace(cfg)
+    A = ws.coupled
+    npns._set_coupling_2d(A, ws.coupling_slots, g, p, s.c1, s.c2)
+    rng = np.random.default_rng(17)
+    data = A.data.copy()
+    for _ in range(3):
+        x = rng.standard_normal(A.shape[0])
+        b = rng.standard_normal(A.shape[0])
+        ref = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
+        assert npns._rounding_level(A, x, b) == ref
+    assert A.data.tobytes() == data.tobytes(), "the bound must leave A alone"
+
+
 def test_d2_run_with_shared_matrix_matches_fresh_steps():
     # a d = 2 run refills one matrix every step; stepping with a fresh
     # workspace whose matrix is assembled from the step's own
