@@ -5,8 +5,9 @@ Each preset runs twice, serial and through the worker pool, into a
 temporary directory.  One line per artifact: preset, mode, file name
 and digest.  sweep.csv's wall_clock_s column is measured time, so it is
 blanked before hashing; every other byte is part of the determinism
-contract.  Two source trees give the same bytes when this prints the
-same lines for both, e.g.
+contract.  The script exits 1, naming each preset whose serial and
+pooled digests differ, after printing every line.  Two source trees
+give the same bytes when this prints the same lines for both, e.g.
 
     PYTHONPATH=src python3 scripts/preset_digests.py > new.txt
     PYTHONPATH=../old/src python3 scripts/preset_digests.py > old.txt
@@ -53,14 +54,21 @@ def artifact_digests(out: Path) -> dict[str, str]:
 
 def main() -> int:
     print(f"# debyeflow from {Path(debyeflow.__file__).parent}", file=sys.stderr)
+    differing = []
     with tempfile.TemporaryDirectory() as tmp:
         for preset in PRESETS:
+            by_mode = {}
             for mode in ("serial", "pooled"):
                 out = Path(tmp) / preset / mode
                 run_experiment(preset_defaults(preset), out_dir=str(out), parallel=(mode == "pooled"))
-                for name, digest in artifact_digests(out).items():
+                by_mode[mode] = artifact_digests(out)
+                for name, digest in by_mode[mode].items():
                     print(f"{preset} {mode} {name} {digest}", flush=True)
-    return 0
+            if by_mode["serial"] != by_mode["pooled"]:
+                differing.append(preset)
+    for preset in differing:
+        print(f"error: {preset}: serial and pooled artifacts differ", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="full eps sweep of a preset")
     _add_common(p_sweep)
     p_sweep.add_argument("--serial", action="store_true",
-                         help="disable the per-eps worker pool")
+                         help="disable the worker pool of the multi-run presets")
 
     p_rep = subs.add_parser("report", help="refit report.json from an existing sweep.csv")
     _add_common(p_rep)

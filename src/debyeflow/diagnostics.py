@@ -348,12 +348,19 @@ def max_principle_check(
     bounds = (lambda1, Lambda1, lambda2, Lambda2).  On failure the
     report carries the worst offending node so run logs are actionable.
     The extrema decide whether any node is out of band; only then, or
-    when one of them is NaN, are the nodes searched.
+    when one of them is NaN, are the nodes searched.  A NaN node is in
+    no band: it is the worst violation (inf), and the first one, species
+    1 before species 2, is reported.
     """
     lo1, hi1, lo2, hi2 = bounds
     mn1, mx1, mn2, mx2 = float(np.min(c1)), float(np.max(c1)), float(np.min(c2)), float(np.max(c2))
     if mn1 >= lo1 - tol and mx1 <= hi1 + tol and mn2 >= lo2 - tol and mx2 <= hi2 + tol:
         return MaxPrincipleReport(True, mn1, mx1, mn2, mx2, 0.0, None, None)
+    for i, c in enumerate((c1, c2), start=1):
+        nan = np.isnan(c)
+        if nan.any():
+            index = tuple(int(j) for j in np.unravel_index(np.argmax(nan), c.shape))
+            return MaxPrincipleReport(False, mn1, mx1, mn2, mx2, math.inf, i, index)
     worst = 0.0
     species = None
     index = None

@@ -10,6 +10,12 @@ records measured time and is exempt from the determinism contract.
 Artifact map: rate presets write sweep.csv + report.json, the energy
 preset writes diag.csv + report.json, and the layer/decay presets write
 profile.csv + report.json.  Every row carries the config hash.
+
+The rate sweeps, layer_profile and energy_identity split their work into
+independent runs (one per eps, or per dt level plus the equilibrium run)
+and map them over one process pool, _pool_map.  Results come back in
+submission order and workers return only floats and row dicts, so serial
+and pooled artifacts are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ HEADLINE_METRIC = {
 
 # energy preset: residual must shrink by this factor per dt halving
 ENERGY_RATIO_MIN = 1.8
+# energy preset: dt = cfg.dt / divisor per level, coarsest first
+ENERGY_DT_DIVISORS = (1, 2, 4)
 # layer preset: admissible relative profile error at the smallest eps
 PROFILE_REL_ERR_MAX = 0.25
 # decay preset: measured tail slope must be at most -DECAY_MARGIN * b * lambda
@@ -232,43 +240,72 @@ def _sweep_worker(item: tuple[ExperimentConfig, float]) -> dict[str, float]:
     return _rate_metrics(cfg, eps)
 
 
+def _pool_map(worker, items: list, parallel: bool) -> list:
+    """worker applied to each item, results in item order.
+
+    With parallel and more than one item the items go to a process pool
+    of at most one worker per core, in item order, so the first items
+    start first; worker must be a module-level function.
+    """
+    if parallel and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as pool:
+            return list(pool.map(worker, items))
+    return [worker(it) for it in items]
+
+
 # ---------------------------------------------------------------------------
 # identity / profile presets
 
 
-def _energy_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
-    """dt-halving study of the energy balance plus the equilibrium run."""
-    levels = []
-    diag_rows: list[dict] = []
-    for divisor in (1, 2, 4):
-        scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
-        fx = build_fixture(scaled, cfg.eps)
-        traj, ltraj = _run_pair(scaled, fx)
-        res = traj.diagnostics.dissipation_residual
-        levels.append({"dt": scaled.dt, "residual": float(np.max(np.abs(res)))})
-        if divisor == 4:
-            rec = traj.diagnostics
-            g = fx.run.grid
-            H, theta = [], []
-            for blk, lim in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
-                me = modulated_energy(g, blk, fx.run.params, lim.c1, lim.u, lim.psi)
-                H += me["H"].tolist()
-                theta += me["Theta"].tolist()
-            for k in range(len(rec)):
-                diag_rows.append({
-                    "t": rec.t[k], "E": rec.E[k], "H": H[k], "Theta": theta[k],
-                    "min_c1": rec.min_c1[k], "max_c1": rec.max_c1[k],
-                    "min_c2": rec.min_c2[k], "max_c2": rec.max_c2[k],
-                    "dissipation_residual": res[k],
-                })
+def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict]]:
+    """One run of the energy study at dt / divisor: its max |residual|,
+    plus the diag rows at the finest level and none elsewhere.
 
+    Only those rows read the limit (through H and Theta), so the coarser
+    levels and the equilibrium run march the finite-eps system alone.
+    """
+    cfg, divisor = item
+    scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
+    fx = build_fixture(scaled, cfg.eps)
+    if divisor != ENERGY_DT_DIVISORS[-1]:
+        traj = _run_eps(scaled, fx)
+        return float(np.max(np.abs(traj.diagnostics.dissipation_residual))), []
+    traj, ltraj = _run_pair(scaled, fx)
+    rec = traj.diagnostics
+    res = rec.dissipation_residual
+    g = fx.run.grid
+    H, theta = [], []
+    for blk, lim in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
+        me = modulated_energy(g, blk, fx.run.params, lim.c1, lim.u, lim.psi)
+        H += me["H"].tolist()
+        theta += me["Theta"].tolist()
+    rows = [{
+        "t": rec.t[k], "E": rec.E[k], "H": H[k], "Theta": theta[k],
+        "min_c1": rec.min_c1[k], "max_c1": rec.max_c1[k],
+        "min_c2": rec.min_c2[k], "max_c2": rec.max_c2[k],
+        "dissipation_residual": res[k],
+    } for k in range(len(rec))]
+    return float(np.max(np.abs(res))), rows
+
+
+def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[dict], dict]:
+    """dt-halving study of the energy balance plus the equilibrium run.
+
+    The four runs are independent jobs, submitted longest first: the
+    finest level (the only one that also marches the limit), the coarser
+    levels, then the equilibrium run, so on two cores the finest pair is
+    the only long pole.
+    """
     # the constant electroneutral state with an unbiased wall is a fixed
-    # point of the scheme, so its balance residual must be exactly zero;
-    # only the finite-eps run enters it
+    # point of the scheme, so its balance residual must be exactly zero
     eq = replace(cfg, gamma1_upper=cfg.gamma1_lower, w_lower="0.0", w_upper="0.0",
                  ic_bump=0.0, ic_eps_amp=0.0, save_every=1)
-    traj = _run_eps(eq, build_fixture(eq, cfg.eps))
-    eq_residual = float(np.max(np.abs(traj.diagnostics.dissipation_residual)))
+    divisors = ENERGY_DT_DIVISORS[::-1]
+    *level_results, (eq_residual, _) = _pool_map(
+        _energy_worker, [(cfg, d) for d in divisors] + [(eq, 1)], parallel)
+    by_divisor = dict(zip(divisors, level_results))
+    levels = [{"dt": cfg.dt / d, "residual": by_divisor[d][0]} for d in ENERGY_DT_DIVISORS]
+    diag_rows = by_divisor[ENERGY_DT_DIVISORS[-1]][1]
 
     ratios = [levels[k - 1]["residual"] / levels[k]["residual"] for k in range(1, len(levels))]
     for k, entry in enumerate(levels):
@@ -316,12 +353,7 @@ def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], d
 
 
 def _layer_profile_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[dict], dict]:
-    items = [(cfg, e) for e in cfg.eps_list]
-    if parallel and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_profile_worker, items))
-    else:
-        results = [_profile_worker(it) for it in items]
+    results = _pool_map(_profile_worker, [(cfg, e) for e in cfg.eps_list], parallel)
     rows = [row for chunk, _ in results for row in chunk]
     per_eps = [entry for _, entry in results]
 
@@ -500,18 +532,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     try:
         if cfg.preset in RATE_PRESETS:
-            items = [(cfg, e) for e in cfg.eps_list]
-            if parallel and len(items) > 1:
-                # one worker per eps; merge preserves the eps order
-                with ProcessPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as pool:
-                    per_eps = list(pool.map(_sweep_worker, items))
-            else:
-                per_eps = [_sweep_worker(it) for it in items]
+            per_eps = _pool_map(_sweep_worker, [(cfg, e) for e in cfg.eps_list], parallel)
             _write_csv(out / "sweep.csv", SWEEP_COLUMNS, per_eps, chash)
             written["sweep"] = str(out / "sweep.csv")
             report = _fit_report(cfg, per_eps)
         elif cfg.preset == "energy_identity":
-            diag_rows, report = _energy_metrics(cfg)
+            diag_rows, report = _energy_metrics(cfg, parallel=parallel)
             _write_csv(out / "diag.csv", DIAG_COLUMNS, diag_rows, chash)
             written["diag"] = str(out / "diag.csv")
         elif cfg.preset == "layer_profile":

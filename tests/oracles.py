@@ -9,6 +9,8 @@ then a genuine two-route check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -359,13 +361,23 @@ def per_snapshot_modulated_energy(grid, s, p, c1_lim, u_lim, psi_lim) -> dict[st
 
 
 def full_search_max_principle(c1, c2, bounds, tol) -> MaxPrincipleReport:
-    """The band check by a worst-node search over both species, always."""
+    """The band check by a worst-node search over both species, always.
+
+    A NaN node counts as an infinite violation, and the first NaN node
+    (species 1 before species 2, flat index order) is the worst.
+    """
     lo1, hi1, lo2, hi2 = bounds
     worst = 0.0
     species = None
     index = None
     for i, (c, lo, hi) in enumerate(((c1, lo1, hi1), (c2, lo2, hi2)), start=1):
         viol = np.maximum((lo - tol) - c, c - (hi + tol))
+        nan = np.isnan(viol)
+        if nan.any():
+            worst = math.inf
+            species = i
+            index = tuple(int(j) for j in np.unravel_index(np.argmax(nan), c.shape))
+            break
         v = float(np.max(viol))
         if v > worst:
             worst = v

@@ -378,6 +378,31 @@ def test_cli_pooled_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
     assert "solver abort" in capsys.readouterr().err
 
 
+def _abort_energy_run(cfg, fx):
+    # t = the run's dt tells the four energy jobs apart
+    raise StepError(fx.run.dt, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0},
+                    fx.run.params.eps)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patched run function reaches pool workers only through fork",
+)
+def test_cli_pooled_energy_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
+    # every energy job aborts in its pool worker; the first submitted, the
+    # finest dt level, is the one reported
+    monkeypatch.setattr(experiments, "_run_eps", _abort_energy_run)
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--preset", "energy_identity", "--out", str(out)) == 3
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "StepError"
+    assert payload["t"] == preset_defaults("energy_identity").dt / 4
+    assert payload["epsilon"] == preset_defaults("energy_identity").eps
+    assert payload["extrema"]["min_c1"] == -1.0
+    assert not (out / "report.json").exists() and not (out / "diag.csv").exists()
+    assert "solver abort" in capsys.readouterr().err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "debyeflow.cli", "--help"],

@@ -410,8 +410,8 @@ BAND = (2.0, 3.0, 1.0, 4.0)
     (1, (3, 0), 3.5, False),
     (2, (7, 16), 0.5, False),
     (2, (2, 9), 4.0 + 1e-5, False),
-    (1, (4, 4), np.nan, True),        # a NaN node is not searched out
-    (2, (1, 1), np.nan, True),
+    (1, (4, 4), np.nan, False),       # a NaN node is in no band
+    (2, (1, 1), np.nan, False),
     (2, (0, 3), np.inf, False),
 ])
 def test_max_principle_fast_path_matches_full_search(species, node, value, ok):

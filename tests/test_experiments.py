@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from debyeflow.experiments import (
     ExperimentError,
     SWEEP_COLUMNS,
     _energy_metrics,
+    _pool_map,
     _run_pair,
     build_fixture,
     refit_report,
@@ -61,6 +64,30 @@ def test_reruns_are_byte_identical(tmp_path):
     assert strip_wall_clock((a / "sweep.csv").read_text()) == strip_wall_clock(
         (b / "sweep.csv").read_text()
     ), "serial and pooled sweeps must agree bitwise"
+
+
+def test_energy_preset_serial_and_pooled_bytes_agree(tmp_path):
+    cfg = replace(preset_defaults("energy_identity"), ny=33, t_end=0.01)
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_experiment(cfg, out_dir=a, parallel=False)
+    run_experiment(cfg, out_dir=b, parallel=True)
+    for name in ("diag.csv", "report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _square_first_last(item):
+    # the first item finishes last, so completion order is not item order
+    time.sleep(0.2 if item == 0 else 0.0)
+    return item * item, os.getpid()
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_pool_map_returns_results_in_item_order(parallel):
+    items = [0, 1, 2, 3, 4]
+    results = _pool_map(_square_first_last, items, parallel)
+    assert [r for r, _ in results] == [0, 1, 4, 9, 16]
+    in_process = {pid == os.getpid() for _, pid in results}
+    assert in_process == {not parallel}, "parallel runs in workers, serial in-process"
 
 
 def test_decay_preset_is_fully_deterministic(tmp_path):
@@ -143,9 +170,10 @@ def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
     assert len(calls) <= 3, f"harmonic_extension calls per pair: {len(calls)}"
 
 
-def test_energy_equilibrium_run_marches_no_limit(monkeypatch):
-    # only the finite-eps residual of the equilibrium run is graded, so the
-    # limit is marched for the three dt levels alone
+def test_energy_study_marches_the_limit_at_the_finest_level_only(monkeypatch):
+    # only the finest level's diag rows read the limit (H, Theta); the
+    # coarser levels and the equilibrium run are graded on finite-eps
+    # residuals alone
     calls = []
     original = experiments.run_limit
 
@@ -155,7 +183,7 @@ def test_energy_equilibrium_run_marches_no_limit(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_limit", counted)
     cfg = replace(preset_defaults("energy_identity"), ny=33, t_end=0.01)
-    rows, report = _energy_metrics(cfg)
-    assert len(calls) == 3, f"run_limit calls: {len(calls)}"
+    rows, report = _energy_metrics(cfg, parallel=False)
+    assert len(calls) == 1, f"run_limit calls: {len(calls)}"
     assert report["equilibrium_residual"] == 0.0
     assert len(rows) == 41 and all(row["H"] > 0.0 for row in rows[1:])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField, limit
 from debyeflow.elliptic import harmonic_extension
 from debyeflow.limit import (
     LimitState,
@@ -17,7 +17,7 @@ from debyeflow.limit import (
     solve_limit_psi,
     step_limit,
 )
-from debyeflow.npns import NpnsConfig
+from debyeflow.npns import MaxPrincipleViolation, NpnsConfig
 from debyeflow.operators import norm_l2, norm_linf
 
 from oracles import advected_limit_c1
@@ -212,6 +212,29 @@ def test_run_limit_max_principle_and_monotone_peak():
     assert all(2.0 - 1e-12 <= float(np.min(s.c1)) for s in traj.snapshots)
     assert all(b <= a + 1e-12 for a, b in zip(peaks, peaks[1:])), "peak grew under pure diffusion"
     assert peaks[-1] < peaks[0]
+
+
+def test_run_limit_aborts_on_a_nan_concentration(monkeypatch):
+    # a NaN node is in no band, so the march stops at the step that made it
+    cfg = make_cfg(ny=33, dt=1e-3, n_steps=5)
+    g = cfg.grid
+    s0 = initial_limit_state(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    original = limit.step_limit
+    steps = []
+
+    def poisoned(s, cfg):
+        out = original(s, cfg)
+        steps.append(out)
+        if len(steps) == 2:
+            out.c1[0, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(limit, "step_limit", poisoned)
+    with pytest.raises(MaxPrincipleViolation) as err:
+        run_limit(s0, cfg)
+    assert len(steps) == 2 and err.value.t == 2 * cfg.dt
+    rep = err.value.report
+    assert (rep.ok, rep.worst_violation, rep.worst_species, rep.worst_index) == (False, np.inf, 1, (0, 7))
 
 
 def test_limit_config_validation():
