@@ -7,10 +7,12 @@ scheme (the tests do that instead).
 
 The wall data is fixed for a run, so its harmonic extensions and their
 gradients are built once per run (wall_fields) and passed to every
-functional through the optional `wall` keyword; run_npns also hands the
-energy residual the free energies it computed instead of having them
-recomputed.  Called without these, each function builds what it needs
-from the boundary data itself.
+functional through the optional `wall` keyword; diagnostics_record also
+hands the energy residual the free energies it computed instead of
+having them recomputed.  Called without these, each function builds
+what it needs from the boundary data itself.  The solvers compute none
+of this while they march: a caller that reads the energy balance of a
+run builds its DiagnosticsRecord from the saved snapshots.
 
 free_energy and modulated_energy take one snapshot, a State whose
 fields are (nx, ny), or a block of snapshots, a state whose fields
@@ -50,6 +52,7 @@ __all__ = [
     "MaxPrincipleReport",
     "rate_fit",
     "DiagnosticsRecord",
+    "diagnostics_record",
 ]
 
 
@@ -411,28 +414,23 @@ def rate_fit(pairs) -> dict[str, float]:
 
 @dataclass
 class DiagnosticsRecord:
-    """Parallel time series collected along a run.
+    """Parallel time series of a run's saved snapshots (diagnostics_record).
 
-    H and Theta are NaN when no limit reference was supplied; the
-    residual column is NaN until dissipation_identity_residual fills it
-    in after the run (it needs the whole trajectory).
+    The residual column is NaN when the run saved fewer than three
+    snapshots (the centered residual needs three).
     """
 
     t: list[float] = field(default_factory=list)
     E: list[float] = field(default_factory=list)
-    H: list[float] = field(default_factory=list)
-    Theta: list[float] = field(default_factory=list)
     min_c1: list[float] = field(default_factory=list)
     max_c1: list[float] = field(default_factory=list)
     min_c2: list[float] = field(default_factory=list)
     max_c2: list[float] = field(default_factory=list)
     dissipation_residual: list[float] = field(default_factory=list)
 
-    def append(self, t, E, extrema, H=math.nan, Theta=math.nan):
+    def append(self, t, E, extrema):
         self.t.append(float(t))
         self.E.append(float(E))
-        self.H.append(float(H))
-        self.Theta.append(float(Theta))
         mn1, mx1, mn2, mx2 = extrema
         self.min_c1.append(float(mn1))
         self.max_c1.append(float(mx1))
@@ -443,15 +441,26 @@ class DiagnosticsRecord:
     def __len__(self) -> int:
         return len(self.t)
 
-    def columns(self) -> dict[str, list[float]]:
-        return {
-            "t": self.t,
-            "E": self.E,
-            "H": self.H,
-            "Theta": self.Theta,
-            "min_c1": self.min_c1,
-            "max_c1": self.max_c1,
-            "min_c2": self.min_c2,
-            "max_c2": self.max_c2,
-            "dissipation_residual": self.dissipation_residual,
-        }
+
+def diagnostics_record(
+    grid: ChannelGrid, snapshots: Sequence[State], bdata: BoundaryData, p: Params,
+    *, wall: WallFields | None = None,
+) -> DiagnosticsRecord:
+    """Free energy, species extrema and energy residual of saved snapshots.
+
+    The energies and extrema are taken block by block (snapshot_blocks),
+    and the energies are handed to dissipation_identity_residual, which
+    needs at least three snapshots; with fewer the residual stays NaN.
+    """
+    if wall is None:
+        wall = wall_fields(grid, bdata)
+    rec = DiagnosticsRecord()
+    for blk in snapshot_blocks(grid, snapshots):
+        E = free_energy(grid, blk, bdata, p, wall=wall)
+        extrema = [f(c, axis=(-2, -1)) for c in (blk.c1, blk.c2) for f in (np.min, np.max)]
+        for k, t in enumerate(blk.t):
+            rec.append(t, E[k], [e[k] for e in extrema])
+    if len(snapshots) >= 3:
+        res = dissipation_identity_residual(grid, snapshots, bdata, p, wall=wall, energies=rec.E)
+        rec.dissipation_residual = [float(r) for r in res]
+    return rec

@@ -14,8 +14,17 @@ profile.csv + report.json.  Every row carries the config hash.
 The rate sweeps, layer_profile and energy_identity split their work into
 independent runs (one per eps, or per dt level plus the equilibrium run)
 and map them over one process pool, _pool_map.  Results come back in
-submission order and workers return only floats and row dicts, so serial
-and pooled artifacts are byte-identical.
+submission order, and workers return only floats, row dicts and, in a
+rate sweep, limit trajectories, so serial and pooled artifacts are
+byte-identical.
+
+The limit system has no eps in it, so a rate sweep (_rate_sweep) marches
+one limit run per distinct (ny, dt) of its members and hands it to every
+member with that grid and step: one run for thm1_rate and custom, one per
+member for the graded layer presets.  Its two pool phases run the limit
+runs, then the members.  Each member's norms are taken over blocks of
+snapshots, and the energy diagnostics are computed only by the energy
+study, the one preset that reads them.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .config_io import ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
-from .diagnostics import modulated_energy, rate_fit, snapshot_blocks
+from .diagnostics import diagnostics_record, modulated_energy, rate_fit, snapshot_blocks
 from .grid import ChannelGrid, VelocityField
 from .layers import cutoff_left, cutoff_right, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
@@ -161,63 +170,87 @@ def _run_eps(cfg: ExperimentConfig, fx: Fixture) -> Trajectory:
     return run_npns(init, fx.run, save_every=cfg.save_every)
 
 
-def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, Trajectory]:
-    """Both runs of one fixture; one driver gives them the same snapshot times."""
-    traj = _run_eps(cfg, fx)
+def _run_limit(cfg: ExperimentConfig, fx: Fixture) -> Trajectory:
+    """The limit run of one fixture."""
     g = fx.run.grid
     linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), fx.run)
-    return traj, run_limit(linit, fx.run, save_every=cfg.save_every)
+    return run_limit(linit, fx.run, save_every=cfg.save_every)
 
 
-def _composite_fields(fx: Fixture, psi_lim: np.ndarray, c1_lim: np.ndarray,
-                      eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, Trajectory]:
+    """Both runs of one fixture; one driver gives them the same snapshot times."""
+    return _run_eps(cfg, fx), _run_limit(cfg, fx)
+
+
+def _composite_fields(fx: Fixture, eps: float):
     """Leading-order interior solution plus closed-form wall layers.
 
-    The layer amplitudes are slaved to the wall Laplacian of the limit
-    potential at the same instant, so this needs no extra marching.
+    Returns models(psi_lim, c1_lim) -> (model1, model2) for one limit
+    snapshot's fields or a block's.  The layer amplitudes are slaved to
+    the wall Laplacian of the limit potential at the same instant, so
+    this needs no extra marching; the wall distances and cutoffs depend
+    on the grid alone and are computed here, once.
     """
     g, p = fx.run.grid, fx.run.params
-    bl_left, bl_right = wall_layers(fx.run, psi_lim + fx.run.wall.phiw)
-    xi = g.y / eps
-    eta = (1.0 - g.y) / eps
-    f = cutoff_left(g.y)[None, :]
-    gc = cutoff_right(g.y)[None, :]
+    y = g.y
+    xi = y / eps
+    eta = (1.0 - y) / eps
+    f = cutoff_left(y)[None, :]
+    gc = cutoff_right(y)[None, :]
     e2 = eps * eps
     ratio = -p.z1 / p.z2
-    model1 = c1_lim + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
-    model2 = ratio * c1_lim + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
-    return model1, model2
+
+    def models(psi_lim: np.ndarray, c1_lim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bl_left, bl_right = wall_layers(fx.run, psi_lim + fx.run.wall.phiw)
+        model1 = c1_lim + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
+        model2 = ratio * c1_lim + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
+        return model1, model2
+
+    return models
 
 
-def _rate_metrics(cfg: ExperimentConfig, eps: float) -> dict[str, float]:
-    """All sweep columns for one eps, reduced over the snapshot times.
+def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[str, float]:
+    """All sweep columns for one eps against its limit run ltraj.
 
-    Time integrals use the trapezoid rule on the snapshot grid, so
-    transients shorter than save_every*dt are under-resolved; the
-    windowed criteria only involve norms that are insensitive to that.
+    The norms are taken over blocks of snapshots (snapshot_blocks) and
+    then folded one snapshot at a time, as Python floats, into the time
+    maxima and trapezoid integrals.  Time integrals use the trapezoid
+    rule on the snapshot grid, so transients shorter than save_every*dt
+    are under-resolved; the windowed criteria only involve norms that
+    are insensitive to that.  wall_clock_s times the finite-eps run and
+    this reduction, not the limit run, which members may share.
     """
     t0 = time.perf_counter()
     fx = build_fixture(cfg, eps)
     g, p = fx.run.grid, fx.run.params
-    traj, ltraj = _run_pair(cfg, fx)
+    traj = _run_eps(cfg, fx)
     times = traj.times
     ratio = -p.z1 / p.z2
+    composite = _composite_fields(fx, eps)
 
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
     gpsi_sq, rho_sq, gc_sq = [], [], []
-    for s, sl in zip(traj.snapshots, ltraj.snapshots):
+    for s, sl in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
         d1 = s.c1 - sl.c1
         d2 = s.c2 - ratio * sl.c1
-        err_c = max(err_c, norm_l2(g, d1), norm_l2(g, d2))
-        err_h2 = max(err_h2, norm_h2(g, d1), norm_h2(g, d2))
-        du_sq = sum(norm_l2(g, a - b) ** 2 for a, b in zip(s.u.components, sl.u.components))
-        err_u = max(err_u, math.sqrt(du_sq))
-        gpsi_sq.append(norm_h1_semi(g, s.psi - sl.psi) ** 2)
-        rho_sq.append((norm_l2(g, s.rho(p)) / eps) ** 2)
-        gc_sq.append(max(norm_h1_semi(g, d1), norm_h1_semi(g, d2)) ** 2)
-        eps_gpsi = max(eps_gpsi, eps * norm_h1_semi(g, s.psi))
-        model1, model2 = _composite_fields(fx, sl.psi, sl.c1, eps)
-        err_cs = max(err_cs, norm_h1_semi(g, s.c1 - model1), norm_h1_semi(g, s.c2 - model2))
+        model1, model2 = composite(sl.psi, sl.c1)
+        norms = [
+            norm_l2(g, d1), norm_l2(g, d2), norm_h2(g, d1), norm_h2(g, d2),
+            norm_h1_semi(g, d1), norm_h1_semi(g, d2), norm_h1_semi(g, s.psi - sl.psi),
+            norm_l2(g, s.rho(p)), norm_h1_semi(g, s.psi),
+            norm_h1_semi(g, s.c1 - model1), norm_h1_semi(g, s.c2 - model2),
+            *(norm_l2(g, a - b) for a, b in zip(s.u.components, sl.u.components)),
+        ]
+        for l2_1, l2_2, h2_1, h2_2, h1_1, h1_2, gpsi, rho, h1_psi, cs1, cs2, *du in zip(
+                *(n.tolist() for n in norms)):
+            err_c = max(err_c, l2_1, l2_2)
+            err_h2 = max(err_h2, h2_1, h2_2)
+            err_u = max(err_u, math.sqrt(sum(n ** 2 for n in du)))
+            gpsi_sq.append(gpsi ** 2)
+            rho_sq.append((rho / eps) ** 2)
+            gc_sq.append(max(h1_1, h1_2) ** 2)
+            eps_gpsi = max(eps_gpsi, eps * h1_psi)
+            err_cs = max(err_cs, cs1, cs2)
 
     return {
         "epsilon": eps,
@@ -235,9 +268,31 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float) -> dict[str, float]:
     }
 
 
-def _sweep_worker(item: tuple[ExperimentConfig, float]) -> dict[str, float]:
+def _limit_worker(item: tuple[ExperimentConfig, float]) -> Trajectory:
     cfg, eps = item
-    return _rate_metrics(cfg, eps)
+    return _run_limit(cfg, build_fixture(cfg, eps))
+
+
+def _sweep_worker(item: tuple[ExperimentConfig, float, Trajectory]) -> dict[str, float]:
+    return _rate_metrics(*item)
+
+
+def _rate_sweep(cfg: ExperimentConfig, parallel: bool) -> list[dict[str, float]]:
+    """Sweep rows of a rate preset, one per eps, in eps order.
+
+    The limit system has no eps in it: its run reads eps only to label
+    an abort.  Members with the same grid and step, the key
+    (_graded_ny, _effective_dt), share one limit run, marched for the
+    first member of the key.  The pool runs the distinct limits first,
+    then the members.
+    """
+    keys = [(_graded_ny(cfg, e), _effective_dt(cfg, e)) for e in cfg.eps_list]
+    firsts = {}
+    for key, e in zip(keys, cfg.eps_list):
+        firsts.setdefault(key, e)
+    limits = dict(zip(firsts, _pool_map(_limit_worker, [(cfg, e) for e in firsts.values()], parallel)))
+    items = [(cfg, e, limits[key]) for key, e in zip(keys, cfg.eps_list)]
+    return _pool_map(_sweep_worker, items, parallel)
 
 
 def _pool_map(worker, items: list, parallel: bool) -> list:
@@ -267,13 +322,14 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict
     cfg, divisor = item
     scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
     fx = build_fixture(scaled, cfg.eps)
+    g = fx.run.grid
     if divisor != ENERGY_DT_DIVISORS[-1]:
         traj = _run_eps(scaled, fx)
-        return float(np.max(np.abs(traj.diagnostics.dissipation_residual))), []
+        rec = diagnostics_record(g, traj.snapshots, fx.run.bdata, fx.run.params, wall=fx.run.wall)
+        return float(np.max(np.abs(rec.dissipation_residual))), []
     traj, ltraj = _run_pair(scaled, fx)
-    rec = traj.diagnostics
+    rec = diagnostics_record(g, traj.snapshots, fx.run.bdata, fx.run.params, wall=fx.run.wall)
     res = rec.dissipation_residual
-    g = fx.run.grid
     H, theta = [], []
     for blk, lim in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
         me = modulated_energy(g, blk, fx.run.params, lim.c1, lim.u, lim.psi)
@@ -532,7 +588,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     try:
         if cfg.preset in RATE_PRESETS:
-            per_eps = _pool_map(_sweep_worker, [(cfg, e) for e in cfg.eps_list], parallel)
+            per_eps = _rate_sweep(cfg, parallel)
             _write_csv(out / "sweep.csv", SWEEP_COLUMNS, per_eps, chash)
             written["sweep"] = str(out / "sweep.csv")
             report = _fit_report(cfg, per_eps)

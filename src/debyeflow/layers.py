@@ -123,6 +123,10 @@ class BoundaryLayerProfile:
         Inverse screening width sqrt(z1 (z1 - z2) gamma1).
     gamma1 : ndarray, shape (nx,)
         Wall trace of the first species.
+
+    For a block of snapshots (wall_layers on stacked potentials) the
+    three arrays have leading axes, (..., nx), and every component is
+    evaluated on each (nx,) row, giving (..., nx, len(xi)).
     """
 
     wall: str
@@ -134,9 +138,9 @@ class BoundaryLayerProfile:
 
     def _eval(self, coef: np.ndarray, xi, derivative: int) -> np.ndarray:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = coef[:, None] * np.exp(-self.rate[:, None] * xi[None, :])
+        out = coef[..., None] * np.exp(-self.rate[..., None] * xi)
         if derivative:
-            out = out * (-self.rate[:, None]) ** derivative
+            out = out * (-self.rate[..., None]) ** derivative
         return out
 
     def charge(self, xi, derivative: int = 0) -> np.ndarray:
@@ -196,14 +200,15 @@ def wall_layers(cfg: NpnsConfig, phi0: np.ndarray) -> tuple[BoundaryLayerProfile
     """Left and right wall profiles driven by a zeroth-order potential.
 
     phi0 is the full zeroth-order potential at one instant, limit psi
-    plus the wall extension (InnerExpansion.phi[0][k]).  The driving
+    plus the wall extension (InnerExpansion.phi[0][k]), or a block of
+    instants stacked along leading axes.  The driving
     amplitude is the wall trace of its discrete curvature, evaluated
     with the same operator the order-two inner solve uses, so the wall
     values cancel exactly in the composite.
     """
     lap = laplacian(cfg.grid, phi0)
-    left = boundary_layer("left", lap[:, 0], cfg.bdata.gamma1[0], cfg.params)
-    right = boundary_layer("right", lap[:, -1], cfg.bdata.gamma1[1], cfg.params)
+    left = boundary_layer("left", lap[..., 0], cfg.bdata.gamma1[0], cfg.params)
+    right = boundary_layer("right", lap[..., -1], cfg.bdata.gamma1[1], cfg.params)
     return left, right
 
 

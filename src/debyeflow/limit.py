@@ -23,8 +23,10 @@ from .elliptic import solve_div_form
 from .grid import ChannelGrid, VelocityField
 from .npns import (
     NpnsConfig,
+    StepError,
     Trajectory,
     _advect_vector,
+    _extrema,
     _implicit_diffusion,
     _initial_fields,
     advance_velocity,
@@ -130,11 +132,18 @@ def step_limit(s: LimitState, cfg: NpnsConfig) -> LimitState:
 
     The velocity uses the same scheme as the full solver minus the
     electric force.  psi is recomputed from the elliptic problem; it is
-    a diagnostic and does not feed back into the concentration.
+    a diagnostic and does not feed back into the concentration.  As in
+    step_npns, a non-finite or non-positive concentration raises
+    StepError before that solve.
     """
     g, p = cfg.grid, cfg.params
+    t_new = s.t + cfg.dt
     explicit = -advect(g, s.u, s.c1) if g.d == 2 else 0.0
     c1 = _implicit_diffusion(g, s.c1, effective_diffusivity(p), cfg.dt, explicit)
+    if not np.all(np.isfinite(c1)):
+        raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2(p)), p.eps)
+    if np.min(c1) <= 0.0:
+        raise StepError(t_new, "concentration lost positivity", _extrema(c1, -(p.z1 / p.z2) * c1), p.eps)
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
     if g.d == 1:
@@ -143,7 +152,7 @@ def step_limit(s: LimitState, cfg: NpnsConfig) -> LimitState:
         zero_force = [np.zeros(g.shape)] * g.d
         u = advance_velocity(g, s.u, cfg.dt, p.nu, _advect_vector(g, s.u, s.u), zero_force)
     psi = solve_limit_psi(g, c1, p, cfg.wall.phiw)
-    return LimitState(t=s.t + cfg.dt, c1=c1, u=u, psi=psi)
+    return LimitState(t=t_new, c1=c1, u=u, psi=psi)
 
 
 def run_limit(init: LimitState, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:

@@ -15,11 +15,10 @@ zeros and exact equilibria are bitwise fixed points.
 The quasi-neutral limit (limit.py) shares the run config NpnsConfig,
 the time loop march, the velocity step and the delta-form diffusion.
 
-run_npns only copies the saved states while it marches.  Their free
-energies, extrema and energy residuals are evaluated after the march,
-over blocks of snapshots stacked along a leading time axis
-(diagnostics.snapshot_blocks), so numpy's per-call overhead is paid once
-per block and not once per snapshot.
+run_npns only copies the saved states while it marches and computes no
+diagnostics.  A caller that reads the energy balance builds it from the
+snapshots afterwards (diagnostics.diagnostics_record), over blocks of
+snapshots stacked along a leading time axis.
 
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
@@ -47,16 +46,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .diagnostics import (
-    DiagnosticsRecord,
-    MaxPrincipleReport,
-    dissipation_identity_residual,
-    free_energy,
-    WallFields,
-    max_principle_check,
-    snapshot_blocks,
-    wall_fields,
-)
+from .diagnostics import MaxPrincipleReport, WallFields, max_principle_check, wall_fields
 from .elliptic import project_div_free, solve_poisson, solve_shifted_poisson
 from .grid import ChannelGrid, State, VelocityField
 from .operators import (
@@ -173,10 +163,9 @@ class NpnsConfig:
 
 @dataclass
 class Trajectory:
-    """Saved states of a run; run_limit's are LimitStates and carry no diagnostics."""
+    """Saved states of a run; run_limit's are LimitStates."""
 
     snapshots: list = field(default_factory=list)
-    diagnostics: DiagnosticsRecord = field(default_factory=DiagnosticsRecord)
 
     @property
     def times(self) -> np.ndarray:
@@ -608,27 +597,14 @@ def march(init, cfg: NpnsConfig, step, record, save_every: int, tol: float,
 def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
     """March to t_end, saving every save_every-th step plus the endpoints.
 
-    The march only copies the saved states; their free energies,
-    extrema and energy residuals are evaluated afterwards, block by
-    block.  Aborts through MaxPrincipleViolation when a concentration
-    leaves the band implied by the wall data and the initial state by
-    more than the blow-up guard of 1e-4.
+    The march only copies the saved states.  Aborts through
+    MaxPrincipleViolation when a concentration leaves the band implied
+    by the wall data and the initial state by more than the blow-up
+    guard of 1e-4.
     """
-    g = cfg.grid
-    p = cfg.params
     ws = _StepWorkspace(cfg)
     traj = Trajectory()
     s = march(init, cfg, lambda s: step_npns(s, cfg, ws), lambda s: traj.snapshots.append(s.copy()),
               save_every, tol=1e-4)
-    for blk in snapshot_blocks(g, traj.snapshots):
-        E = free_energy(g, blk, cfg.bdata, p, wall=cfg.wall)
-        extrema = [f(c, axis=(-2, -1)) for c in (blk.c1, blk.c2) for f in (np.min, np.max)]
-        for k, t in enumerate(blk.t):
-            traj.diagnostics.append(t, E[k], [e[k] for e in extrema])
-    if len(traj) >= 3:
-        res = dissipation_identity_residual(
-            g, traj.snapshots, cfg.bdata, p, wall=cfg.wall, energies=traj.diagnostics.E
-        )
-        traj.diagnostics.dissipation_residual = [float(r) for r in res]
     logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", cfg.n_steps, len(traj), s.t)
     return traj

@@ -6,8 +6,9 @@ All operators take and return plain (nx, ny) arrays; the grid object
 carries the geometry.  The derivatives and integrate also accept arrays
 with leading axes, (..., nx, ny), and act on every (nx, ny) slice: the
 diagnostics evaluate a whole block of snapshots stacked along a leading
-time axis in one call.  Each slice's result is bitwise the one an
-(nx, ny) call gives.
+time axis in one call.  So do the L^2, H^1 and H^2 norms, which return
+a float for one field and one value per slice otherwise.  Each slice's
+result is bitwise the one an (nx, ny) call gives.
 """
 
 from __future__ import annotations
@@ -151,18 +152,24 @@ def integrate(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def norm_l2(grid: ChannelGrid, f: np.ndarray) -> float:
-    return float(np.sqrt(max(integrate(grid, f * f), 0.0)))
+def _root(s) -> float | np.ndarray:
+    # one float for one field, else one value per slice
+    out = np.sqrt(np.maximum(s, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
-def norm_h1_semi(grid: ChannelGrid, f: np.ndarray) -> float:
+def norm_l2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
+    return _root(integrate(grid, f * f))
+
+
+def norm_h1_semi(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
     s = 0.0
     for df in grad(grid, f):
         s += integrate(grid, df * df)
-    return float(np.sqrt(max(s, 0.0)))
+    return _root(s)
 
 
-def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float:
+def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
     """Full H^2 norm.
 
     Sums the squared L^2 norms of the function, its first derivatives,
@@ -178,7 +185,7 @@ def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float:
         fxx = d2dx2(grid, f)
         fxy = ddy(grid, ddx(grid, f))
         s += integrate(grid, fxx * fxx) + 2.0 * integrate(grid, fxy * fxy)
-    return float(np.sqrt(max(s, 0.0)))
+    return _root(s)
 
 
 def norm_linf(grid: ChannelGrid, f: np.ndarray) -> float:

@@ -17,9 +17,21 @@ import scipy.sparse
 
 from debyeflow.diagnostics import MaxPrincipleReport, phi_entropy, wall_fields
 from debyeflow.grid import ChannelGrid
+from debyeflow.layers import cutoff_left, cutoff_right, wall_layers
 from debyeflow.limit import effective_diffusivity
 from debyeflow.npns import _implicit_diffusion
-from debyeflow.operators import BandedMatrix, advect, d2dx2, ddx, div_a_grad, grad, integrate
+from debyeflow.operators import (
+    BandedMatrix,
+    advect,
+    d2dx2,
+    ddx,
+    div_a_grad,
+    grad,
+    integrate,
+    norm_h1_semi,
+    norm_h2,
+    norm_l2,
+)
 
 
 def interior_laplacian_action(grid: ChannelGrid, f: np.ndarray) -> np.ndarray:
@@ -358,6 +370,51 @@ def per_snapshot_modulated_energy(grid, s, p, c1_lim, u_lim, psi_lim) -> dict[st
     for comp, comp_lim in zip(s.u.components, u_lim.components):
         theta += p.nu * integrate(grid, _grad_sq(grid, comp - comp_lim))
     return {"H": float(H), "Theta": float(theta)}
+
+
+def per_snapshot_rate_metrics(fx, traj, ltraj, eps: float) -> dict[str, float]:
+    """The error columns of one sweep member, one snapshot at a time.
+
+    fx is the member's experiments.Fixture and traj, ltraj its finite-eps
+    and limit runs.  Every norm takes one (nx, ny) field and the wall
+    layers of the composite are built per snapshot; the library takes
+    the same norms over blocks of snapshots, so the two must agree
+    bitwise.
+    """
+    g, p = fx.run.grid, fx.run.params
+    ratio = -p.z1 / p.z2
+    e2 = eps * eps
+    f = cutoff_left(g.y)[None, :]
+    gc = cutoff_right(g.y)[None, :]
+    err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
+    gpsi_sq, rho_sq, gc_sq = [], [], []
+    for s, sl in zip(traj.snapshots, ltraj.snapshots):
+        d1 = s.c1 - sl.c1
+        d2 = s.c2 - ratio * sl.c1
+        err_c = max(err_c, norm_l2(g, d1), norm_l2(g, d2))
+        err_h2 = max(err_h2, norm_h2(g, d1), norm_h2(g, d2))
+        du_sq = sum(norm_l2(g, a - b) ** 2 for a, b in zip(s.u.components, sl.u.components))
+        err_u = max(err_u, math.sqrt(du_sq))
+        gpsi_sq.append(norm_h1_semi(g, s.psi - sl.psi) ** 2)
+        rho_sq.append((norm_l2(g, s.rho(p)) / eps) ** 2)
+        gc_sq.append(max(norm_h1_semi(g, d1), norm_h1_semi(g, d2)) ** 2)
+        eps_gpsi = max(eps_gpsi, eps * norm_h1_semi(g, s.psi))
+        left, right = wall_layers(fx.run, sl.psi + fx.run.wall.phiw)
+        model1 = sl.c1 + e2 * (f * left.c1(g.y / eps) + gc * right.c1((1.0 - g.y) / eps))
+        model2 = ratio * sl.c1 + e2 * (f * left.c2(g.y / eps) + gc * right.c2((1.0 - g.y) / eps))
+        err_cs = max(err_cs, norm_h1_semi(g, s.c1 - model1), norm_h1_semi(g, s.c2 - model2))
+    times = traj.times
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    return {
+        "err_c_LinfL2": err_c,
+        "err_u_LinfL2": err_u,
+        "err_grad_psi_L2L2": math.sqrt(trapz(gpsi_sq, times)),
+        "err_rho_over_eps_L2L2": math.sqrt(trapz(rho_sq, times)),
+        "err_cS_grad_LinfL2": err_cs,
+        "err_c_LinfH2": err_h2,
+        "err_grad_c_L2L2": math.sqrt(trapz(gc_sq, times)),
+        "eps_grad_psi_LinfL2": eps_gpsi,
+    }
 
 
 def full_search_max_principle(c1, c2, bounds, tol) -> MaxPrincipleReport:

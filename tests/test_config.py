@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import experiments
+from debyeflow import experiments, limit
 from debyeflow.cli import main as cli_main
 from debyeflow.config_io import (
     ConfigError,
@@ -355,7 +355,7 @@ def test_cli_run_sweep_report_cycle(tmp_path, capsys):
     assert "pass=True" in captured
 
 
-def _abort_in_worker(cfg, eps):
+def _abort_in_worker(cfg, eps, ltraj):
     raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0}, eps)
 
 
@@ -374,6 +374,31 @@ def test_cli_pooled_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
     assert payload["t"] == 0.125
     assert payload["epsilon"] == 0.25, "the first eps of the sweep aborts first"
     assert payload["extrema"]["min_c1"] == -1.0
+    assert not (out / "report.json").exists()
+    assert "solver abort" in capsys.readouterr().err
+
+
+def test_cli_limit_nan_abort_writes_error_payload(tmp_path, monkeypatch, capsys):
+    # a NaN made by the limit's diffusion solve aborts the sweep as a
+    # StepError of the first eps that shares the limit run
+    original = limit._implicit_diffusion
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out[0, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(limit, "_implicit_diffusion", poisoned)
+    config = tmp_path / "exp.cfg"
+    config.write_text("[grid]\nny = 33\n[time]\ndt = 0.002\nt_end = 0.01\n")
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--config", str(config), "--eps", "0.25,0.125",
+                   "--out", str(out), "--serial") == 3
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "StepError"
+    assert payload["epsilon"] == 0.25
+    assert payload["t"] == 0.002
+    assert all(np.isfinite(v) for v in payload["extrema"].values())
     assert not (out / "report.json").exists()
     assert "solver abort" in capsys.readouterr().err
 

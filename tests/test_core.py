@@ -26,6 +26,8 @@ from debyeflow.operators import (
     grad,
     integrate,
     laplacian,
+    norm_h1_semi,
+    norm_h2,
     norm_l2,
     norms,
     quad_weights,
@@ -187,6 +189,22 @@ def test_norms_velocity_field():
     n = norms(g, u)
     assert np.isclose(n["l2"], 5.0, atol=1e-12)
     assert n["linf"] == 4.0
+
+
+@pytest.mark.parametrize("g", [grid1d(65), grid2d(8, 17)], ids=["d1", "d2"])
+@pytest.mark.parametrize("norm", [norm_l2, norm_h1_semi, norm_h2])
+def test_stacked_norms_match_per_slice_calls(g, norm):
+    # a block of fields stacked along leading axes gives one value per
+    # slice, each bitwise the value of the slice's own call
+    stack = RNG.standard_normal((2, 3) + g.shape)
+    one = norm(g, stack[1, 2])
+    assert type(one) is float
+    values = norm(g, stack)
+    assert values.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert values[idx] == norm(g, stack[idx]), idx
+    assert values[1, 2] == one
+    assert norm(g, stack[:1, :1]).tolist() == [[norm(g, stack[0, 0])]]
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField, diagnostics
 from debyeflow.diagnostics import (
+    diagnostics_record,
     dissipation_identity_residual,
     dissipation_lower_bound,
     electrochemical_potentials,
@@ -272,7 +273,7 @@ def wall_driven_run(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_recorded_diagnostics_match_fresh_computation(d):
-    # run_npns evaluates E with the run's wall fields and hands those
+    # diagnostics_record evaluates E with the run's wall fields and hands those
     # energies to the residual; both must equal a from-scratch evaluation
     g, bdata, p, traj = wall_driven_run(d)
     if d == 2:
@@ -282,8 +283,9 @@ def test_recorded_diagnostics_match_fresh_computation(d):
         assert np.any(traj.snapshots[-1].u.components[0] != 0.0), "the run must move the fluid"
     fresh_E = np.array([free_energy(g, s, bdata, p) for s in traj.snapshots])
     fresh_res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
-    assert np.array(traj.diagnostics.E).tobytes() == fresh_E.tobytes()
-    assert np.array(traj.diagnostics.dissipation_residual).tobytes() == fresh_res.tobytes()
+    rec = diagnostics_record(g, traj.snapshots, bdata, p, wall=wall_fields(g, bdata))
+    assert np.array(rec.E).tobytes() == fresh_E.tobytes()
+    assert np.array(rec.dissipation_residual).tobytes() == fresh_res.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -301,7 +303,8 @@ def test_wall_keyword_matches_per_call_build(d):
     res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
     assert np.array_equal(dissipation_identity_residual(g, traj.snapshots, bdata, p, wall=wall), res)
     with pytest.raises(ValueError):
-        dissipation_identity_residual(g, traj.snapshots, bdata, p, energies=traj.diagnostics.E[1:])
+        dissipation_identity_residual(g, traj.snapshots, bdata, p,
+                                      energies=diagnostics_record(g, traj.snapshots, bdata, p).E[1:])
 
 
 def oracle_fixture(d):
@@ -343,7 +346,7 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     sizes = [len(blk.t) for blk in snapshot_blocks(g, snaps)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
 
-    rec = traj.diagnostics
+    rec = diagnostics_record(g, snaps, bdata, p, wall=cfg.wall)
     E = np.array([per_snapshot_free_energy(g, s, bdata, p) for s in snaps])
     assert np.array(rec.E).tobytes() == E.tobytes()
     res = per_snapshot_identity_residual(g, snaps, bdata, p)

@@ -11,18 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debyeflow import elliptic, experiments
+from debyeflow import diagnostics, elliptic, experiments
 from debyeflow.config_io import preset_defaults
+from debyeflow.diagnostics import snapshot_blocks
 from debyeflow.experiments import (
     ExperimentError,
     SWEEP_COLUMNS,
     _energy_metrics,
+    _limit_worker,
     _pool_map,
+    _rate_metrics,
+    _rate_sweep,
     _run_pair,
     build_fixture,
     refit_report,
     run_experiment,
 )
+
+from oracles import per_snapshot_rate_metrics
 
 
 def tiny_custom():
@@ -187,3 +193,82 @@ def test_energy_study_marches_the_limit_at_the_finest_level_only(monkeypatch):
     assert len(calls) == 1, f"run_limit calls: {len(calls)}"
     assert report["equilibrium_residual"] == 0.0
     assert len(rows) == 41 and all(row["H"] > 0.0 for row in rows[1:])
+
+
+def _count_limit_runs(monkeypatch) -> list:
+    calls = []
+    original = experiments.run_limit
+
+    def counted(init, cfg, save_every=1):
+        calls.append((cfg.grid.ny, cfg.dt))
+        return original(init, cfg, save_every=save_every)
+
+    monkeypatch.setattr(experiments, "run_limit", counted)
+    return calls
+
+
+def test_rate_sweep_marches_a_shared_limit_once(monkeypatch):
+    # the limit system has no eps: three members on one grid and step
+    # share one limit run
+    calls = _count_limit_runs(monkeypatch)
+    rows = _rate_sweep(tiny_custom(), parallel=False)
+    assert [r["epsilon"] for r in rows] == [0.25, 0.125, 0.0625]
+    assert calls == [(65, 2e-3)]
+
+
+def test_graded_rate_sweep_marches_one_limit_per_member(monkeypatch):
+    # a layer preset grades ny and caps dt per eps, so no two members
+    # share a grid and a step
+    calls = _count_limit_runs(monkeypatch)
+    cfg = replace(preset_defaults("thm51_rate"), t_end=0.004, eps_list=(0.25, 0.125, 0.0625))
+    rows = _rate_sweep(cfg, parallel=False)
+    assert calls == [(int(r["ny"]), r["dt"]) for r in rows]
+    assert len(set(calls)) == 3
+
+
+def rate_oracle_cfg(d):
+    """An 11-snapshot custom sweep: d = 1 at ny = 257, and d = 2 at 8x17
+    with x-varying Gamma1 and w, which drive a nonzero velocity."""
+    base = replace(preset_defaults("custom"), dt=1e-3, t_end=1e-2, save_every=1,
+                   gamma1_upper="2.5", w_upper="0.5", eps_list=(0.3, 0.15))
+    if d == 1:
+        return replace(base, ny=257).validate()
+    return replace(base, d=2, nx=8, ny=17, gamma1_lower="2.0 + 0.2*cos(2*pi*x)",
+                   w_lower="0.0 + 0.1*sin(2*pi*x)").validate()
+
+
+def test_members_with_one_grid_and_step_get_bitwise_equal_limits():
+    # pins the sharing key (ny, dt): the limit run of any member with the
+    # same key is the shared one, bit for bit
+    cfg = rate_oracle_cfg(2)
+    a, b = (_limit_worker((cfg, eps)) for eps in cfg.eps_list)
+    assert build_fixture(cfg, 0.3).c1_eps0.tobytes() != build_fixture(cfg, 0.15).c1_eps0.tobytes()
+    assert len(a) == len(b) == 11
+    assert np.any(a.snapshots[-1].c1[:, 1] != a.snapshots[-1].c1[0, 1]), "the limit must vary in x"
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.t == sb.t
+        for fa, fb in zip((sa.c1, sa.psi, *sa.u.components), (sb.c1, sb.psi, *sb.u.components)):
+            assert fa.tobytes() == fb.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("block", [None, 4, 1])
+def test_blocked_rate_metrics_match_per_snapshot_oracle(d, block, monkeypatch):
+    # None is the shipped block size (one block holds all 11 snapshots);
+    # blocks of 4 leave a short last block and blocks of 1 are single
+    # snapshots with a leading axis
+    cfg = rate_oracle_cfg(d)
+    eps = cfg.eps_list[0]
+    fx = build_fixture(cfg, eps)
+    g = fx.run.grid
+    if block is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
+    traj, ltraj = _run_pair(cfg, fx)
+    sizes = [len(blk.t) for blk in snapshot_blocks(g, traj.snapshots)]
+    assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
+    ref = per_snapshot_rate_metrics(fx, traj, ltraj, eps)
+    got = _rate_metrics(cfg, eps, ltraj)
+    for key, value in ref.items():
+        assert repr(got[key]) == repr(value), key
+    assert (ref["err_u_LinfL2"] > 0.0) == (d == 2)
+    assert min(ref.values()) >= 0.0 and ref["err_cS_grad_LinfL2"] > 0.0

@@ -17,7 +17,7 @@ from debyeflow.limit import (
     solve_limit_psi,
     step_limit,
 )
-from debyeflow.npns import MaxPrincipleViolation, NpnsConfig
+from debyeflow.npns import MaxPrincipleViolation, NpnsConfig, StepError
 from debyeflow.operators import norm_l2, norm_linf
 
 from oracles import advected_limit_c1
@@ -235,6 +235,30 @@ def test_run_limit_aborts_on_a_nan_concentration(monkeypatch):
     assert len(steps) == 2 and err.value.t == 2 * cfg.dt
     rep = err.value.report
     assert (rep.ok, rep.worst_violation, rep.worst_species, rep.worst_index) == (False, np.inf, 1, (0, 7))
+
+
+def test_nan_from_the_limit_diffusion_solve_is_a_step_error(monkeypatch):
+    # the NaN must stop the step before the psi solve, whose positivity
+    # check would raise a bare ValueError without the run's eps and t
+    cfg = make_cfg(ny=33, dt=1e-3, n_steps=5)
+    g = cfg.grid
+    c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
+    s0 = initial_limit_state(g, c1, VelocityField.zero(g), cfg)
+    original = limit._implicit_diffusion
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out[0, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(limit, "_implicit_diffusion", poisoned)
+    with pytest.raises(StepError) as err:
+        run_limit(s0, cfg)
+    assert err.value.t == cfg.dt
+    assert err.value.eps == cfg.params.eps
+    assert "non-finite" in err.value.message
+    assert all(np.isfinite(v) for v in err.value.extrema.values()), "extrema are those of the last good state"
+    assert err.value.extrema["max_c1"] == float(np.max(c1))
 
 
 def test_limit_config_validation():
