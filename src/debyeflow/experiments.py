@@ -44,7 +44,7 @@ import numpy as np
 from .config_io import ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
 from .diagnostics import diagnostics_record, modulated_energy, rate_fit, snapshot_blocks
 from .grid import ChannelGrid, VelocityField
-from .layers import cutoff_left, cutoff_right, solve_initial_layer, wall_layers
+from .layers import composite, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
 from .npns import MaxPrincipleViolation, NpnsConfig, StepError, Trajectory, run_npns, well_prepared_init
 from .operators import laplacian, norm_h1_semi, norm_h2, norm_l2
@@ -182,33 +182,6 @@ def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, Trajector
     return _run_eps(cfg, fx), _run_limit(cfg, fx)
 
 
-def _composite_fields(fx: Fixture, eps: float):
-    """Leading-order interior solution plus closed-form wall layers.
-
-    Returns models(psi_lim, c1_lim) -> (model1, model2) for one limit
-    snapshot's fields or a block's.  The layer amplitudes are slaved to
-    the wall Laplacian of the limit potential at the same instant, so
-    this needs no extra marching; the wall distances and cutoffs depend
-    on the grid alone and are computed here, once.
-    """
-    g, p = fx.run.grid, fx.run.params
-    y = g.y
-    xi = y / eps
-    eta = (1.0 - y) / eps
-    f = cutoff_left(y)[None, :]
-    gc = cutoff_right(y)[None, :]
-    e2 = eps * eps
-    ratio = -p.z1 / p.z2
-
-    def models(psi_lim: np.ndarray, c1_lim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bl_left, bl_right = wall_layers(fx.run, psi_lim + fx.run.wall.phiw)
-        model1 = c1_lim + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
-        model2 = ratio * c1_lim + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
-        return model1, model2
-
-    return models
-
-
 def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[str, float]:
     """All sweep columns for one eps against its limit run ltraj.
 
@@ -226,14 +199,14 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[
     traj = _run_eps(cfg, fx)
     times = traj.times
     ratio = -p.z1 / p.z2
-    composite = _composite_fields(fx, eps)
+    models = composite(fx.run)
 
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
     gpsi_sq, rho_sq, gc_sq = [], [], []
     for s, sl in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
         d1 = s.c1 - sl.c1
         d2 = s.c2 - ratio * sl.c1
-        model1, model2 = composite(sl.psi, sl.c1)
+        model1, model2 = models(sl.psi, sl.c1)
         norms = [
             norm_l2(g, d1), norm_l2(g, d2), norm_h2(g, d1), norm_h2(g, d2),
             norm_h1_semi(g, d1), norm_h1_semi(g, d2), norm_h1_semi(g, s.psi - sl.psi),

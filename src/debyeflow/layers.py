@@ -1,16 +1,19 @@
-"""Wall, initial, and corner layers plus composite field assembly.
+"""Wall, initial, and corner layers, and the one composite approximation.
 
-Three fast structures sit on top of the inner expansion.  Near each
-wall the charge screens over a width eps, with a profile that is a pure
-exponential in the stretched coordinate and therefore available in
-closed form.  After a quenched start the whole channel relaxes on the
-fast time t / eps^2, governed by a linear drift equation for the excess
-charge coupled to its own potential.  Where wall and initial effects
-meet, a corner region obeys a half-line diffusion system in stretched
-space and fast time.  This module builds all three objects and
-assembles them, together with the inner terms, into composite fields on
-the physical grid; the difference between a resolved state and such a
-composite is the quantity whose smallness the rate experiments measure.
+Near each wall the charge screens over a width eps, with a profile that
+is a pure exponential in the stretched coordinate and therefore
+available in closed form.  After a quenched start the whole channel
+relaxes on the fast time t / eps^2, governed by a linear drift equation
+for the excess charge coupled to its own potential.  Where wall and
+initial effects meet, a corner region obeys a half-line diffusion
+system in stretched space and fast time.  This module builds all three
+objects.
+
+The composite approximation (composite) is the leading-order limit
+solution plus the closed-form wall layers at second order in eps.
+There are no higher inner orders and no other composite.  The
+difference between a resolved state and it is the quantity whose
+smallness the rate experiments measure.
 """
 
 from __future__ import annotations
@@ -24,30 +27,24 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .elliptic import solve_div_form, solve_poisson
-from .grid import ChannelGrid, State, VelocityField
-from .limit import InnerExpansion
+from .grid import ChannelGrid
 from .npns import NpnsConfig
 from .operators import div_a_grad, laplacian
 from .params import Params
 
 __all__ = [
-    "FastVariables",
     "BoundaryLayerProfile",
     "InitialLayerState",
     "MixedLayerState",
-    "LayerSet",
-    "CompositeApproximation",
     "smoothstep",
     "cutoff_left",
     "cutoff_right",
     "boundary_layer",
     "wall_layers",
+    "composite",
     "solve_initial_layer",
-    "initial_layer_traces",
     "clustered_xi_grid",
     "solve_mixed_layer",
-    "assemble_composite",
-    "residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,32 +53,7 @@ _WALLS = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
-# stretched coordinates and cutoffs
-
-
-@dataclass(frozen=True)
-class FastVariables:
-    """Stretched coordinates attached to slow space-time points.
-
-    tau is the fast time t / eps^2; xi and eta measure the distance to
-    the lower and upper wall in units of eps.  All three are nonnegative
-    wherever the slow point lies in the physical domain.
-    """
-
-    tau: float
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.tau < 0.0 or np.any(np.asarray(self.xi) < 0.0) or np.any(np.asarray(self.eta) < 0.0):
-            raise ValueError("fast variables must be nonnegative on the physical domain")
-
-    @classmethod
-    def at(cls, t: float, y, eps: float) -> "FastVariables":
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        y = np.asarray(y, dtype=float)
-        return cls(tau=t / eps ** 2, xi=y / eps, eta=(1.0 - y) / eps)
+# cutoffs
 
 
 def smoothstep(u) -> np.ndarray:
@@ -200,16 +172,42 @@ def wall_layers(cfg: NpnsConfig, phi0: np.ndarray) -> tuple[BoundaryLayerProfile
     """Left and right wall profiles driven by a zeroth-order potential.
 
     phi0 is the full zeroth-order potential at one instant, limit psi
-    plus the wall extension (InnerExpansion.phi[0][k]), or a block of
-    instants stacked along leading axes.  The driving
-    amplitude is the wall trace of its discrete curvature, evaluated
-    with the same operator the order-two inner solve uses, so the wall
-    values cancel exactly in the composite.
+    plus the wall extension, or a block of instants stacked along
+    leading axes.  The driving amplitude is the wall trace of its
+    discrete curvature.
     """
     lap = laplacian(cfg.grid, phi0)
     left = boundary_layer("left", lap[..., 0], cfg.bdata.gamma1[0], cfg.params)
     right = boundary_layer("right", lap[..., -1], cfg.bdata.gamma1[1], cfg.params)
     return left, right
+
+
+def composite(cfg: NpnsConfig):
+    """Leading-order limit solution plus the closed-form wall layers, at cfg's eps.
+
+    Returns models(psi_lim, c1_lim) -> (c1, c2) for one limit snapshot's
+    fields or a block's.  The layer amplitudes are slaved to the wall
+    Laplacian of the limit potential at the same instant, so this needs
+    no extra marching; the wall distances and cutoffs depend on the grid
+    alone and are computed here, once.
+    """
+    g, p = cfg.grid, cfg.params
+    eps = p.eps
+    y = g.y
+    xi = y / eps
+    eta = (1.0 - y) / eps
+    f = cutoff_left(y)[None, :]
+    gc = cutoff_right(y)[None, :]
+    e2 = eps * eps
+    ratio = -p.z1 / p.z2
+
+    def models(psi_lim: np.ndarray, c1_lim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bl_left, bl_right = wall_layers(cfg, psi_lim + cfg.wall.phiw)
+        c1 = c1_lim + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
+        c2 = ratio * c1_lim + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
+        return c1, c2
+
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,6 @@ def solve_initial_layer(
     c1_base: np.ndarray,
     rho0: np.ndarray,
     tau_grid,
-    forcing=None,
 ) -> list[InitialLayerState]:
     """March the fast-time charge relaxation by implicit Euler.
 
@@ -264,8 +261,7 @@ def solve_initial_layer(
     update reuses the conservative flux divergence in the interior; the
     wall rows are slaved to -lap phi through the one-sided stencil, so
     the trace relaxes together with the field instead of freezing once
-    the interior has. Wall values of any forcing are ignored for the
-    same reason.
+    the interior has.
 
     Parameters
     ----------
@@ -280,10 +276,6 @@ def solve_initial_layer(
     tau_grid : array_like
         Strictly increasing, nonnegative fast times; the first entry
         carries the initial condition.
-    forcing : callable, optional
-        Extra source forcing(tau) -> (nx, ny) added to the charge
-        equation.  The next order of the hierarchy drives its potential
-        with the fields of this one through such a term.
 
     Returns
     -------
@@ -309,35 +301,11 @@ def solve_initial_layer(
     states = [InitialLayerState(tau=float(tau_grid[0]), rho=rho.copy(), phi=solve_poisson(grid, rho))]
     for n in range(tau_grid.size - 1):
         dtau = float(tau_grid[n + 1] - tau_grid[n])
-        rhs = rho
-        if forcing is not None:
-            rhs = rhs + dtau * np.asarray(forcing(float(tau_grid[n + 1])), dtype=float)
-        phi = solve_div_form(grid, 1.0 + dtau * b * c1_base, -rhs)
-        rho = rhs + dtau * b * div_a_grad(grid, c1_base, phi)
+        phi = solve_div_form(grid, 1.0 + dtau * b * c1_base, -rho)
+        rho = rho + dtau * b * div_a_grad(grid, c1_base, phi)
         _slave_wall_charge(grid, rho, phi)
         states.append(InitialLayerState(tau=float(tau_grid[n + 1]), rho=rho.copy(), phi=phi))
     return states
-
-
-def initial_layer_traces(states: list[InitialLayerState], p: Params, wall: str):
-    """Corner boundary data extracted from a relaxation history.
-
-    The corner layers are pinned to minus the relaxation species at the
-    wall.  Tangentially varying traces are averaged, which is exact
-    whenever the wall row has no x dependence; the corner solver treats
-    one wall column at a time.
-
-    Returns
-    -------
-    (tau, a1, a2) : three ndarrays of length len(states)
-    """
-    if wall not in _WALLS:
-        raise ValueError(f"wall must be one of {_WALLS}, got {wall!r}")
-    j = 0 if wall == "left" else -1
-    taus = np.array([s.tau for s in states])
-    rho_wall = np.array([float(np.mean(s.rho[:, j])) for s in states])
-    scale = p.z1 * p.D1 - p.z2 * p.D2
-    return taus, -p.D1 * rho_wall / scale, p.D2 * rho_wall / scale
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +391,7 @@ def solve_mixed_layer(
     ----------
     a1, a2 : array_like
         Corner traces sampled on tau_grid (minus the relaxation species
-        at the wall, see :func:`initial_layer_traces`).
+        at the wall).
     gamma1, gamma2 : float
         Corner concentrations, strictly positive.
     p : Params
@@ -541,211 +509,3 @@ def _check_truncation(states: list[MixedLayerState], strict: bool) -> None:
             raise ValueError(msg)
         warnings.warn(msg)
         log.warning(msg)
-
-
-# ---------------------------------------------------------------------------
-# composite assembly
-
-
-@dataclass
-class LayerSet:
-    """Bundle of layer solutions feeding the composite assembly.
-
-    Any entry may be None, in which case its term is simply absent.
-    The relaxation and corner entries are whole tau histories; the
-    assembly samples them at tau = t / eps^2 by linear interpolation,
-    clamping beyond the last stored time (where the profiles have
-    decayed).  For the wall traces to cancel exactly, the corner data
-    must be extracted from the same relaxation history on the same tau
-    grid.
-
-    initial_next holds the relaxation one order up; only its potential
-    enters the composite, at first order in eps.
-    """
-
-    boundary_left: BoundaryLayerProfile | None = None
-    boundary_right: BoundaryLayerProfile | None = None
-    initial: list[InitialLayerState] | None = None
-    mixed_left: list[MixedLayerState] | None = None
-    mixed_right: list[MixedLayerState] | None = None
-    initial_next: list[InitialLayerState] | None = None
-
-
-@dataclass
-class CompositeApproximation:
-    """Assembled approximation fields at one time.
-
-    phi is the full potential (wall extension included), so comparisons
-    against a solver state must add the wall extension to its psi; the
-    extension is carried along as phi_wall for that purpose.
-    """
-
-    grid: ChannelGrid
-    t: float
-    eps: float
-    variant: str
-    c1: np.ndarray
-    c2: np.ndarray
-    phi: np.ndarray
-    u: VelocityField
-    phi_wall: np.ndarray
-
-
-def _interp_history(taus: np.ndarray, values: list, tau: float):
-    """Linear interpolation of a stored history, clamped at both ends."""
-    if tau <= taus[0]:
-        return values[0]
-    if tau >= taus[-1]:
-        return values[-1]
-    k = int(np.searchsorted(taus, tau)) - 1
-    w = (tau - taus[k]) / (taus[k + 1] - taus[k])
-    return (1.0 - w) * values[k] + w * values[k + 1]
-
-
-def _mixed_term(states: list[MixedLayerState], species: int, tau: float, stretched: np.ndarray) -> np.ndarray:
-    taus = np.array([s.tau for s in states])
-    history = [s.c1() if species == 1 else s.c2() for s in states]
-    profile = _interp_history(taus, history, tau)
-    # beyond the truncated half line the profile is treated as dead
-    return np.interp(stretched, states[0].xi_grid, profile, right=0.0)
-
-
-def assemble_composite(
-    inner: InnerExpansion,
-    layers: LayerSet,
-    eps: float,
-    t: float,
-    variant: str = "full_S",
-) -> CompositeApproximation:
-    """Sum inner and layer terms into approximation fields at time t.
-
-    Two term lists are supported.  "full_S" combines every available
-    inner order (0, 1, 2) with the wall, relaxation, and corner layers,
-    all layer species entering at second order in eps; the potential
-    additionally takes the relaxation potential at order zero (and the
-    next-order one at order one, when supplied), but no corner
-    potential.  "reduced_R" keeps only the terms whose difference from
-    the resolved solution obeys the three-halves rate: inner species
-    through first order plus relaxation and corner species, the
-    zeroth-order potential plus the relaxation potentials, and the
-    zeroth-order velocity.
-
-    Missing inner orders and missing layer entries contribute nothing,
-    which is how well-prepared cases degenerate to the plain inner
-    expansion.
-
-    Parameters
-    ----------
-    inner : InnerExpansion
-        Must store t among its snapshot times.
-    layers : LayerSet
-    eps : float
-    t : float
-    variant : {"full_S", "reduced_R"}
-
-    Returns
-    -------
-    CompositeApproximation
-    """
-    if variant not in ("full_S", "reduced_R"):
-        raise ValueError(f"variant must be 'full_S' or 'reduced_R', got {variant!r}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    g = inner.grid
-    times = np.asarray(inner.times, dtype=float)
-    idx = int(np.argmin(np.abs(times - t))) if times.size else 0
-    if times.size == 0 or abs(times[idx] - t) > 1e-10 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not among the stored snapshot times")
-
-    species_orders = (0, 1, 2) if variant == "full_S" else (0, 1)
-    phi_orders = (0, 1, 2) if variant == "full_S" else (0,)
-    u_orders = (0, 1) if variant == "full_S" else (0,)
-
-    c1 = g.zeros()
-    c2 = g.zeros()
-    phi = g.zeros()
-    u_parts = [g.zeros() for _ in range(g.d)]
-    for k in inner.orders:
-        if k in species_orders:
-            c1 += eps ** k * inner.c1[k][idx]
-            c2 += eps ** k * inner.c2[k][idx]
-        if k in phi_orders:
-            phi += eps ** k * inner.phi[k][idx]
-        if k in u_orders:
-            for j, comp in enumerate(inner.u[k][idx].components):
-                u_parts[j] += eps ** k * comp
-
-    fast = FastVariables.at(t, g.y, eps)
-    f_cut = cutoff_left(g.y)[None, :]
-    g_cut = cutoff_right(g.y)[None, :]
-
-    if layers.initial is not None:
-        taus = np.array([s.tau for s in layers.initial])
-        rho = _interp_history(taus, [s.rho for s in layers.initial], fast.tau)
-        scale = inner.params.z1 * inner.params.D1 - inner.params.z2 * inner.params.D2
-        c1 += eps ** 2 * inner.params.D1 * rho / scale
-        c2 += eps ** 2 * (-inner.params.D2) * rho / scale
-        phi += _interp_history(taus, [s.phi for s in layers.initial], fast.tau)
-    if layers.initial_next is not None:
-        taus = np.array([s.tau for s in layers.initial_next])
-        phi += eps * _interp_history(taus, [s.phi for s in layers.initial_next], fast.tau)
-
-    if variant == "full_S":
-        if layers.boundary_left is not None:
-            b = layers.boundary_left
-            c1 += eps ** 2 * f_cut * b.c1(fast.xi)
-            c2 += eps ** 2 * f_cut * b.c2(fast.xi)
-            phi += eps ** 2 * f_cut * b.phi(fast.xi)
-        if layers.boundary_right is not None:
-            b = layers.boundary_right
-            c1 += eps ** 2 * g_cut * b.c1(fast.eta)
-            c2 += eps ** 2 * g_cut * b.c2(fast.eta)
-            phi += eps ** 2 * g_cut * b.phi(fast.eta)
-
-    if layers.mixed_left is not None:
-        c1 += eps ** 2 * f_cut * _mixed_term(layers.mixed_left, 1, fast.tau, fast.xi)[None, :]
-        c2 += eps ** 2 * f_cut * _mixed_term(layers.mixed_left, 2, fast.tau, fast.xi)[None, :]
-    if layers.mixed_right is not None:
-        c1 += eps ** 2 * g_cut * _mixed_term(layers.mixed_right, 1, fast.tau, fast.eta)[None, :]
-        c2 += eps ** 2 * g_cut * _mixed_term(layers.mixed_right, 2, fast.tau, fast.eta)[None, :]
-
-    return CompositeApproximation(
-        grid=g,
-        t=float(times[idx]),
-        eps=eps,
-        variant=variant,
-        c1=c1,
-        c2=c2,
-        phi=phi,
-        u=VelocityField(g, u_parts),
-        phi_wall=inner.phiw.copy(),
-    )
-
-
-def residual(state: State, comp: CompositeApproximation) -> dict:
-    """Difference fields between a resolved state and a composite.
-
-    The potential entry compares the full potential, solver psi plus
-    the wall extension carried by the composite, against the composite
-    potential; the other entries are plain differences.
-
-    Returns
-    -------
-    dict with keys "c1", "c2", "phi" (ndarrays) and "u" (VelocityField).
-    """
-    if state.c1.shape != comp.c1.shape:
-        raise ValueError(
-            f"state and composite live on different grids: {state.c1.shape} vs {comp.c1.shape}"
-        )
-    if abs(state.t - comp.t) > 1e-9 * max(1.0, abs(comp.t)):
-        raise ValueError(f"time mismatch: state at t={state.t}, composite at t={comp.t}")
-    du = VelocityField(
-        comp.grid,
-        [su - cu for su, cu in zip(state.u.components, comp.u.components)],
-    )
-    return {
-        "c1": state.c1 - comp.c1,
-        "c2": state.c2 - comp.c2,
-        "phi": (state.psi + comp.phi_wall) - comp.phi,
-        "u": du,
-    }

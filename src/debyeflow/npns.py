@@ -38,7 +38,6 @@ increment, so the fixed-point property holds in d = 2 as well.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +73,6 @@ __all__ = [
     "march",
     "advance_velocity",
 ]
-
-STIFF_MODES = ("implicit-coupled", "implicit-diffusion-only")
 
 # d = 2 coupled solve: GMRES stops when |r - A delta| falls to GMRES_RTOL |r|
 # or to the rounding level of r itself, whichever is larger; GMRES_MAXITER
@@ -126,7 +123,6 @@ class NpnsConfig:
     grid: ChannelGrid
     dt: float
     t_end: float
-    stiff_mode: str = "implicit-coupled"
     wall: WallFields = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,21 +132,10 @@ class NpnsConfig:
             raise ValueError(f"final time must be nonnegative, got t_end={self.t_end}")
         if 0.0 < self.t_end < self.dt:
             raise ValueError(f"t_end={self.t_end} smaller than one step dt={self.dt}")
-        if self.stiff_mode not in STIFF_MODES:
-            raise ValueError(f"stiff_mode must be one of {STIFF_MODES}, got {self.stiff_mode!r}")
         if self.bdata.gamma1.shape[1] != self.grid.nx:
             raise ValueError(
                 f"boundary traces sampled on {self.bdata.gamma1.shape[1]} nodes, grid has nx={self.grid.nx}"
             )
-        p = self.params
-        if self.stiff_mode == "implicit-diffusion-only":
-            dt_stiff = p.eps ** 2 / (p.z1 ** 2 * p.D1 * p.c_upper)
-            if self.dt > dt_stiff:
-                warnings.warn(
-                    f"explicit electro-coupling with dt={self.dt:.3g} exceeds the stability "
-                    f"scale eps^2/(z1^2 D1 Lambda) = {dt_stiff:.3g}; expect instability",
-                    stacklevel=2,
-                )
         object.__setattr__(self, "wall", wall_fields(self.grid, self.bdata))
 
     @property
@@ -186,16 +171,14 @@ class _StepWorkspace:
 
     def __init__(self, cfg: NpnsConfig):
         g = cfg.grid
-        self.coupled = None
         self.coupling_slots = None
-        if cfg.stiff_mode == "implicit-coupled":
-            # the coupling entries written here are overwritten by every step
-            if g.d == 1:
-                self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
-            else:
-                ones = np.ones(g.shape)
-                self.coupled = _coupled_sparse_2d(g, cfg.params, cfg.dt, ones, ones)
-                self.coupling_slots = _coupling_slots_2d(self.coupled, g)
+        # the coupling entries written here are overwritten by every step
+        if g.d == 1:
+            self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
+        else:
+            ones = np.ones(g.shape)
+            self.coupled = _coupled_sparse_2d(g, cfg.params, cfg.dt, ones, ones)
+            self.coupling_slots = _coupling_slots_2d(self.coupled, g)
 
 
 def well_prepared_init(
@@ -479,51 +462,44 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     drift1 = p.z1 * p.D1 * div_a_grad(g, s.c1, phiw)
     drift2 = p.z2 * p.D2 * div_a_grad(g, s.c2, phiw)
 
-    if cfg.stiff_mode == "implicit-coupled":
-        b1 = s.c1 / dt - adv1 + drift1
-        b2 = s.c2 / dt - adv2 + drift2
-        if g.d == 1:
-            A = _ws.coupled
-            _set_coupling_1d(A, g, p, s.c1, s.c2)
-            x = np.empty(3 * g.ny)
-            x[0::3] = s.c1[0]
-            x[1::3] = s.c2[0]
-            x[2::3] = s.psi[0]
-            b = np.zeros_like(x)
-            b[0::3] = b1[0]
-            b[1::3] = b2[0]
-            r = b - A.matvec(x)
-            for idx in (0, 1, 2, -3, -2, -1):
-                r[idx] = 0.0
-            delta = A.solve(r)
-            x = x + delta
-            c1 = x[0::3][None, :].copy()
-            c2 = x[1::3][None, :].copy()
-        else:
-            A = _ws.coupled
-            _set_coupling_2d(A, _ws.coupling_slots, g, p, s.c1, s.c2)
-            N = g.nx * g.ny
-            x = np.concatenate([s.c1.ravel(), s.c2.ravel(), s.psi.ravel()])
-            b = np.concatenate([b1.ravel(), b2.ravel(), np.zeros(N)])
-            r = b - A @ x
-            wall = np.zeros(g.shape, dtype=bool)
-            wall[:, 0] = True
-            wall[:, -1] = True
-            r[np.concatenate([wall.ravel()] * 3)] = 0.0
-            # r carries the rounding error of b - A x; on fine grids a
-            # solve to GMRES_RTOL alone would chase that noise
-            noise = _rounding_level(A, x, b)
-            delta, info = _coupled_gmres(g, p, dt, s.c1, s.c2, A, r, noise)
-            if info != 0:
-                raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2), p.eps)
-            x = x + delta
-            c1 = x[:N].reshape(g.shape)
-            c2 = x[N : 2 * N].reshape(g.shape)
+    b1 = s.c1 / dt - adv1 + drift1
+    b2 = s.c2 / dt - adv2 + drift2
+    A = _ws.coupled
+    if g.d == 1:
+        _set_coupling_1d(A, g, p, s.c1, s.c2)
+        x = np.empty(3 * g.ny)
+        x[0::3] = s.c1[0]
+        x[1::3] = s.c2[0]
+        x[2::3] = s.psi[0]
+        b = np.zeros_like(x)
+        b[0::3] = b1[0]
+        b[1::3] = b2[0]
+        r = b - A.matvec(x)
+        for idx in (0, 1, 2, -3, -2, -1):
+            r[idx] = 0.0
+        delta = A.solve(r)
+        x = x + delta
+        c1 = x[0::3][None, :].copy()
+        c2 = x[1::3][None, :].copy()
     else:
-        # explicit coupling: the stiff term uses psi at level n
-        psi_tot = s.psi + phiw
-        c1 = _implicit_diffusion(g, s.c1, p.D1, dt, -adv1 + p.z1 * p.D1 * div_a_grad(g, s.c1, psi_tot))
-        c2 = _implicit_diffusion(g, s.c2, p.D2, dt, -adv2 + p.z2 * p.D2 * div_a_grad(g, s.c2, psi_tot))
+        _set_coupling_2d(A, _ws.coupling_slots, g, p, s.c1, s.c2)
+        N = g.nx * g.ny
+        x = np.concatenate([s.c1.ravel(), s.c2.ravel(), s.psi.ravel()])
+        b = np.concatenate([b1.ravel(), b2.ravel(), np.zeros(N)])
+        r = b - A @ x
+        wall = np.zeros(g.shape, dtype=bool)
+        wall[:, 0] = True
+        wall[:, -1] = True
+        r[np.concatenate([wall.ravel()] * 3)] = 0.0
+        # r carries the rounding error of b - A x; on fine grids a
+        # solve to GMRES_RTOL alone would chase that noise
+        noise = _rounding_level(A, x, b)
+        delta, info = _coupled_gmres(g, p, dt, s.c1, s.c2, A, r, noise)
+        if info != 0:
+            raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2), p.eps)
+        x = x + delta
+        c1 = x[:N].reshape(g.shape)
+        c2 = x[N : 2 * N].reshape(g.shape)
 
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
         raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
@@ -547,16 +523,15 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     return State(t=t_new, c1=c1, c2=c2, u=u, psi=psi)
 
 
-def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, explicit,
-                        bc_delta=None) -> np.ndarray:
+def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, explicit) -> np.ndarray:
     """c after one implicit diffusion step with explicit source terms.
 
     Delta form: the increment solves (1/(dt D) - Lap) delta = Lap c +
-    explicit/D with wall values bc_delta (zero by default), so wall
-    values and exact equilibria are bitwise fixed points of the solve.
+    explicit/D with zero wall values, so wall values and exact
+    equilibria are bitwise fixed points of the solve.
     """
     rhs = laplacian(grid, c) + explicit / D
-    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs, bc=bc_delta)
+    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs, bc=None)
 
 
 def march(init, cfg: NpnsConfig, step, record, save_every: int, tol: float,

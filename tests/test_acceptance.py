@@ -18,7 +18,7 @@ from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
 from debyeflow.config_io import preset_defaults
 from debyeflow.diagnostics import phi_entropy, rate_fit
 from debyeflow.elliptic import project_div_free, solve_poisson
-from debyeflow.experiments import run_experiment
+from debyeflow.experiments import refit_report, run_experiment
 from debyeflow.layers import (
     boundary_layer,
     clustered_xi_grid,
@@ -50,8 +50,15 @@ def thm51(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def thm2(tmp_path_factory):
-    return run_preset(tmp_path_factory, "thm2_h2_rate")
+def thm2(thm51, tmp_path_factory):
+    # the thm2_h2_rate preset table is thm51_rate's but for its name
+    # (test_config.test_h2_and_composite_rate_presets_share_one_sweep),
+    # so its report is graded from thm51_rate's sweep.csv instead of
+    # simulating the same sweep twice
+    _, thm51_out, _ = thm51
+    out = tmp_path_factory.mktemp("thm2_h2_rate")
+    report = refit_report("thm2_h2_rate", thm51_out / "sweep.csv", out / "report.json")
+    return report, out, preset_defaults("thm2_h2_rate")
 
 
 @pytest.fixture(scope="session")

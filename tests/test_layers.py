@@ -1,4 +1,4 @@
-"""Wall screening profiles, fast-time relaxation, corner layers, composites."""
+"""Wall screening profiles, the composite, fast-time relaxation, corner layers."""
 
 import warnings
 
@@ -7,25 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import BoundaryData, ChannelGrid, Params, State
+from debyeflow import BoundaryData, ChannelGrid, Params
 from debyeflow.layers import (
-    FastVariables,
-    LayerSet,
-    CompositeApproximation,
-    assemble_composite,
     boundary_layer,
     clustered_xi_grid,
+    composite,
     cutoff_left,
     cutoff_right,
-    initial_layer_traces,
-    residual,
     smoothstep,
     solve_initial_layer,
     solve_mixed_layer,
     wall_layers,
 )
 from debyeflow.grid import VelocityField
-from debyeflow.limit import solve_inner_hierarchy
+from debyeflow.limit import initial_limit_state, run_limit
 from debyeflow.npns import NpnsConfig
 from debyeflow.operators import grad, laplacian, norm_l2
 
@@ -55,21 +50,7 @@ def trapezoid_weights(x):
 
 
 # ---------------------------------------------------------------------------
-# stretched coordinates and cutoffs
-
-
-def test_fast_variables_values_and_rejections():
-    y = np.linspace(0.0, 1.0, 11)
-    fv = FastVariables.at(0.02, y, 0.1)
-    assert np.isclose(fv.tau, 2.0, rtol=1e-14), f"tau = {fv.tau}"
-    assert np.allclose(fv.xi, y / 0.1, rtol=1e-14)
-    assert np.allclose(fv.eta, (1.0 - y) / 0.1, rtol=1e-14)
-    with pytest.raises(ValueError):
-        FastVariables.at(0.02, y, -0.1)
-    with pytest.raises(ValueError):
-        FastVariables.at(0.02, np.array([1.5]), 0.1)  # outside the slab
-    with pytest.raises(ValueError):
-        FastVariables.at(-1e-3, y, 0.1)
+# cutoffs
 
 
 def test_cutoff_plateaus_mirror_and_midpoint():
@@ -261,37 +242,6 @@ def test_initial_layer_rejections():
         solve_initial_layer(g, p, np.ones((1, 5)), rho0, taus)
 
 
-def test_initial_layer_forcing_hook():
-    p = make_params()
-    g = ChannelGrid(d=1, nx=1, ny=33)
-    rho0 = np.sin(np.pi * g.yy)
-    base = np.full(g.shape, 2.0)
-    taus = np.linspace(0.0, 0.2, 9)
-    plain = solve_initial_layer(g, p, base, rho0, taus)
-    forced_zero = solve_initial_layer(g, p, base, rho0, taus, forcing=lambda tau: g.zeros())
-    for a, b in zip(plain, forced_zero):
-        assert np.array_equal(a.rho, b.rho), "zero forcing must not change the march"
-    forced = solve_initial_layer(g, p, base, rho0, taus,
-                                 forcing=lambda tau: 0.1 * np.cos(np.pi * g.yy))
-    assert not np.allclose(forced[-1].rho, plain[-1].rho), "forcing had no effect"
-
-
-def test_initial_layer_traces_extraction():
-    p = make_params(D1=2.0, D2=1.0)
-    g = ChannelGrid(d=1, nx=1, ny=33)
-    states = solve_initial_layer(g, p, np.full(g.shape, 2.0), np.cos(np.pi * g.yy),
-                                 np.linspace(0.0, 0.5, 11))
-    scale = p.z1 * p.D1 - p.z2 * p.D2
-    taus, a1, a2 = initial_layer_traces(states, p, "left")
-    assert np.array_equal(taus, np.array([s.tau for s in states]))
-    assert np.allclose(a1, [-p.D1 * s.rho[0, 0] / scale for s in states], rtol=1e-15)
-    assert np.allclose(a2, [p.D2 * s.rho[0, 0] / scale for s in states], rtol=1e-15)
-    _, b1, _ = initial_layer_traces(states, p, "right")
-    assert np.allclose(b1, [-p.D1 * s.rho[0, -1] / scale for s in states], rtol=1e-15)
-    with pytest.raises(ValueError):
-        initial_layer_traces(states, p, "bottom")
-
-
 # ---------------------------------------------------------------------------
 # corner layers
 
@@ -432,179 +382,45 @@ def test_mixed_layer_rejections():
 
 
 # ---------------------------------------------------------------------------
-# composite assembly
+# the composite approximation
 
 
-@pytest.fixture(scope="module")
-def generic_setup():
-    """Inner expansion through order two plus a matching layer set."""
-    cfg = make_cfg(ny=65, dt=1e-3, n_steps=5, D1=2.0, D2=1.0, w=(0.0, 0.5))
-    g, p = cfg.grid, cfg.params
-    c1_0 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
-    exp = solve_inner_hierarchy(0, None, cfg, c1_0=c1_0)
-    exp = solve_inner_hierarchy(1, exp, cfg)
-    exp = solve_inner_hierarchy(2, exp, cfg)
-
-    taus = 0.01 * np.arange(201)
-    il = solve_initial_layer(g, p, exp.c1[0][0], laplacian(g, exp.phi[0][0]), taus)
-    tl, a1l, a2l = initial_layer_traces(il, p, "left")
-    tr, a1r, a2r = initial_layer_traces(il, p, "right")
-    xi = clustered_xi_grid(40.0, 400, 4.0)
-    gammas = cfg.bdata
-    ml = solve_mixed_layer(a1l, a2l, float(gammas.gamma1[0, 0]), float(gammas.gamma2[0, 0]),
-                           p, xi, tl, wall="left")
-    mr = solve_mixed_layer(a1r, a2r, float(gammas.gamma1[1, 0]), float(gammas.gamma2[1, 0]),
-                           p, xi, tr, wall="right")
-    return cfg, exp, il, ml, mr
-
-
-def test_composite_wall_traces_match_boundary_data(generic_setup):
-    # the second-order inner boundary values were chosen to cancel the
-    # wall layer at the wall, and the corner layer cancels the relaxation
-    # there; the assembled fields must hit the prescribed wall data
-    cfg, exp, il, ml, mr = generic_setup
-    g, p = cfg.grid, cfg.params
-    eps = 0.1
-    k = 3
-    bl, br = wall_layers(cfg, exp.phi[0][k])
-    layers = LayerSet(boundary_left=bl, boundary_right=br, initial=il,
-                      mixed_left=ml, mixed_right=mr)
-    comp = assemble_composite(exp, layers, eps, exp.times[k])
-    bd = cfg.bdata
-    checks = [
-        ("c1 left", comp.c1[:, 0], bd.gamma1[0]),
-        ("c1 right", comp.c1[:, -1], bd.gamma1[1]),
-        ("c2 left", comp.c2[:, 0], bd.gamma2[0]),
-        ("c2 right", comp.c2[:, -1], bd.gamma2[1]),
-        ("phi left", comp.phi[:, 0], bd.w[0]),
-        ("phi right", comp.phi[:, -1], bd.w[1]),
-    ]
-    for name, got, want in checks:
-        dev = float(np.max(np.abs(got - want)))
-        assert dev <= 1e-10, f"{name} misses the wall data by {dev:.2e}"
-
-
-def test_composite_without_layers_is_inner_sum(generic_setup):
-    cfg, exp, *_ = generic_setup
-    eps = 0.05
-    k = 2
-    comp = assemble_composite(exp, LayerSet(), eps, exp.times[k])
-    want_c1 = exp.c1[0][k] + eps * exp.c1[1][k] + eps ** 2 * exp.c1[2][k]
-    want_phi = exp.phi[0][k] + eps * exp.phi[1][k] + eps ** 2 * exp.phi[2][k]
-    assert np.array_equal(comp.c1, want_c1)
-    assert np.array_equal(comp.phi, want_phi)
-    want_u = exp.u[0][k].components[0] + eps * exp.u[1][k].components[0]
-    assert np.array_equal(comp.u.components[0], want_u)
+def _limit_snapshots(cfg):
+    g = cfg.grid
+    init = initial_limit_state(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    return run_limit(init, cfg).snapshots
 
 
 def test_composite_order_zero_plus_wall_layers_only():
-    # with only the leading inner order and wall profiles supplied, the
-    # assembly degenerates to the well-prepared form
-    cfg = make_cfg(ny=33, dt=1e-3, n_steps=2, D1=2.0, D2=1.0, w=(0.0, 0.5))
-    g = cfg.grid
-    exp = solve_inner_hierarchy(0, None, cfg, c1_0=2.0 + 0.5 * np.sin(np.pi * g.yy))
-    eps = 0.125
-    k = 1
-    bl, br = wall_layers(cfg, exp.phi[0][k])
-    comp = assemble_composite(exp, LayerSet(boundary_left=bl, boundary_right=br),
-                              eps, exp.times[k])
-    f = cutoff_left(g.y)[None, :]
-    gcut = cutoff_right(g.y)[None, :]
-    want = exp.c1[0][k] + eps ** 2 * (f * bl.c1(g.y / eps) + gcut * br.c1((1.0 - g.y) / eps))
-    assert np.allclose(comp.c1, want, atol=1e-15), "order-0 + wall assembly mismatch"
-    want_phi = exp.phi[0][k] + eps ** 2 * (f * bl.phi(g.y / eps)
-                                           + gcut * br.phi((1.0 - g.y) / eps))
-    assert np.allclose(comp.phi, want_phi, atol=1e-15)
-
-
-def test_composite_reduced_variant_drops_wall_and_second_order(generic_setup):
-    cfg, exp, il, ml, mr = generic_setup
-    g = cfg.grid
-    eps = 0.1
-    k = 3
-    bl, br = wall_layers(cfg, exp.phi[0][k])
-    layers = LayerSet(boundary_left=bl, boundary_right=br, initial=il,
-                      mixed_left=ml, mixed_right=mr)
-    full = assemble_composite(exp, layers, eps, exp.times[k], variant="full_S")
-    red = assemble_composite(exp, layers, eps, exp.times[k], variant="reduced_R")
-
-    f = cutoff_left(g.y)[None, :]
-    gcut = cutoff_right(g.y)[None, :]
-    want_dc1 = eps ** 2 * (exp.c1[2][k] + f * bl.c1(g.y / eps)
-                           + gcut * br.c1((1.0 - g.y) / eps))
-    got_dc1 = full.c1 - red.c1
-    assert np.allclose(got_dc1, want_dc1, atol=1e-14), (
-        f"reduced c1 difference off by {np.max(np.abs(got_dc1 - want_dc1)):.2e}"
-    )
-    want_dphi = (eps * exp.phi[1][k] + eps ** 2 * exp.phi[2][k]
-                 + eps ** 2 * (f * bl.phi(g.y / eps) + gcut * br.phi((1.0 - g.y) / eps)))
-    assert np.allclose(full.phi - red.phi, want_dphi, atol=1e-14)
-    want_du = eps * exp.u[1][k].components[0]
-    assert np.allclose(full.u.components[0] - red.u.components[0], want_du, atol=1e-15)
-
-
-def test_composite_input_errors(generic_setup):
-    cfg, exp, *_ = generic_setup
-    with pytest.raises(ValueError, match="variant"):
-        assemble_composite(exp, LayerSet(), 0.1, exp.times[0], variant="both")
-    with pytest.raises(ValueError, match="snapshot"):
-        assemble_composite(exp, LayerSet(), 0.1, 17.0)
-    with pytest.raises(ValueError, match="eps"):
-        assemble_composite(exp, LayerSet(), -0.1, exp.times[0])
-
-
-def _manual_composite(g, c1, c2, phi, uy, t=0.25, eps=0.1):
-    return CompositeApproximation(
-        grid=g, t=t, eps=eps, variant="full_S",
-        c1=c1, c2=c2, phi=phi,
-        u=VelocityField(g, [uy]),
-        phi_wall=g.zeros(),
-    )
-
-
-def test_residual_zero_and_antisymmetry():
-    g = ChannelGrid(d=1, nx=1, ny=33)
-    rng = np.random.default_rng(7)
-    fa = [rng.standard_normal(g.shape) for _ in range(4)]
-    fb = [rng.standard_normal(g.shape) for _ in range(4)]
-    comp_a = _manual_composite(g, *fa)
-    comp_b = _manual_composite(g, *fb)
-
-    def as_state(comp):
-        return State(t=comp.t, c1=comp.c1, c2=comp.c2, u=comp.u, psi=comp.phi)
-
-    res = residual(as_state(comp_a), comp_a)
-    for key in ("c1", "c2", "phi"):
-        assert np.all(res[key] == 0.0), f"{key} residual not exactly zero"
-    assert np.all(res["u"].components[0] == 0.0)
-
-    r_ab = residual(as_state(comp_a), comp_b)
-    r_ba = residual(as_state(comp_b), comp_a)
-    for key in ("c1", "c2", "phi"):
-        assert np.array_equal(r_ab[key], -r_ba[key]), f"{key} not antisymmetric"
-    assert np.array_equal(r_ab["u"].components[0], -r_ba["u"].components[0])
-
-
-def test_residual_mismatch_errors():
-    g = ChannelGrid(d=1, nx=1, ny=33)
-    g2 = ChannelGrid(d=1, nx=1, ny=65)
-    comp = _manual_composite(g, g.zeros(), g.zeros(), g.zeros(), g.zeros())
-    state_wrong_grid = State(t=comp.t, c1=g2.zeros(), c2=g2.zeros(),
-                             u=VelocityField.zero(g2), psi=g2.zeros())
-    with pytest.raises(ValueError, match="grids"):
-        residual(state_wrong_grid, comp)
-    state_wrong_time = State(t=comp.t + 1.0, c1=g.zeros(), c2=g.zeros(),
-                             u=VelocityField.zero(g), psi=g.zeros())
-    with pytest.raises(ValueError, match="time"):
-        residual(state_wrong_time, comp)
-
-
-def test_wall_layers_read_the_stored_potential(generic_setup):
-    cfg, exp, *_ = generic_setup
+    # the limit snapshot plus the two cut-off wall layers at second order
+    # in eps, and nothing else; a block of snapshots gives the same bytes
+    cfg = make_cfg(ny=33, dt=1e-3, n_steps=2, D1=2.0, D2=1.0, w=(0.0, 0.5), eps=0.125)
     g, p = cfg.grid, cfg.params
-    k = 4
-    bl, br = wall_layers(cfg, exp.phi[0][k])
-    lap = laplacian(g, exp.phi[0][k])
+    eps = p.eps
+    snaps = _limit_snapshots(cfg)
+    models = composite(cfg)
+    f = cutoff_left(g.y)[None, :]
+    gcut = cutoff_right(g.y)[None, :]
+    xi, eta = g.y / eps, (1.0 - g.y) / eps
+    block1, block2 = models(np.stack([s.psi for s in snaps]), np.stack([s.c1 for s in snaps]))
+    for k, sl in enumerate(snaps):
+        bl, br = wall_layers(cfg, sl.psi + cfg.wall.phiw)
+        want1 = sl.c1 + eps * eps * (f * bl.c1(xi) + gcut * br.c1(eta))
+        want2 = -(p.z1 / p.z2) * sl.c1 + eps * eps * (f * bl.c2(xi) + gcut * br.c2(eta))
+        c1, c2 = models(sl.psi, sl.c1)
+        assert np.array_equal(c1, want1), f"snapshot {k}: c1 is not order 0 plus the wall layers"
+        assert np.array_equal(c2, want2), f"snapshot {k}: c2 is not order 0 plus the wall layers"
+        assert np.array_equal(block1[k], c1) and np.array_equal(block2[k], c2), f"snapshot {k}: block differs"
+    assert np.max(np.abs(c1 - sl.c1)) > 1e-6, "the wall layers must not vanish here"
+
+
+def test_wall_layers_read_the_stored_potential():
+    cfg = make_cfg(ny=65, dt=1e-3, n_steps=5, D1=2.0, D2=1.0, w=(0.0, 0.5))
+    g, p = cfg.grid, cfg.params
+    sl = _limit_snapshots(cfg)[4]
+    phi0 = sl.psi + cfg.wall.phiw
+    bl, br = wall_layers(cfg, phi0)
+    lap = laplacian(g, phi0)
     assert np.array_equal(bl.amplitude, lap[:, 0])
     assert np.array_equal(br.amplitude, lap[:, -1])
     want_rate = np.sqrt(p.z1 * (p.z1 - p.z2) * cfg.bdata.gamma1[0])

@@ -1,4 +1,4 @@
-"""Limit solver: psi equation, ambipolar march, hierarchy orders 0-2."""
+"""Limit solver: psi equation and ambipolar march."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from debyeflow.limit import (
     initial_limit_state,
     limit_psi_residuals,
     run_limit,
-    solve_inner_hierarchy,
     solve_limit_psi,
     step_limit,
 )
@@ -286,66 +285,3 @@ def test_limit_c2_constraint_bitwise(z1, z2, c_val):
     s = LimitState(t=0.0, c1=np.full(g.shape, c_val), u=VelocityField.zero(g), psi=g.zeros())
     rho = p.z1 * s.c1 + p.z2 * s.c2(p)
     assert np.all(rho == 0.0), f"constraint broke: max |rho| = {np.max(np.abs(rho))}"
-
-
-# ---------------------------------------------------------------------------
-# inner hierarchy
-
-
-def test_hierarchy_sequencing_errors():
-    cfg = make_cfg(ny=17, n_steps=2)
-    with pytest.raises(ValueError, match="order"):
-        solve_inner_hierarchy(3, None, cfg)
-    with pytest.raises(ValueError, match="initial"):
-        solve_inner_hierarchy(0, None, cfg)
-    with pytest.raises(ValueError, match="missing"):
-        solve_inner_hierarchy(1, None, cfg)
-    base = solve_inner_hierarchy(0, None, cfg, c1_0=np.full(cfg.grid.shape, 2.0))
-    with pytest.raises(ValueError, match="missing"):
-        solve_inner_hierarchy(2, base, cfg)
-
-
-def test_hierarchy_all_orders_vanish_for_well_prepared_symmetric_data():
-    # equal diffusivities and no wall potential keep the limit potential
-    # identically zero, so every correction order must stay exactly zero
-    cfg = make_cfg(ny=65, dt=1e-3, n_steps=5, D1=1.0, D2=1.0)
-    g = cfg.grid
-    c1_0 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
-    exp = solve_inner_hierarchy(0, None, cfg, c1_0=c1_0)
-    exp = solve_inner_hierarchy(1, exp, cfg)
-    exp = solve_inner_hierarchy(2, exp, cfg)
-    for k in range(len(exp.times)):
-        assert np.all(exp.phi[0][k] == 0.0), f"t index {k}: limit potential not zero"
-        for order in (1, 2):
-            for name in ("c1", "c2", "phi"):
-                arr = getattr(exp, name)[order][k]
-                assert np.all(arr == 0.0), f"order {order} {name} non-zero at index {k}"
-            assert np.all(exp.u[order][k].components[0] == 0.0)
-
-
-def test_hierarchy_order2_constraint_and_wall_traces():
-    from debyeflow.operators import laplacian
-
-    cfg = make_cfg(ny=65, dt=1e-3, n_steps=5, D1=2.0, D2=1.0, w=(0.0, 0.5))
-    g, p = cfg.grid, cfg.params
-    c1_0 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
-    exp = solve_inner_hierarchy(0, None, cfg, c1_0=c1_0)
-    exp = solve_inner_hierarchy(1, exp, cfg)
-    exp = solve_inner_hierarchy(2, exp, cfg)
-
-    for k in range(len(exp.times)):
-        lap0 = laplacian(g, exp.phi[0][k])
-        rho2 = p.z1 * exp.c1[2][k] + p.z2 * exp.c2[2][k]
-        defect = norm_linf(g, rho2 + lap0)
-        assert defect <= 1e-8, f"t index {k}: order-2 charge defect {defect:.2e}"
-        if k == 0:
-            continue  # initial data is incompatible with the layer trace
-        c_wall = -lap0[:, 0] / (p.z1 - p.z2)
-        p_wall = lap0[:, 0] / (p.z1 * (p.z1 - p.z2) * cfg.bdata.gamma1[0])
-        assert np.allclose(exp.c1[2][k][:, 0], c_wall, atol=1e-12)
-        assert np.allclose(exp.phi[2][k][:, 0], p_wall, atol=1e-12)
-
-    # the order-1 march from zero data with zero forcing must stay zero
-    # even though the zeroth-order potential is genuinely nonzero here
-    assert norm_linf(g, exp.phi[0][-1]) > 1e-4
-    assert all(np.all(exp.c1[1][k] == 0.0) for k in range(len(exp.times)))

@@ -2,7 +2,6 @@
 charge relaxation, self-convergence, and guard behavior."""
 
 import dataclasses
-import itertools
 import pickle
 import sys
 
@@ -40,7 +39,6 @@ def make_cfg(
     w=(0.0, 0.0),
     d=1,
     nx=1,
-    stiff_mode="implicit-coupled",
 ):
     if t_end is None:
         t_end = dt
@@ -49,7 +47,7 @@ def make_cfg(
     gam = np.full((2, nx), gamma1)
     wtr = np.vstack([np.full(nx, w[0]), np.full(nx, w[1])])
     bdata = BoundaryData.electroneutral(gam, w=wtr, params=p)
-    return NpnsConfig(params=p, bdata=bdata, grid=grid, dt=dt, t_end=t_end, stiff_mode=stiff_mode)
+    return NpnsConfig(params=p, bdata=bdata, grid=grid, dt=dt, t_end=t_end)
 
 
 def discrete_mu2(k, ny):
@@ -95,15 +93,15 @@ def test_well_prepared_rejects_bad_input():
 def test_equilibrium_is_exact_fixed_point():
     # d = 2 runs the GMRES coupled solve, whose zero residual must give
     # an exact zero delta
-    for (d, nx), mode in itertools.product(((1, 1), (2, 8)), ("implicit-coupled", "implicit-diffusion-only")):
-        cfg = make_cfg(dt=2.0 ** -7, t_end=2.0 ** -7, stiff_mode=mode, d=d, nx=nx)
+    for d, nx in ((1, 1), (2, 8)):
+        cfg = make_cfg(dt=2.0 ** -7, t_end=2.0 ** -7, d=d, nx=nx)
         s0 = well_prepared_init(cfg.grid, np.full(cfg.grid.shape, 2.0), VelocityField.zero(cfg.grid), cfg)
         s1 = step_npns(s0, cfg)
-        assert np.array_equal(s1.c1, s0.c1), f"d={d} {mode}: equilibrium c1 drifted"
-        assert np.array_equal(s1.c2, s0.c2), f"d={d} {mode}: equilibrium c2 drifted"
-        assert np.array_equal(s1.psi, s0.psi), f"d={d} {mode}: equilibrium psi drifted"
+        assert np.array_equal(s1.c1, s0.c1), f"d={d}: equilibrium c1 drifted"
+        assert np.array_equal(s1.c2, s0.c2), f"d={d}: equilibrium c2 drifted"
+        assert np.array_equal(s1.psi, s0.psi), f"d={d}: equilibrium psi drifted"
         for a, b in zip(s1.u.components, s0.u.components):
-            assert np.array_equal(a, b), f"d={d} {mode}: equilibrium velocity drifted"
+            assert np.array_equal(a, b), f"d={d}: equilibrium velocity drifted"
 
 
 def test_pure_diffusion_amplification_exact():
@@ -203,25 +201,23 @@ def test_run_self_convergence_first_order():
     assert 2.6 <= ratio <= 3.4, f"expected ratio near 3 for first order, got {ratio:.2f}"
 
 
-def test_unstable_explicit_mode_warns_and_aborts():
-    # dt far beyond the eps^2 scale: the config warns, the run fails
-    with pytest.warns(UserWarning, match="stability"):
-        cfg = make_cfg(ny=65, eps=0.01, dt=5e-3, t_end=0.5, stiff_mode="implicit-diffusion-only")
+def test_nan_from_the_coupled_solve_aborts_the_run(monkeypatch):
+    # a coupled solve that returns NaN must stop the run with a StepError
+    # that names the run's eps and the last good state's extrema
+    cfg = make_cfg(ny=33, eps=0.125, dt=1e-3, t_end=5e-3, w=(0.0, 0.5))
     g = cfg.grid
-    c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
-    s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
-    # seed charge so the explicit coupling actually kicks
-    s0.c2 = s0.c2 * (1.0 - 0.05 * np.sin(np.pi * g.yy))
-    with pytest.raises((MaxPrincipleViolation, StepError)) as err:
+    s0 = well_prepared_init(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    monkeypatch.setattr(npns.BandedMatrix, "solve", lambda self, r: np.full_like(r, np.nan))
+    with pytest.raises(StepError, match="non-finite") as err:
         run_npns(s0, cfg)
     assert err.value.eps == cfg.params.eps, "the abort must name the run's eps"
+    assert err.value.t == cfg.dt, "the first step must abort"
+    assert err.value.extrema["min_c1"] == float(np.min(s0.c1))
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="dt"):
         make_cfg(dt=0.0)
-    with pytest.raises(ValueError, match="stiff_mode"):
-        make_cfg(stiff_mode="semi-implicit")
     cfg = make_cfg(dt=3e-4, t_end=1e-3)
     with pytest.raises(ValueError, match="whole number"):
         _ = cfg.n_steps
