@@ -6,13 +6,11 @@ discretization allows; nothing is re-derived with an independent
 scheme (the tests do that instead).
 
 The wall data is fixed for a run, so its harmonic extensions and their
-gradients are built once per run (wall_fields) and passed to every
-functional through the optional `wall` keyword; diagnostics_record also
-hands the energy residual the free energies it computed instead of
-having them recomputed.  Called without these, each function builds
-what it needs from the boundary data itself.  The solvers compute none
-of this while they march: a caller that reads the energy balance of a
-run builds its DiagnosticsRecord from the saved snapshots.
+gradients are built once per run (wall_fields) and every functional
+that reads the wall data takes that WallFields bundle; diagnostics_record
+hands the energy residual the free energies it computed.  The solvers
+compute none of this while they march: a caller that reads the energy
+balance of a run builds its DiagnosticsRecord from the saved snapshots.
 
 free_energy and modulated_energy take one snapshot, a State whose
 fields are (nx, ny), or a block of snapshots, a state whose fields
@@ -146,17 +144,13 @@ def wall_fields(grid: ChannelGrid, bdata: BoundaryData) -> WallFields:
     return wall
 
 
-def free_energy(
-    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
-) -> float | np.ndarray:
+def free_energy(grid: ChannelGrid, s: State, wall: WallFields, p: Params) -> float | np.ndarray:
     """Free energy: wall-relative entropy + electric field + kinetic energy.
 
     One float for a snapshot, one value per snapshot for a block.
     """
     if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
         raise ValueError("free energy undefined for non-positive concentrations")
-    if wall is None:
-        wall = wall_fields(grid, bdata)
     g1, g2 = wall.gamma1, wall.gamma2
     ent = integrate(grid, g1 * phi_entropy(s.c1 / g1) + g2 * phi_entropy(s.c2 / g2))
     elec = 0.5 * p.eps ** 2 * integrate(grid, _grad_sq(grid, s.psi))
@@ -167,14 +161,12 @@ def free_energy(
 
 
 def electrochemical_potentials(
-    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
+    grid: ChannelGrid, s: State, wall: WallFields, p: Params
 ) -> dict[str, np.ndarray]:
     """Potentials mu_i = log c_i + z_i(psi + phiW) and their wall-data
     counterparts mu_i_star = log Gamma_i + z_i phiW."""
     if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
         raise ValueError("potentials undefined for non-positive concentrations")
-    if wall is None:
-        wall = wall_fields(grid, bdata)
     phiw, g1, g2 = wall.phiw, wall.gamma1, wall.gamma2
     total = s.psi + phiw
     return {
@@ -217,11 +209,9 @@ def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[np.ndarray, np
 def dissipation_identity_residual(
     grid: ChannelGrid,
     snapshots: list[State],
-    bdata: BoundaryData,
+    wall: WallFields,
     p: Params,
-    *,
-    wall: WallFields | None = None,
-    energies: Sequence[float] | None = None,
+    energies: Sequence[float],
 ) -> np.ndarray:
     """Normalized residual of the energy balance along a trajectory.
 
@@ -229,21 +219,15 @@ def dissipation_identity_residual(
     times (one-sided second order at the ends), the spatial terms are
     evaluated per snapshot, block by block, and the mismatch is
     normalized by the size of the dissipation plus the right side so the
-    result is a relative quantity comparable across runs.  energies, when given, are the free
-    energies of the snapshots, already computed by the caller.
+    result is a relative quantity comparable across runs.  energies are
+    the free energies of the snapshots, already computed by the caller.
     """
     if len(snapshots) < 3:
         raise ValueError(f"need at least 3 snapshots for a centered residual, got {len(snapshots)}")
-    if wall is None:
-        wall = wall_fields(grid, bdata)
-    times = np.array([s.t for s in snapshots])
-    if energies is None:
-        E = np.concatenate([free_energy(grid, blk, bdata, p, wall=wall)
-                            for blk in snapshot_blocks(grid, snapshots)])
-    elif len(energies) != len(snapshots):
+    if len(energies) != len(snapshots):
         raise ValueError(f"got {len(energies)} energies for {len(snapshots)} snapshots")
-    else:
-        E = np.array(energies, dtype=float)
+    times = np.array([s.t for s in snapshots])
+    E = np.array(energies, dtype=float)
     dEdt = np.gradient(E, times, edge_order=2)
     sides = [_identity_sides(grid, blk, wall, p) for blk in snapshot_blocks(grid, snapshots)]
     diss, rhs, visc = (np.concatenate(side) for side in zip(*sides))
@@ -252,9 +236,7 @@ def dissipation_identity_residual(
     return num / den
 
 
-def dissipation_lower_bound(
-    grid: ChannelGrid, s: State, bdata: BoundaryData, p: Params, *, wall: WallFields | None = None
-) -> dict[str, float]:
+def dissipation_lower_bound(grid: ChannelGrid, s: State, wall: WallFields, p: Params) -> dict[str, float]:
     """Both sides of the coercivity bound on the entropy dissipation.
 
     gradient terms + field term + charge term <= M * dissipation, with
@@ -262,8 +244,6 @@ def dissipation_lower_bound(
     1/(2 D*)).  Returns the sides and the constant; callers assert with
     an O(h^2) slack since the continuous proof integrates by parts once.
     """
-    if wall is None:
-        wall = wall_fields(grid, bdata)
     total = s.psi + wall.phiw
     rho = s.rho(p)
 
@@ -443,8 +423,7 @@ class DiagnosticsRecord:
 
 
 def diagnostics_record(
-    grid: ChannelGrid, snapshots: Sequence[State], bdata: BoundaryData, p: Params,
-    *, wall: WallFields | None = None,
+    grid: ChannelGrid, snapshots: Sequence[State], wall: WallFields, p: Params
 ) -> DiagnosticsRecord:
     """Free energy, species extrema and energy residual of saved snapshots.
 
@@ -452,15 +431,13 @@ def diagnostics_record(
     and the energies are handed to dissipation_identity_residual, which
     needs at least three snapshots; with fewer the residual stays NaN.
     """
-    if wall is None:
-        wall = wall_fields(grid, bdata)
     rec = DiagnosticsRecord()
     for blk in snapshot_blocks(grid, snapshots):
-        E = free_energy(grid, blk, bdata, p, wall=wall)
+        E = free_energy(grid, blk, wall, p)
         extrema = [f(c, axis=(-2, -1)) for c in (blk.c1, blk.c2) for f in (np.min, np.max)]
         for k, t in enumerate(blk.t):
             rec.append(t, E[k], [e[k] for e in extrema])
     if len(snapshots) >= 3:
-        res = dissipation_identity_residual(grid, snapshots, bdata, p, wall=wall, energies=rec.E)
+        res = dissipation_identity_residual(grid, snapshots, wall, p, rec.E)
         rec.dissipation_residual = [float(r) for r in res]
     return rec

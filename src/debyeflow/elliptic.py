@@ -2,6 +2,10 @@
 divergence form, harmonic extension of wall data, and the discrete
 divergence-free projection.
 
+Every solve has zero wall values except harmonic_extension, the one
+solve that reads wall data: it hands its (2, nx) traces to
+solve_shifted_poisson.
+
 Every solve here is direct, with no tolerance to tune.  The
 constant-coefficient Poisson problems take an rfft in x and stack every
 mode's tridiagonal in y into one block-diagonal tridiagonal, factored
@@ -35,19 +39,14 @@ __all__ = [
 
 
 def _as_traces(grid: ChannelGrid, bc) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize boundary data to two (nx,) trace arrays."""
+    """The (nx,) wall values at y = 0 and y = 1 of None (zero) or a (2, nx) array."""
     if bc is None:
         z = np.zeros(grid.nx)
-        return z, z.copy()
+        return z, z
     bc = np.asarray(bc, dtype=float)
-    if bc.ndim == 0:
-        v = np.full(grid.nx, float(bc))
-        return v, v.copy()
-    if bc.shape == (2,):
-        return np.full(grid.nx, bc[0]), np.full(grid.nx, bc[1])
-    if bc.shape == (2, grid.nx):
-        return bc[0].copy(), bc[1].copy()
-    raise ValueError(f"boundary data must be scalar, (2,), or (2, nx); got shape {bc.shape}")
+    if bc.shape != (2, grid.nx):
+        raise ValueError(f"wall values must be None or (2, nx) = (2, {grid.nx}); got shape {bc.shape}")
+    return bc[0], bc[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -89,7 +88,7 @@ def solve_shifted_poisson(
         problem -Lap u = f.
     f : ndarray
         Right side, shape (nx, ny); wall rows are ignored.
-    bc : None, scalar, (2,) or (2, nx)
+    bc : None or (2, nx)
         Dirichlet values at y = 0 and y = 1.  None means homogeneous.
 
     The tangential directions are diagonalized by rfft; each mode is a
@@ -139,47 +138,33 @@ def solve_shifted_poisson(
     return np.fft.irfft(uh, n=grid.nx, axis=0)
 
 
-def solve_poisson(grid: ChannelGrid, f: np.ndarray, coeff: float = 1.0, bc=None) -> np.ndarray:
-    """Solve -coeff * Lap u = f with Dirichlet wall values.
-
-    coeff must be positive; by linearity the solution is 1/coeff times
-    the coeff = 1 solution of the homogeneous-data part, which is how it
-    is computed.
-    """
+def solve_poisson(grid: ChannelGrid, f: np.ndarray, coeff: float = 1.0) -> np.ndarray:
+    """Solve -coeff * Lap u = f with zero wall values; coeff must be positive."""
     if coeff <= 0.0:
         raise ValueError(f"Poisson coefficient must be positive, got coeff={coeff}")
-    if coeff == 1.0:
-        return solve_shifted_poisson(grid, 0.0, f, bc)
-    hom = solve_shifted_poisson(grid, 0.0, np.asarray(f, dtype=float) / coeff, bc=None)
-    if bc is None:
-        return hom
-    return hom + solve_shifted_poisson(grid, 0.0, grid.zeros(), bc)
+    # dividing by 1.0 is exact, so coeff = 1 solves f itself
+    return solve_shifted_poisson(grid, 0.0, np.asarray(f, dtype=float) / coeff)
 
 
 def harmonic_extension(grid: ChannelGrid, trace) -> np.ndarray:
     """Extend wall data harmonically into the channel.
 
-    trace is (2,), scalar, or (2, nx).  The x-mean mode is written down
-    directly as the linear interpolant (the discrete solution it equals
-    in exact arithmetic) so constant data extends bitwise; only the
-    oscillatory remainder goes through the tridiagonal solves.
+    trace is (2, nx).  The x-mean mode is written down directly as the
+    linear interpolant (the discrete solution it equals in exact
+    arithmetic) so constant data extends bitwise; only the oscillatory
+    remainder goes through the tridiagonal solves.
     """
     b0, b1 = _as_traces(grid, trace)
     m0, m1 = float(np.mean(b0)), float(np.mean(b1))
     out = m0 + (m1 - m0) * grid.yy
     r0, r1 = b0 - m0, b1 - m1
     if np.any(r0 != 0.0) or np.any(r1 != 0.0):
-        out = out + solve_poisson(grid, grid.zeros(), bc=np.stack([r0, r1]))
+        out = out + solve_shifted_poisson(grid, 0.0, grid.zeros(), np.stack([r0, r1]))
     return out
 
 
-def solve_div_form(
-    grid: ChannelGrid,
-    a: np.ndarray,
-    rhs: np.ndarray,
-    bc=None,
-) -> np.ndarray:
-    """Solve div(a grad u) = rhs with Dirichlet wall values.
+def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve div(a grad u) = rhs with zero wall values.
 
     The discretization matches div_a_grad: half-node arithmetic averages
     of the coefficient, periodic wraparound in x.  The coefficient must
@@ -194,7 +179,6 @@ def solve_div_form(
     a = np.asarray(a, dtype=float)
     if not np.all(a > 0.0):
         raise ValueError("divergence-form coefficient must be strictly positive")
-    b0, b1 = _as_traces(grid, bc)
     h2 = grid.hy ** 2
     m = grid.ny - 2
 
@@ -202,18 +186,13 @@ def solve_div_form(
         ah = half_node_average_y(a)
         lo = ah[0, :-1]
         hi = ah[0, 1:]
-        r = rhs[0, 1:-1].copy()
-        r[0] -= lo[0] * b0[0] / h2
-        r[-1] -= hi[-1] * b1[0] / h2
         _, _, _, x, info = scipy.linalg.lapack.dgtsv(
-            lo[1:] / h2, -(lo + hi) / h2, hi[:-1] / h2, r,
+            lo[1:] / h2, -(lo + hi) / h2, hi[:-1] / h2, rhs[0, 1:-1].copy(),
             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         u = grid.zeros()
-        u[0, 0] = b0[0]
-        u[0, -1] = b1[0]
         u[0, 1:-1] = x
         return u
 
@@ -230,10 +209,7 @@ def solve_div_form(
     band[:, 1:, nx - 1] = -ax[:-1, 1:-1].T
     band[:, -1, 1] = -ax[-1, 1:-1]
     band[1:, :, 0] = -ay[:, 1:-1].T
-    # the wall values move to the right side
     b = -rhs[:, 1:-1].T.copy()
-    b[0] += ay[:, 0] * b0
-    b[-1] += ay[:, -1] * b1
     # band.reshape(m nx, nx+1).T is the Fortran-order band LAPACK factors in place
     chol, info = scipy.linalg.lapack.dpbtrf(band.reshape(m * nx, nx + 1).T, overwrite_ab=1)
     if info != 0:
@@ -242,8 +218,6 @@ def solve_div_form(
     if info != 0:
         raise np.linalg.LinAlgError(f"divergence-form band solve failed (dpbtrs info={info})")
     u = grid.zeros()
-    u[:, 0] = b0
-    u[:, -1] = b1
     u[:, 1:-1] = x.reshape(m, nx).T
     return u
 

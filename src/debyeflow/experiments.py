@@ -298,10 +298,10 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict
     g = fx.run.grid
     if divisor != ENERGY_DT_DIVISORS[-1]:
         traj = _run_eps(scaled, fx)
-        rec = diagnostics_record(g, traj.snapshots, fx.run.bdata, fx.run.params, wall=fx.run.wall)
+        rec = diagnostics_record(g, traj.snapshots, fx.run.wall, fx.run.params)
         return float(np.max(np.abs(rec.dissipation_residual))), []
     traj, ltraj = _run_pair(scaled, fx)
-    rec = diagnostics_record(g, traj.snapshots, fx.run.bdata, fx.run.params, wall=fx.run.wall)
+    rec = diagnostics_record(g, traj.snapshots, fx.run.wall, fx.run.params)
     res = rec.dissipation_residual
     H, theta = [], []
     for blk, lim in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
@@ -594,12 +594,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
 
 def refit_report(cfg_or_preset, sweep_path, out_path) -> dict:
-    """Rebuild report.json from an existing sweep.csv without re-running."""
+    """Rebuild report.json from an existing sweep.csv without re-running.
+
+    A config is graded as given (its strict flag included); a bare
+    preset name is graded with that preset's non-strict defaults.
+    """
     import csv as _csv
 
-    preset = cfg_or_preset if isinstance(cfg_or_preset, str) else cfg_or_preset.preset
-    if preset not in RATE_PRESETS:
-        raise ValueError(f"refit only applies to rate presets, got {preset!r}")
+    cfg = ExperimentConfig(preset=cfg_or_preset) if isinstance(cfg_or_preset, str) else cfg_or_preset
+    if cfg.preset not in RATE_PRESETS:
+        raise ValueError(f"refit only applies to rate presets, got {cfg.preset!r}")
     with open(sweep_path, newline="", encoding="utf-8") as fh:
         rows = list(_csv.DictReader(fh))
     if not rows:
@@ -608,8 +612,7 @@ def refit_report(cfg_or_preset, sweep_path, out_path) -> dict:
     for row in rows:
         entry = {k: (v if k == "config_hash" else float(v)) for k, v in row.items()}
         per_eps.append(entry)
-    shim = ExperimentConfig(preset=preset)
-    report = _fit_report(shim, per_eps)
+    report = _fit_report(cfg, per_eps)
     report["config_hash"] = rows[0]["config_hash"]
     _write_json(Path(out_path), report)
     return report

@@ -133,11 +133,6 @@ class VelocityField:
     def zero(cls, grid: ChannelGrid) -> "VelocityField":
         return cls(grid, [grid.zeros() for _ in range(grid.d)])
 
-    @property
-    def normal(self) -> np.ndarray:
-        """Wall-normal component."""
-        return self.components[-1]
-
     def copy(self) -> "VelocityField":
         return VelocityField(self.grid, [c.copy() for c in self.components])
 

@@ -92,7 +92,7 @@ def solve_limit_psi(grid: ChannelGrid, c1: np.ndarray, p: Params, phiw: np.ndarr
     a = (p.z1 * p.D1 - p.z2 * p.D2) * c1
     ones = np.ones(grid.shape)
     rhs = -(p.D1 - p.D2) * div_a_grad(grid, ones, c1) - div_a_grad(grid, a, phiw)
-    return solve_div_form(grid, a, rhs, bc=None)
+    return solve_div_form(grid, a, rhs)
 
 
 def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray,

@@ -427,7 +427,7 @@ def advance_velocity(
         return VelocityField.zero(grid)
     alpha = 1.0 / (dt * nu)
     new_comps = [
-        solve_shifted_poisson(grid, alpha, (comp / dt - a + f) / nu, bc=None)
+        solve_shifted_poisson(grid, alpha, (comp / dt - a + f) / nu)
         for comp, a, f in zip(u.components, advection, force)
     ]
     return project_div_free(grid, VelocityField(grid, new_comps))
@@ -531,7 +531,7 @@ def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, e
     equilibria are bitwise fixed points of the solve.
     """
     rhs = laplacian(grid, c) + explicit / D
-    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs, bc=None)
+    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs)
 
 
 def march(init, cfg: NpnsConfig, step, record, save_every: int, tol: float,

@@ -36,7 +36,6 @@ __all__ = [
     "norm_h1_semi",
     "norm_h2",
     "norm_linf",
-    "norms",
     "half_node_average_y",
     "div_a_grad",
     "div_a_grad_pattern",
@@ -190,32 +189,6 @@ def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
 
 def norm_linf(grid: ChannelGrid, f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
-
-
-def norms(grid: ChannelGrid, f) -> dict[str, float]:
-    """Norm bundle for a scalar array or a VelocityField.
-
-    Vector norms sum the squared component norms (max over components
-    for linf), so they agree with treating the field as one L^2 object.
-    """
-    if isinstance(f, VelocityField):
-        comps = f.components
-        sq = {"l2": 0.0, "h1_semi": 0.0, "h2": 0.0}
-        linf = 0.0
-        for c in comps:
-            n = norms(grid, c)
-            for key in sq:
-                sq[key] += n[key] ** 2
-            linf = max(linf, n["linf"])
-        out = {key: float(np.sqrt(val)) for key, val in sq.items()}
-        out["linf"] = linf
-        return out
-    return {
-        "l2": norm_l2(grid, f),
-        "h1_semi": norm_h1_semi(grid, f),
-        "h2": norm_h2(grid, f),
-        "linf": norm_linf(grid, f),
-    }
 
 
 # ---------------------------------------------------------------------------

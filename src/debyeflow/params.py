@@ -65,12 +65,6 @@ class Params:
         """Smaller of the two diffusivities; the dissipation floor."""
         return min(self.D1, self.D2)
 
-    def z(self, species: int) -> float:
-        return {1: self.z1, 2: self.z2}[species]
-
-    def D(self, species: int) -> float:
-        return {1: self.D1, 2: self.D2}[species]
-
 
 @dataclass
 class BoundaryData:
@@ -109,10 +103,3 @@ class BoundaryData:
         gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
         gamma2 = -params.z1 * gamma1 / params.z2
         return cls(gamma1=gamma1, gamma2=gamma2, w=np.atleast_2d(np.asarray(w, dtype=float)))
-
-    def gamma(self, species: int) -> np.ndarray:
-        return {1: self.gamma1, 2: self.gamma2}[species]
-
-    def charge_defect(self, params: Params) -> float:
-        """Max pointwise violation of z1*gamma1 + z2*gamma2 = 0 on the walls."""
-        return float(np.max(np.abs(params.z1 * self.gamma1 + params.z2 * self.gamma2)))

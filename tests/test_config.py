@@ -1,6 +1,7 @@
 """Config file format, presets, overrides, and the CLI front end."""
 
 import json
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -362,6 +363,30 @@ def test_cli_run_sweep_report_cycle(tmp_path, capsys):
     )
     captured = capsys.readouterr().out
     assert "pass=True" in captured
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_report_honours_strict(tmp_path, how):
+    # a monotone H2 sweep of slope 1.0, outside thm2_h2_rate's window:
+    # non-strict grading downgrades the miss to a warning, strict fails it
+    out = tmp_path / "artifacts"
+    out.mkdir()
+    rows = [f"{e},{e},abc" for e in (0.125, 0.0625, 0.03125, 0.015625)]
+    (out / "sweep.csv").write_text("\n".join(["epsilon,err_c_LinfH2,config_hash", *rows]) + "\n")
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm2_h2_rate\n[output]\nstrict = true\n")
+    strict = ("--preset", "thm2_h2_rate", "--strict") if how == "flag" else ("--config", str(config))
+
+    assert run_cli("report", *strict, "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert math.isclose(report["slope"], 1.0) and report["pass"] is False
+    assert report["warnings"] == []
+
+    assert run_cli("report", "--preset", "thm2_h2_rate", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True
+    assert report["warnings"][0]["code"] == "slope_outside_window"
+    assert "downgraded to a warning" in report["warnings"][0]["message"]
 
 
 def _abort_in_worker(cfg, eps, ltraj):

@@ -1,5 +1,7 @@
 """Core grid, operator, and elliptic-solver tests."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,7 +31,7 @@ from debyeflow.operators import (
     norm_h1_semi,
     norm_h2,
     norm_l2,
-    norms,
+    norm_linf,
     quad_weights,
 )
 
@@ -54,6 +56,11 @@ def grid2d(nx=16, ny=17):
     return ChannelGrid(d=2, nx=nx, ny=ny)
 
 
+def _walls(g, lower, upper):
+    """(2, nx) wall values, constant along each wall."""
+    return np.repeat([[lower], [upper]], g.nx, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # types
 
@@ -76,7 +83,7 @@ def test_boundary_data_electroneutral():
     g = grid2d()
     gamma1 = np.vstack([2.0 + 0.1 * np.cos(2 * np.pi * g.x), np.full(g.nx, 1.5)])
     bdata = BoundaryData.electroneutral(gamma1, w=np.zeros((2, g.nx)), params=p)
-    defect = bdata.charge_defect(p)
+    defect = float(np.max(np.abs(p.z1 * bdata.gamma1 + p.z2 * bdata.gamma2)))
     assert defect == 0.0, f"electroneutral construction should be exact, defect={defect}"
     # gamma2 = -z1 gamma1 / z2 = 2 gamma1 here
     assert np.allclose(bdata.gamma2, 2.0 * gamma1)
@@ -179,16 +186,20 @@ def test_l2_of_sine_profile():
 
 def test_norms_zero_field():
     g = grid2d()
-    n = norms(g, g.zeros())
-    assert all(v == 0.0 for v in n.values()), f"zero field must have zero norms, got {n}"
+    n = [norm(g, g.zeros()) for norm in (norm_l2, norm_h1_semi, norm_h2, norm_linf)]
+    assert n == [0.0] * 4, f"zero field must have zero norms, got {n}"
 
 
 def test_norms_velocity_field():
+    # the L^2 norm of a velocity sums its components' squared norms
     g = grid2d(8, 17)
     u = VelocityField(g, [np.full(g.shape, 3.0), np.full(g.shape, 4.0)])
-    n = norms(g, u)
-    assert np.isclose(n["l2"], 5.0, atol=1e-12)
-    assert n["linf"] == 4.0
+    assert np.isclose(_velocity_l2(g, u), 5.0, atol=1e-12)
+    assert max(norm_linf(g, c) for c in u.components) == 4.0
+
+
+def _velocity_l2(g, u):
+    return float(np.sqrt(sum(norm_l2(g, c) ** 2 for c in u.components)))
 
 
 @pytest.mark.parametrize("g", [grid1d(65), grid2d(8, 17)], ids=["d1", "d2"])
@@ -225,13 +236,13 @@ def test_triangle_inequality(seed):
 
 def test_harmonic_extension_constant():
     g = grid2d()
-    f = harmonic_extension(g, 1.0)
+    f = harmonic_extension(g, np.ones((2, g.nx)))
     assert np.allclose(f, 1.0, atol=1e-13)
 
 
 def test_harmonic_extension_linear():
     g = grid1d(33)
-    f = harmonic_extension(g, np.array([0.0, 1.0]))
+    f = harmonic_extension(g, np.array([[0.0], [1.0]]))
     assert np.allclose(f, g.yy, atol=1e-12), "x-independent data must extend linearly"
 
 
@@ -317,7 +328,7 @@ def test_shifted_poisson_matches_per_mode_oracle():
     # the stacked tridiagonal does each mode's arithmetic; d = 1 is bitwise
     for g, rtol in ((grid1d(65), 0.0), (grid2d(8, 17), 1e-14)):
         for alpha in (0.0, 1.0, 250.0):
-            for bc in (None, 0.7, (0.3, -1.2), RNG.standard_normal((2, g.nx))):
+            for bc in (None, np.full((2, g.nx), 0.7), _walls(g, 0.3, -1.2), RNG.standard_normal((2, g.nx))):
                 f = RNG.standard_normal(g.shape)
                 u = solve_shifted_poisson(g, alpha, f, bc)
                 ref = per_mode_shifted_poisson(g, alpha, f, bc)
@@ -330,10 +341,10 @@ def test_shifted_poisson_cached_factors_are_not_shared_out():
     # overwrites its solution must not change the next solve
     g = grid2d(8, 17)
     f = RNG.standard_normal(g.shape)
-    first = solve_shifted_poisson(g, 2.0, f, bc=1.0)
+    first = solve_shifted_poisson(g, 2.0, f, np.ones((2, g.nx)))
     expected = first.copy()
     first[:] = 1e300
-    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, bc=1.0), expected)
+    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, np.ones((2, g.nx))), expected)
     for a in elliptic._shifted_poisson_factors(g, 2.0):
         assert not a.flags.writeable
 
@@ -344,14 +355,14 @@ def test_shifted_poisson_d1_path_leaves_input_and_factors_alone():
     g = grid1d(33)
     f = RNG.standard_normal(g.shape)
     f_before = f.copy()
-    u = solve_shifted_poisson(g, 2.0, f, bc=(0.4, -1.1))
+    u = solve_shifted_poisson(g, 2.0, f, _walls(g, 0.4, -1.1))
     assert f.tobytes() == f_before.tobytes()
     factors = elliptic._shifted_poisson_factors(g, 2.0)
     assert not any(np.shares_memory(u, a) for a in (f, *factors))
     expected = u.copy()
     u[:] = 1e300
-    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, bc=(0.4, -1.1)), expected)
-    for fill, bc in ((-0.0, -0.0), (0.0, -0.0), (-0.0, None)):
+    assert np.array_equal(solve_shifted_poisson(g, 2.0, f, _walls(g, 0.4, -1.1)), expected)
+    for fill, bc in ((-0.0, _walls(g, -0.0, -0.0)), (0.0, _walls(g, -0.0, -0.0)), (-0.0, None)):
         f = np.full(g.shape, fill)
         ref = per_mode_shifted_poisson(g, 2.0, f, bc)
         assert solve_shifted_poisson(g, 2.0, f, bc).tobytes() == ref.tobytes(), (fill, bc)
@@ -361,6 +372,18 @@ def test_shifted_poisson_rejects_negative_shift():
     g = grid1d(17)
     with pytest.raises(ValueError):
         solve_shifted_poisson(g, -1.0, g.zeros())
+
+
+@pytest.mark.parametrize("bc", [1.0, (0.0, 1.0)], ids=["scalar", "pair"])
+def test_wall_values_must_be_two_traces(bc):
+    # wall data reaches a solve only as (2, nx) traces; a scalar or a
+    # (lower, upper) pair is refused, naming the shape it had
+    g = grid2d(8, 17)
+    shape = str(np.shape(bc))
+    with pytest.raises(ValueError, match=r"\(2, nx\).*" + re.escape(shape)):
+        harmonic_extension(g, bc)
+    with pytest.raises(ValueError, match=r"\(2, nx\).*" + re.escape(shape)):
+        solve_shifted_poisson(g, 1.0, g.zeros(), bc)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +402,11 @@ def test_div_form_discrete_residual():
     for g in (grid1d(41), grid2d(8, 17)):
         a = 1.5 + 0.5 * np.sin(np.pi * g.yy) + (0.2 * np.cos(2 * np.pi * g.xx) if g.d == 2 else 0.0)
         rhs = np.cos(np.pi * g.yy) * (1.0 + (0.3 * np.sin(2 * np.pi * g.xx) if g.d == 2 else 0.0))
-        u = solve_div_form(g, a, rhs, bc=np.array([0.5, -0.25]))
+        u = solve_div_form(g, a, rhs)
         res = div_a_grad(g, a, u) - rhs
         err = np.max(np.abs(res[:, 1:-1]))
         assert err <= 1e-10, f"d={g.d}: interior residual {err:.2e} exceeds direct-solve budget"
-        assert np.allclose(u[:, 0], 0.5) and np.allclose(u[:, -1], -0.25)
+        assert not np.any(u[:, 0]) and not np.any(u[:, -1])
 
 
 def test_div_form_mms_quadratic():
@@ -413,10 +436,8 @@ def test_div_form_matches_dense_solve():
     rng = np.random.default_rng(12)
     a = 1.0 + rng.random(g.shape)
     rhs = rng.standard_normal(g.shape)
-    bc0 = rng.standard_normal(g.nx)
-    bc1 = rng.standard_normal(g.nx)
-    u = solve_div_form(g, a, rhs, bc=np.stack([bc0, bc1]))
-    ref = dense_div_form(g, a, rhs, bc0, bc1)
+    u = solve_div_form(g, a, rhs)
+    ref = dense_div_form(g, a, rhs, np.zeros(g.nx), np.zeros(g.nx))
     err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
     assert err <= 1e-12, f"sparse div-form solve differs from the dense one by {err:.2e}"
 
@@ -430,12 +451,11 @@ def test_div_form_band_solve_matches_dense(nx, ny, contrast):
     rng = np.random.default_rng(nx)
     a = contrast ** rng.random(g.shape)
     rhs = rng.standard_normal(g.shape)
-    bc = rng.standard_normal((2, nx))
-    u = solve_div_form(g, a, rhs, bc=bc)
-    ref = dense_div_form(g, a, rhs, bc[0], bc[1])
+    u = solve_div_form(g, a, rhs)
+    ref = dense_div_form(g, a, rhs, np.zeros(nx), np.zeros(nx))
     err = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
     assert err <= 1e-13, f"nx={nx}, contrast {contrast:g}: band solve differs from the dense one by {err:.2e}"
-    assert np.array_equal(u[:, 0], bc[0]) and np.array_equal(u[:, -1], bc[1])
+    assert not np.any(u[:, 0]) and not np.any(u[:, -1])
 
 
 def test_div_form_rejects_degenerate_coeff():
@@ -466,8 +486,8 @@ def test_projection_divergence_and_energy():
     # the discrete constraint lives on interior nodes; walls are pinned
     err = np.max(np.abs(div[:, 1:-1]))
     assert err <= 1e-10, f"projected divergence {err:.2e}"
-    e_in = norms(g, u)["l2"]
-    e_out = norms(g, pu)["l2"]
+    e_in = _velocity_l2(g, u)
+    e_out = _velocity_l2(g, pu)
     assert e_out <= e_in + 1e-12, f"projection must not increase energy: {e_out} > {e_in}"
 
 

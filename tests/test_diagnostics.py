@@ -44,6 +44,13 @@ def setup_1d(ny=65, eps=0.1, gamma=(2.0, 2.0), w=(0.0, 0.0), z1=1.0, z2=-1.0, D1
     return p, g, bdata
 
 
+def identity_residual(g, snapshots, bdata, p):
+    """The energy residual of a trajectory, its energies taken one snapshot at a time."""
+    wall = wall_fields(g, bdata)
+    energies = [free_energy(g, s, wall, p) for s in snapshots]
+    return dissipation_identity_residual(g, snapshots, wall, p, energies)
+
+
 # ---------------------------------------------------------------------------
 # entropy density
 
@@ -100,7 +107,7 @@ def test_free_energy_equilibrium_zero():
     p, g, bdata = setup_1d()
     s = State(t=0.0, c1=np.full(g.shape, 2.0), c2=np.full(g.shape, 2.0),
               u=VelocityField.zero(g), psi=g.zeros())
-    assert free_energy(g, s, bdata, p) == 0.0
+    assert free_energy(g, s, wall_fields(g, bdata), p) == 0.0
 
 
 def test_free_energy_field_term_only():
@@ -109,7 +116,7 @@ def test_free_energy_field_term_only():
     s = State(t=0.0, c1=np.full(g.shape, 2.0), c2=np.full(g.shape, 2.0),
               u=VelocityField.zero(g), psi=psi)
     expected = 0.5 * p.eps ** 2 * norm_l2(g, ddy(g, psi)) ** 2
-    val = free_energy(g, s, bdata, p)
+    val = free_energy(g, s, wall_fields(g, bdata), p)
     assert np.isclose(val, expected, rtol=1e-12), f"E={val} vs field term {expected}"
 
 
@@ -128,7 +135,7 @@ def test_free_energy_against_quadrature_oracle():
         return ent + field
 
     ref, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-    val = free_energy(g, s, bdata, p)
+    val = free_energy(g, s, wall_fields(g, bdata), p)
     rel = abs(val - ref) / abs(ref)
     assert rel <= 1e-6, f"free energy vs quadrature oracle: relative error {rel:.2e}"
 
@@ -138,7 +145,7 @@ def test_free_energy_rejects_nonpositive_c():
     s = State(t=0.0, c1=-np.ones(g.shape), c2=np.ones(g.shape),
               u=VelocityField.zero(g), psi=g.zeros())
     with pytest.raises(ValueError):
-        free_energy(g, s, bdata, p)
+        free_energy(g, s, wall_fields(g, bdata), p)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,7 @@ def test_potentials_reduce_to_wall_values():
     p, g, bdata = setup_1d(gamma=(2.0, 3.0), w=(0.0, 0.5))
     gam1 = harmonic_extension(g, bdata.gamma1)
     s = State(t=0.0, c1=gam1, c2=gam1.copy(), u=VelocityField.zero(g), psi=g.zeros())
-    mus = electrochemical_potentials(g, s, bdata, p)
+    mus = electrochemical_potentials(g, s, wall_fields(g, bdata), p)
     assert np.allclose(mus["mu1"], mus["mu1_star"], atol=1e-14)
     assert np.allclose(mus["mu2"], mus["mu2_star"], atol=1e-14)
 
@@ -160,7 +167,7 @@ def test_potentials_boltzmann_state_has_flat_mu():
     c1 = 2.0 * np.exp(-p.z1 * psi)
     c2 = 2.0 * np.exp(-p.z2 * psi)
     s = State(t=0.0, c1=c1, c2=c2, u=VelocityField.zero(g), psi=psi)
-    mus = electrochemical_potentials(g, s, bdata, p)
+    mus = electrochemical_potentials(g, s, wall_fields(g, bdata), p)
     for key in ("mu1", "mu2"):
         gmu = ddy(g, mus[key])
         assert np.max(np.abs(gmu)) <= 1e-11, f"{key} not flat for Boltzmann data"
@@ -221,7 +228,7 @@ def test_identity_residual_needs_three_snapshots():
     s = State(t=0.0, c1=np.full(g.shape, 2.0), c2=np.full(g.shape, 2.0),
               u=VelocityField.zero(g), psi=g.zeros())
     with pytest.raises(ValueError):
-        dissipation_identity_residual(g, [s, s], bdata, p)
+        dissipation_identity_residual(g, [s, s], wall_fields(g, bdata), p, [0.0, 0.0])
 
 
 def test_identity_residual_zero_at_equilibrium():
@@ -229,7 +236,7 @@ def test_identity_residual_zero_at_equilibrium():
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=4e-3)
     s0 = well_prepared_init(g, np.full(g.shape, 2.0), VelocityField.zero(g), cfg)
     traj = run_npns(s0, cfg)
-    res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
+    res = identity_residual(g, traj.snapshots, bdata, p)
     assert np.all(res == 0.0), f"equilibrium residual must be exactly zero, got {res}"
 
 
@@ -237,7 +244,7 @@ def test_identity_residual_first_order_in_dt():
     res_levels = []
     for dt in (2e-3, 1e-3):
         g, bdata, p, traj = make_traj(ny=257, dt=dt, t_end=4e-2)
-        res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
+        res = identity_residual(g, traj.snapshots, bdata, p)
         res_levels.append(np.max(np.abs(res[2:-2])))
     ratio = res_levels[0] / res_levels[1]
     assert ratio >= 1.5, f"identity residual should shrink roughly linearly in dt, ratio={ratio:.2f}"
@@ -245,8 +252,9 @@ def test_identity_residual_first_order_in_dt():
 
 def test_dissipation_lower_bound_along_run():
     g, bdata, p, traj = make_traj(ny=257, dt=1e-3, t_end=1e-2, eps=0.1)
+    wall = wall_fields(g, bdata)
     for s in traj.snapshots:
-        out = dissipation_lower_bound(g, s, bdata, p)
+        out = dissipation_lower_bound(g, s, wall, p)
         # discrete integration by parts costs O(h^2); 5% slack plus floor
         assert out["lhs"] <= 1.05 * out["rhs"] + 1e-12, (
             f"t={s.t}: lower bound violated, lhs={out['lhs']:.6g} rhs={out['rhs']:.6g}"
@@ -273,38 +281,26 @@ def wall_driven_run(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_recorded_diagnostics_match_fresh_computation(d):
-    # diagnostics_record evaluates E with the run's wall fields and hands those
-    # energies to the residual; both must equal a from-scratch evaluation
+    # diagnostics_record evaluates E block by block with the run's wall fields
+    # and hands those energies to the residual; both must equal a snapshot-by-
+    # snapshot evaluation with wall fields built afresh
     g, bdata, p, traj = wall_driven_run(d)
+    wall = wall_fields(g, bdata)
+    # one bundle serves every snapshot of a run, so no caller may write to it
+    for a in (wall.phiw, wall.gamma1, wall.gamma2, *wall.grad_phiw,
+              *wall.grad_log_gamma1, *wall.grad_log_gamma2):
+        assert not a.flags.writeable
     if d == 2:
-        wall = wall_fields(g, bdata)
         for grads in (wall.grad_phiw, wall.grad_log_gamma1, wall.grad_log_gamma2):
             assert np.any(grads[0] != 0.0), "x-part of a wall gradient vanishes"
         assert np.any(traj.snapshots[-1].u.components[0] != 0.0), "the run must move the fluid"
-    fresh_E = np.array([free_energy(g, s, bdata, p) for s in traj.snapshots])
-    fresh_res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
-    rec = diagnostics_record(g, traj.snapshots, bdata, p, wall=wall_fields(g, bdata))
+    fresh_E = np.array([free_energy(g, s, wall_fields(g, bdata), p) for s in traj.snapshots])
+    fresh_res = identity_residual(g, traj.snapshots, bdata, p)
+    rec = diagnostics_record(g, traj.snapshots, wall, p)
     assert np.array(rec.E).tobytes() == fresh_E.tobytes()
     assert np.array(rec.dissipation_residual).tobytes() == fresh_res.tobytes()
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_wall_keyword_matches_per_call_build(d):
-    g, bdata, p, traj = wall_driven_run(d)
-    wall = wall_fields(g, bdata)
-    for a in (wall.phiw, wall.gamma1, *wall.grad_log_gamma2):
-        assert not a.flags.writeable
-    s = traj.snapshots[-1]
-    assert free_energy(g, s, bdata, p, wall=wall) == free_energy(g, s, bdata, p)
-    assert dissipation_lower_bound(g, s, bdata, p, wall=wall) == dissipation_lower_bound(g, s, bdata, p)
-    cached = electrochemical_potentials(g, s, bdata, p, wall=wall)
-    for key, value in electrochemical_potentials(g, s, bdata, p).items():
-        assert np.array_equal(cached[key], value), key
-    res = dissipation_identity_residual(g, traj.snapshots, bdata, p)
-    assert np.array_equal(dissipation_identity_residual(g, traj.snapshots, bdata, p, wall=wall), res)
-    with pytest.raises(ValueError):
-        dissipation_identity_residual(g, traj.snapshots, bdata, p,
-                                      energies=diagnostics_record(g, traj.snapshots, bdata, p).E[1:])
+    with pytest.raises(ValueError, match="energies"):
+        dissipation_identity_residual(g, traj.snapshots, wall, p, rec.E[1:])
 
 
 def oracle_fixture(d):
@@ -346,12 +342,12 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     sizes = [len(blk.t) for blk in snapshot_blocks(g, snaps)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
 
-    rec = diagnostics_record(g, snaps, bdata, p, wall=cfg.wall)
+    rec = diagnostics_record(g, snaps, cfg.wall, p)
     E = np.array([per_snapshot_free_energy(g, s, bdata, p) for s in snaps])
     assert np.array(rec.E).tobytes() == E.tobytes()
     res = per_snapshot_identity_residual(g, snaps, bdata, p)
     assert np.array(rec.dissipation_residual).tobytes() == res.tobytes()
-    assert dissipation_identity_residual(g, snaps, bdata, p).tobytes() == res.tobytes()
+    assert dissipation_identity_residual(g, snaps, cfg.wall, p, E).tobytes() == res.tobytes()
     for name in ("c1", "c2"):
         fields = [getattr(s, name) for s in snaps]
         assert getattr(rec, f"min_{name}") == [float(np.min(f)) for f in fields]
@@ -366,23 +362,23 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
         ref = per_snapshot_modulated_energy(g, s, p, sl.c1, sl.u, sl.psi)
         assert (H[k], theta[k]) == (ref["H"], ref["Theta"]), f"snapshot {k}"
         assert modulated_energy(g, s, p, sl.c1, sl.u, sl.psi) == ref
-        assert free_energy(g, s, bdata, p) == E[k]
+        assert free_energy(g, s, cfg.wall, p) == E[k]
     assert H[-1] > 0.0 and theta[-1] > 0.0
 
 
 def test_blocks_reject_a_nonpositive_concentration_inside():
     cfg, s0, l0 = oracle_fixture(1)
-    g, p, bdata = cfg.grid, cfg.params, cfg.bdata
+    g, p = cfg.grid, cfg.params
     snaps = [s.copy() for s in run_npns(s0, cfg).snapshots]
     snaps[5].c2[0, 100] = 0.0
     (blk,) = snapshot_blocks(g, snaps)
     lim = next(snapshot_blocks(g, run_limit(l0, cfg).snapshots))
     with pytest.raises(ValueError):
-        free_energy(g, blk, bdata, p)
+        free_energy(g, blk, cfg.wall, p)
     with pytest.raises(ValueError):
         modulated_energy(g, blk, p, lim.c1, lim.u, lim.psi)
     with pytest.raises(ValueError):
-        dissipation_identity_residual(g, snaps, bdata, p)
+        diagnostics_record(g, snaps, cfg.wall, p)
 
 
 # ---------------------------------------------------------------------------
