@@ -31,8 +31,10 @@ def main(argv=None):
     except ExperimentError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-    print(f"{args.preset}: slope={report['slope']:.4f} r2={report['r2']:.6f} "
-          f"window={report['window']} pass={report['pass']}")
+    slope, r2 = report["slope"], report["r2"]
+    slope_txt = "n/a" if slope is None else f"{slope:.4f}"
+    r2_txt = "n/a" if r2 is None else f"{r2:.6f}"
+    print(f"{args.preset}: slope={slope_txt} r2={r2_txt} window={report['window']} pass={report['pass']}")
     for entry in report["per_epsilon"]:
         print(f"  eps={entry['epsilon']:.6f}: ny={entry['ny']:.0f} dt={entry['dt']:.3e}")
     return 0

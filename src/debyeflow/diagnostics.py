@@ -10,10 +10,11 @@ gradients are built once per run (wall_fields) and every functional
 that reads the wall data takes that WallFields bundle; diagnostics_record
 hands the energy residual the free energies it computed.  The solvers
 compute none of this while they march: a caller that reads the energy
-balance of a run builds its DiagnosticsRecord from the saved snapshots.
+balance of a run builds its rows (diagnostics_record) from the saved
+States.
 
 free_energy and modulated_energy take one snapshot, a State whose
-fields are (nx, ny), or a block of snapshots, a state whose fields
+fields are (nx, ny), or a block of snapshots, a State whose fields
 stack them along a leading time axis; they return a float for a
 snapshot and one value per snapshot for a block, through the same
 code.  A trajectory is evaluated block by block (snapshot_blocks), so
@@ -27,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +50,6 @@ __all__ = [
     "max_principle_check",
     "MaxPrincipleReport",
     "rate_fit",
-    "DiagnosticsRecord",
     "diagnostics_record",
 ]
 
@@ -63,12 +63,11 @@ __all__ = [
 BLOCK_ELEMENTS = 2 ** 13
 
 
-def snapshot_blocks(grid: ChannelGrid, states: Sequence) -> Iterator:
-    """The states in order, in blocks of consecutive snapshots.
+def snapshot_blocks(grid: ChannelGrid, states: Sequence[State]) -> Iterator[State]:
+    """The States in order, in blocks of consecutive snapshots.
 
-    Each block is one state of the same type (State or LimitState)
-    whose arrays stack the snapshots' along a leading time axis and
-    whose t holds their times.
+    Each block is one State whose arrays stack the snapshots' along a
+    leading time axis and whose t holds their times.
     """
     size = max(1, BLOCK_ELEMENTS // (grid.nx * grid.ny))
     for k in range(0, len(states), size):
@@ -81,7 +80,7 @@ def snapshot_blocks(grid: ChannelGrid, states: Sequence) -> Iterator:
                 fields[f.name] = VelocityField(grid, comps)
             else:
                 fields[f.name] = np.stack(values)
-        yield type(chunk[0])(**fields)
+        yield State(**fields)
 
 
 def phi_entropy(s):
@@ -267,26 +266,17 @@ def dissipation_lower_bound(grid: ChannelGrid, s: State, wall: WallFields, p: Pa
     }
 
 
-def modulated_energy(
-    grid: ChannelGrid,
-    s: State,
-    p: Params,
-    c1_lim: np.ndarray,
-    u_lim: VelocityField,
-    psi_lim: np.ndarray,
-) -> dict[str, float | np.ndarray]:
-    """Relative energy H and dissipation distance Theta against a limit state.
+def modulated_energy(grid: ChannelGrid, s: State, lim: State, p: Params) -> dict[str, float | np.ndarray]:
+    """Relative energy H and dissipation distance Theta of s against the limit state lim.
 
-    The limit concentrations enter through c1 alone; c2 is reconstructed
-    from the zero-charge constraint so the pair is always admissible.
-    For a block of snapshots the limit fields are stacked the same way,
-    and H and Theta hold one value per snapshot.
+    For a block of snapshots lim is a block of the same length, and H
+    and Theta hold one value per snapshot.
     """
-    c2_lim = -p.z1 * c1_lim / p.z2
+    c1_lim, c2_lim, u_lim = lim.c1, lim.c2, lim.u
     for c in (s.c1, s.c2):
         if np.any(c <= 0.0):
             raise ValueError("modulated energy undefined for non-positive concentrations")
-    if np.any(c1_lim <= 0.0):
+    if np.any(c1_lim <= 0.0) or np.any(c2_lim <= 0.0):
         raise ValueError("limit concentration must be positive")
 
     H = integrate(grid, c1_lim * phi_entropy(s.c1 / c1_lim) + c2_lim * phi_entropy(s.c2 / c2_lim))
@@ -296,7 +286,7 @@ def modulated_energy(
 
     theta = 0.0
     dpsi = grad(grid, s.psi)
-    dpsil = grad(grid, psi_lim)
+    dpsil = grad(grid, lim.psi)
     for c, c_lim, D, z in ((s.c1, c1_lim, p.D1, p.z1), (s.c2, c2_lim, p.D2, p.z2)):
         dc = grad(grid, c)
         dcl = grad(grid, c_lim)
@@ -356,16 +346,7 @@ def max_principle_check(
             worst = v
             species = i
             index = tuple(int(j) for j in np.unravel_index(np.argmax(viol), c.shape))
-    return MaxPrincipleReport(
-        ok=worst <= 0.0,
-        min_c1=mn1,
-        max_c1=mx1,
-        min_c2=mn2,
-        max_c2=mx2,
-        worst_violation=worst,
-        worst_species=species,
-        worst_index=index,
-    )
+    return MaxPrincipleReport(worst <= 0.0, mn1, mx1, mn2, mx2, worst, species, index)
 
 
 def rate_fit(pairs) -> dict[str, float]:
@@ -392,52 +373,27 @@ def rate_fit(pairs) -> dict[str, float]:
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-@dataclass
-class DiagnosticsRecord:
-    """Parallel time series of a run's saved snapshots (diagnostics_record).
-
-    The residual column is NaN when the run saved fewer than three
-    snapshots (the centered residual needs three).
-    """
-
-    t: list[float] = field(default_factory=list)
-    E: list[float] = field(default_factory=list)
-    min_c1: list[float] = field(default_factory=list)
-    max_c1: list[float] = field(default_factory=list)
-    min_c2: list[float] = field(default_factory=list)
-    max_c2: list[float] = field(default_factory=list)
-    dissipation_residual: list[float] = field(default_factory=list)
-
-    def append(self, t, E, extrema):
-        self.t.append(float(t))
-        self.E.append(float(E))
-        mn1, mx1, mn2, mx2 = extrema
-        self.min_c1.append(float(mn1))
-        self.max_c1.append(float(mx1))
-        self.min_c2.append(float(mn2))
-        self.max_c2.append(float(mx2))
-        self.dissipation_residual.append(math.nan)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
 def diagnostics_record(
     grid: ChannelGrid, snapshots: Sequence[State], wall: WallFields, p: Params
-) -> DiagnosticsRecord:
-    """Free energy, species extrema and energy residual of saved snapshots.
+) -> list[dict[str, float]]:
+    """One diag.csv row per saved snapshot: t, E, the species extrema and
+    the energy residual.
 
     The energies and extrema are taken block by block (snapshot_blocks),
     and the energies are handed to dissipation_identity_residual, which
-    needs at least three snapshots; with fewer the residual stays NaN.
+    needs at least three snapshots; with fewer the residual is NaN.
     """
-    rec = DiagnosticsRecord()
+    rows = []
     for blk in snapshot_blocks(grid, snapshots):
-        E = free_energy(grid, blk, wall, p)
-        extrema = [f(c, axis=(-2, -1)) for c in (blk.c1, blk.c2) for f in (np.min, np.max)]
-        for k, t in enumerate(blk.t):
-            rec.append(t, E[k], [e[k] for e in extrema])
-    if len(snapshots) >= 3:
-        res = dissipation_identity_residual(grid, snapshots, wall, p, rec.E)
-        rec.dissipation_residual = [float(r) for r in res]
-    return rec
+        E = free_energy(grid, blk, wall, p).tolist()
+        mn1, mx1, mn2, mx2 = (f(c, axis=(-2, -1)).tolist()
+                              for c in (blk.c1, blk.c2) for f in (np.min, np.max))
+        for k, t in enumerate(blk.t.tolist()):
+            rows.append({"t": t, "E": E[k], "min_c1": mn1[k], "max_c1": mx1[k],
+                         "min_c2": mn2[k], "max_c2": mx2[k]})
+    residual = [math.nan] * len(rows)
+    if len(rows) >= 3:
+        residual = dissipation_identity_residual(grid, snapshots, wall, p, [r["E"] for r in rows]).tolist()
+    for row, r in zip(rows, residual):
+        row["dissipation_residual"] = r
+    return rows

@@ -15,8 +15,8 @@ The rate sweeps, layer_profile and energy_identity split their work into
 independent runs (one per eps, or per dt level plus the equilibrium run)
 and map them over one process pool, _pool_map.  Results come back in
 submission order, and workers return only floats, row dicts and, in a
-rate sweep, limit trajectories, so serial and pooled artifacts are
-byte-identical.
+rate sweep, the saved States of limit runs, so serial and pooled
+artifacts are byte-identical.
 
 The limit system has no eps in it, so a rate sweep (_rate_sweep) marches
 one limit run per distinct (ny, dt) of its members and hands it to every
@@ -41,12 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config_io import ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
+from .config_io import ConfigError, ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
 from .diagnostics import diagnostics_record, modulated_energy, rate_fit, snapshot_blocks
-from .grid import ChannelGrid, VelocityField
+from .grid import ChannelGrid, State, VelocityField
 from .layers import composite, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
-from .npns import MaxPrincipleViolation, NpnsConfig, StepError, Trajectory, run_npns, well_prepared_init
+from .npns import MaxPrincipleViolation, NpnsConfig, StepError, run_npns, well_prepared_init
 from .operators import laplacian, norm_h1_semi, norm_h2, norm_l2
 from .params import BoundaryData, Params
 
@@ -163,27 +163,27 @@ def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
     return Fixture(run=run, c1_lim0=c1_lim0, c1_eps0=c1_eps0)
 
 
-def _run_eps(cfg: ExperimentConfig, fx: Fixture) -> Trajectory:
+def _run_eps(cfg: ExperimentConfig, fx: Fixture) -> list[State]:
     """The finite-eps run of one fixture."""
     g = fx.run.grid
     init = well_prepared_init(g, fx.c1_eps0, VelocityField.zero(g), fx.run)
     return run_npns(init, fx.run, save_every=cfg.save_every)
 
 
-def _run_limit(cfg: ExperimentConfig, fx: Fixture) -> Trajectory:
+def _run_limit(cfg: ExperimentConfig, fx: Fixture) -> list[State]:
     """The limit run of one fixture."""
     g = fx.run.grid
     linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), fx.run)
     return run_limit(linit, fx.run, save_every=cfg.save_every)
 
 
-def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Trajectory, Trajectory]:
+def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[list[State], list[State]]:
     """Both runs of one fixture; one driver gives them the same snapshot times."""
     return _run_eps(cfg, fx), _run_limit(cfg, fx)
 
 
-def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[str, float]:
-    """All sweep columns for one eps against its limit run ltraj.
+def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[str, float]:
+    """All sweep columns for one eps against the saved States lrun of its limit run.
 
     The norms are taken over blocks of snapshots (snapshot_blocks) and
     then folded one snapshot at a time, as Python floats, into the time
@@ -196,17 +196,16 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[
     t0 = time.perf_counter()
     fx = build_fixture(cfg, eps)
     g, p = fx.run.grid, fx.run.params
-    traj = _run_eps(cfg, fx)
-    times = traj.times
-    ratio = -p.z1 / p.z2
+    run = _run_eps(cfg, fx)
+    times = [s.t for s in run]
     models = composite(fx.run)
 
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
     gpsi_sq, rho_sq, gc_sq = [], [], []
-    for s, sl in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
+    for s, sl in zip(snapshot_blocks(g, run), snapshot_blocks(g, lrun)):
         d1 = s.c1 - sl.c1
-        d2 = s.c2 - ratio * sl.c1
-        model1, model2 = models(sl.psi, sl.c1)
+        d2 = s.c2 - sl.c2
+        model1, model2 = models(sl)
         norms = [
             norm_l2(g, d1), norm_l2(g, d2), norm_h2(g, d1), norm_h2(g, d2),
             norm_h1_semi(g, d1), norm_h1_semi(g, d2), norm_h1_semi(g, s.psi - sl.psi),
@@ -241,12 +240,12 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, ltraj: Trajectory) -> dict[
     }
 
 
-def _limit_worker(item: tuple[ExperimentConfig, float]) -> Trajectory:
+def _limit_worker(item: tuple[ExperimentConfig, float]) -> list[State]:
     cfg, eps = item
     return _run_limit(cfg, build_fixture(cfg, eps))
 
 
-def _sweep_worker(item: tuple[ExperimentConfig, float, Trajectory]) -> dict[str, float]:
+def _sweep_worker(item: tuple[ExperimentConfig, float, list[State]]) -> dict[str, float]:
     return _rate_metrics(*item)
 
 
@@ -296,25 +295,20 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict
     scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
     fx = build_fixture(scaled, cfg.eps)
     g = fx.run.grid
-    if divisor != ENERGY_DT_DIVISORS[-1]:
-        traj = _run_eps(scaled, fx)
-        rec = diagnostics_record(g, traj.snapshots, fx.run.wall, fx.run.params)
-        return float(np.max(np.abs(rec.dissipation_residual))), []
-    traj, ltraj = _run_pair(scaled, fx)
-    rec = diagnostics_record(g, traj.snapshots, fx.run.wall, fx.run.params)
-    res = rec.dissipation_residual
+    fine = divisor == ENERGY_DT_DIVISORS[-1]
+    run, lrun = _run_pair(scaled, fx) if fine else (_run_eps(scaled, fx), [])
+    rows = diagnostics_record(g, run, fx.run.wall, fx.run.params)
+    max_residual = float(np.max(np.abs([row["dissipation_residual"] for row in rows])))
+    if not fine:
+        return max_residual, []
     H, theta = [], []
-    for blk, lim in zip(snapshot_blocks(g, traj.snapshots), snapshot_blocks(g, ltraj.snapshots)):
-        me = modulated_energy(g, blk, fx.run.params, lim.c1, lim.u, lim.psi)
+    for blk, lim in zip(snapshot_blocks(g, run), snapshot_blocks(g, lrun)):
+        me = modulated_energy(g, blk, lim, fx.run.params)
         H += me["H"].tolist()
         theta += me["Theta"].tolist()
-    rows = [{
-        "t": rec.t[k], "E": rec.E[k], "H": H[k], "Theta": theta[k],
-        "min_c1": rec.min_c1[k], "max_c1": rec.max_c1[k],
-        "min_c2": rec.min_c2[k], "max_c2": rec.max_c2[k],
-        "dissipation_residual": res[k],
-    } for k in range(len(rec))]
-    return float(np.max(np.abs(res))), rows
+    for row, h, th in zip(rows, H, theta):
+        row.update(H=h, Theta=th)
+    return max_residual, rows
 
 
 def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[dict], dict]:
@@ -361,8 +355,8 @@ def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], d
     cfg, eps = item
     fx = build_fixture(cfg, eps)
     g, p = fx.run.grid, fx.run.params
-    traj, ltraj = _run_pair(cfg, fx)
-    s, sl = traj.snapshots[-1], ltraj.snapshots[-1]
+    run, lrun = _run_pair(cfg, fx)
+    s, sl = run[-1], lrun[-1]
 
     phi0 = sl.psi + fx.run.wall.phiw
     bl_l, bl_r = wall_layers(fx.run, phi0)
@@ -597,20 +591,31 @@ def refit_report(cfg_or_preset, sweep_path, out_path) -> dict:
     """Rebuild report.json from an existing sweep.csv without re-running.
 
     A config is graded as given (its strict flag included); a bare
-    preset name is graded with that preset's non-strict defaults.
+    preset name is graded with that preset's non-strict defaults.  A
+    non-rate preset, an empty file, a missing column the grading reads
+    or a cell that is not a number raises ConfigError, which names the
+    file and, for a cell, its data row and column.
     """
     import csv as _csv
 
     cfg = ExperimentConfig(preset=cfg_or_preset) if isinstance(cfg_or_preset, str) else cfg_or_preset
     if cfg.preset not in RATE_PRESETS:
-        raise ValueError(f"refit only applies to rate presets, got {cfg.preset!r}")
+        raise ConfigError(f"refit only applies to rate presets, got {cfg.preset!r}")
     with open(sweep_path, newline="", encoding="utf-8") as fh:
         rows = list(_csv.DictReader(fh))
     if not rows:
-        raise ValueError(f"{sweep_path}: no sweep rows to refit")
+        raise ConfigError(f"{sweep_path}: no sweep rows to refit")
+    for col in ("epsilon", HEADLINE_METRIC[cfg.preset], "config_hash"):
+        if col not in rows[0]:
+            raise ConfigError(f"{sweep_path}: no {col!r} column")
     per_eps = []
-    for row in rows:
-        entry = {k: (v if k == "config_hash" else float(v)) for k, v in row.items()}
+    for n, row in enumerate(rows, start=1):
+        entry = {}
+        for k, v in row.items():
+            try:
+                entry[k] = v if k == "config_hash" else float(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{sweep_path}: row {n}, column {k!r}: {v!r} is not a number") from None
         per_eps.append(entry)
     report = _fit_report(cfg, per_eps)
     report["config_hash"] = rows[0]["config_hash"]

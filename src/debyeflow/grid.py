@@ -133,9 +133,6 @@ class VelocityField:
     def zero(cls, grid: ChannelGrid) -> "VelocityField":
         return cls(grid, [grid.zeros() for _ in range(grid.d)])
 
-    def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, [c.copy() for c in self.components])
-
 
 @dataclass
 class State:
@@ -150,15 +147,6 @@ class State:
     c2: np.ndarray
     u: VelocityField
     psi: np.ndarray
-
-    def copy(self) -> "State":
-        return State(
-            t=self.t,
-            c1=self.c1.copy(),
-            c2=self.c2.copy(),
-            u=self.u.copy(),
-            psi=self.psi.copy(),
-        )
 
     def rho(self, params) -> np.ndarray:
         """Charge density z1*c1 + z2*c2."""

@@ -27,7 +27,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .elliptic import solve_div_form, solve_poisson
-from .grid import ChannelGrid
+from .grid import ChannelGrid, State
 from .npns import NpnsConfig
 from .operators import div_a_grad, laplacian
 from .params import Params
@@ -185,26 +185,25 @@ def wall_layers(cfg: NpnsConfig, phi0: np.ndarray) -> tuple[BoundaryLayerProfile
 def composite(cfg: NpnsConfig):
     """Leading-order limit solution plus the closed-form wall layers, at cfg's eps.
 
-    Returns models(psi_lim, c1_lim) -> (c1, c2) for one limit snapshot's
-    fields or a block's.  The layer amplitudes are slaved to the wall
-    Laplacian of the limit potential at the same instant, so this needs
-    no extra marching; the wall distances and cutoffs depend on the grid
-    alone and are computed here, once.
+    Returns models(lim) -> (c1, c2) for one limit State or a block of
+    them.  The layer amplitudes are slaved to the wall Laplacian of the
+    limit potential at the same instant, so this needs no extra
+    marching; the wall distances and cutoffs depend on the grid alone
+    and are computed here, once.
     """
-    g, p = cfg.grid, cfg.params
-    eps = p.eps
+    g = cfg.grid
+    eps = cfg.params.eps
     y = g.y
     xi = y / eps
     eta = (1.0 - y) / eps
     f = cutoff_left(y)[None, :]
     gc = cutoff_right(y)[None, :]
     e2 = eps * eps
-    ratio = -p.z1 / p.z2
 
-    def models(psi_lim: np.ndarray, c1_lim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bl_left, bl_right = wall_layers(cfg, psi_lim + cfg.wall.phiw)
-        c1 = c1_lim + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
-        c2 = ratio * c1_lim + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
+    def models(lim: State) -> tuple[np.ndarray, np.ndarray]:
+        bl_left, bl_right = wall_layers(cfg, lim.psi + cfg.wall.phiw)
+        c1 = lim.c1 + e2 * (f * bl_left.c1(xi) + gc * bl_right.c1(eta))
+        c2 = lim.c2 + e2 * (f * bl_left.c2(xi) + gc * bl_right.c2(eta))
         return c1, c2
 
     return models

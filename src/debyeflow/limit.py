@@ -3,28 +3,28 @@
 The neutral concentration is marched with the ambipolar diffusivity,
 the potential is recovered from its variable-coefficient elliptic
 problem each step, and the velocity sees no electric force.  The
-second species is represented through the charge constraint instead of
-being marched, so the constraint cannot drift.  This limit run is the
-order-zero inner term of the composite approximation
-(layers.composite); no higher inner order is computed.
+second species is not marched: every state sets c2 = -(z1/z2) c1 from
+the charge constraint, so its charge is zero bitwise and the constraint
+cannot drift.  This limit run is the order-zero inner term of the
+composite approximation (layers.composite); no higher inner order is
+computed.
 
-A limit run reads the finite-eps run config npns.NpnsConfig and is
-marched by npns.march, with the same diffusion and velocity steps.
+A limit run reads the finite-eps run config npns.NpnsConfig, is
+marched by npns.march with the same diffusion and velocity steps, and
+returns the saved grid.States, as run_npns does.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import solve_div_form
-from .grid import ChannelGrid, VelocityField
+from .grid import ChannelGrid, State, VelocityField
 from .npns import (
     NpnsConfig,
     StepError,
-    Trajectory,
     _advect_vector,
     _extrema,
     _implicit_diffusion,
@@ -38,7 +38,6 @@ from .params import Params
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "LimitState",
     "effective_diffusivity",
     "solve_limit_psi",
     "limit_psi_residuals",
@@ -54,27 +53,6 @@ def effective_diffusivity(p: Params) -> float:
     the valences have opposite signs.
     """
     return (p.z1 - p.z2) * p.D1 * p.D2 / (p.z1 * p.D1 - p.z2 * p.D2)
-
-
-@dataclass
-class LimitState:
-    """Neutral state: c2 is implied by the constraint, never stored."""
-
-    t: float
-    c1: np.ndarray
-    u: VelocityField
-    psi: np.ndarray
-
-    def c2(self, params: Params) -> np.ndarray:
-        return -(params.z1 / params.z2) * self.c1
-
-    def copy(self) -> "LimitState":
-        return LimitState(
-            t=self.t,
-            c1=self.c1.copy(),
-            u=self.u.copy(),
-            psi=self.psi.copy(),
-        )
 
 
 def solve_limit_psi(grid: ChannelGrid, c1: np.ndarray, p: Params, phiw: np.ndarray) -> np.ndarray:
@@ -119,13 +97,15 @@ def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray,
 
 
 def initial_limit_state(grid: ChannelGrid, c1_0: np.ndarray, u_0: VelocityField,
-                        cfg: NpnsConfig) -> LimitState:
-    """Validated initial state with the potential already solved."""
+                        cfg: NpnsConfig) -> State:
+    """Validated zero-charge initial state with the potential already solved."""
+    p = cfg.params
     c1_0, u = _initial_fields(grid, c1_0, u_0, cfg.bdata)
-    return LimitState(t=0.0, c1=c1_0, u=u, psi=solve_limit_psi(grid, c1_0, cfg.params, cfg.wall.phiw))
+    return State(t=0.0, c1=c1_0, c2=-(p.z1 / p.z2) * c1_0, u=u,
+                 psi=solve_limit_psi(grid, c1_0, p, cfg.wall.phiw))
 
 
-def step_limit(s: LimitState, cfg: NpnsConfig) -> LimitState:
+def step_limit(s: State, cfg: NpnsConfig) -> State:
     """One step: explicit advection, implicit ambipolar diffusion.
 
     The velocity uses the same scheme as the full solver minus the
@@ -139,29 +119,26 @@ def step_limit(s: LimitState, cfg: NpnsConfig) -> LimitState:
     explicit = -advect(g, s.u, s.c1) if g.d == 2 else 0.0
     c1 = _implicit_diffusion(g, s.c1, effective_diffusivity(p), cfg.dt, explicit)
     if not np.all(np.isfinite(c1)):
-        raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2(p)), p.eps)
+        raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
     if np.min(c1) <= 0.0:
         raise StepError(t_new, "concentration lost positivity", _extrema(c1, -(p.z1 / p.z2) * c1), p.eps)
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]
     if g.d == 1:
-        u = VelocityField.zero(g)
+        u = s.u
     else:
         zero_force = [np.zeros(g.shape)] * g.d
         u = advance_velocity(g, s.u, cfg.dt, p.nu, _advect_vector(g, s.u, s.u), zero_force)
     psi = solve_limit_psi(g, c1, p, cfg.wall.phiw)
-    return LimitState(t=t_new, c1=c1, u=u, psi=psi)
+    return State(t=t_new, c1=c1, c2=-(p.z1 / p.z2) * c1, u=u, psi=psi)
 
 
-def run_limit(init: LimitState, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
+def run_limit(init: State, cfg: NpnsConfig, save_every: int = 1) -> list[State]:
     """March the limit system, saving as run_npns does and enforcing the maximum principle."""
-    p = cfg.params
     # scheme slack: implicit diffusion will not overshoot by more than
     # one step's worth of change plus spatial truncation
     hi1 = max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1)))
     tol = 1e-6 + hi1 * (cfg.dt + cfg.grid.hy ** 2)
-    traj = Trajectory()
-    s = march(init, cfg, lambda s: step_limit(s, cfg), lambda s: traj.snapshots.append(s.copy()),
-              save_every, tol, species=lambda s: (s.c1, s.c2(p)))
-    logger.info("limit run: %d steps to t=%g, %d snapshots", cfg.n_steps, s.t, len(traj))
-    return traj
+    run = march(init, cfg, lambda s: step_limit(s, cfg), save_every, tol)
+    logger.info("limit run: %d steps to t=%g, %d snapshots", cfg.n_steps, run[-1].t, len(run))
+    return run

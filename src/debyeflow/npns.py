@@ -15,10 +15,10 @@ zeros and exact equilibria are bitwise fixed points.
 The quasi-neutral limit (limit.py) shares the run config NpnsConfig,
 the time loop march, the velocity step and the delta-form diffusion.
 
-run_npns only copies the saved states while it marches and computes no
-diagnostics.  A caller that reads the energy balance builds it from the
-snapshots afterwards (diagnostics.diagnostics_record), over blocks of
-snapshots stacked along a leading time axis.
+A run returns the list of the States it saved, as the steps built them:
+no step writes to a state it was given, so nothing is copied.  The
+solvers compute no diagnostics; a caller that reads the energy balance
+builds it from the saved states afterwards (diagnostics.diagnostics_record).
 
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
@@ -64,7 +64,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "NpnsConfig",
-    "Trajectory",
     "StepError",
     "MaxPrincipleViolation",
     "well_prepared_init",
@@ -144,20 +143,6 @@ class NpnsConfig:
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}")
         return n
-
-
-@dataclass
-class Trajectory:
-    """Saved states of a run; run_limit's are LimitStates."""
-
-    snapshots: list = field(default_factory=list)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
 
 class _StepWorkspace:
@@ -515,7 +500,7 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     psi = solve_poisson(g, rho, coeff=p.eps ** 2)
 
     if g.d == 1:
-        u = VelocityField.zero(g)
+        u = s.u
     else:
         gpsi = grad(g, psi + phiw)
         force = [-rho * df for df in gpsi]
@@ -534,52 +519,45 @@ def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, e
     return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs)
 
 
-def march(init, cfg: NpnsConfig, step, record, save_every: int, tol: float,
-          species=lambda s: (s.c1, s.c2)):
-    """Step init to cfg.t_end; return the final state.
+def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float) -> list[State]:
+    """Step init to cfg.t_end; return init, every save_every-th state and the last one.
 
-    record is called on init, on every save_every-th state and on the
-    last one.  After each step the state's time is set to k dt, so
-    repeated addition cannot drift, and its species, given by
-    species(state) as (c1, c2), must stay in the band spanned by the
-    wall data and the initial state, widened by tol, or the march aborts
-    through MaxPrincipleViolation.
+    step maps a state to the next.  After each step the state's time is
+    set to k dt, so repeated addition cannot drift, and its c1 and c2
+    must stay in the band spanned by the wall data and init, widened by
+    tol, or the march aborts through MaxPrincipleViolation.
     """
     if save_every < 1:
         raise ValueError(f"save_every must be >= 1, got {save_every}")
     n = cfg.n_steps
-    c1_0, c2_0 = species(init)
     bounds = (
-        min(float(np.min(cfg.bdata.gamma1)), float(np.min(c1_0))),
-        max(float(np.max(cfg.bdata.gamma1)), float(np.max(c1_0))),
-        min(float(np.min(cfg.bdata.gamma2)), float(np.min(c2_0))),
-        max(float(np.max(cfg.bdata.gamma2)), float(np.max(c2_0))),
+        min(float(np.min(cfg.bdata.gamma1)), float(np.min(init.c1))),
+        max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1))),
+        min(float(np.min(cfg.bdata.gamma2)), float(np.min(init.c2))),
+        max(float(np.max(cfg.bdata.gamma2)), float(np.max(init.c2))),
     )
-    record(init)
+    saved = [init]
     s = init
     for k in range(1, n + 1):
         s = step(s)
         s.t = k * cfg.dt
-        report = max_principle_check(*species(s), bounds, tol=tol)
+        report = max_principle_check(s.c1, s.c2, bounds, tol=tol)
         if not report.ok:
             logger.error("max principle violated at t=%.6g: %s", s.t, report)
             raise MaxPrincipleViolation(s.t, report, cfg.params.eps)
         if k % save_every == 0 or k == n:
-            record(s)
-    return s
+            saved.append(s)
+    return saved
 
 
-def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Trajectory:
-    """March to t_end, saving every save_every-th step plus the endpoints.
+def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> list[State]:
+    """March to t_end; return init, every save_every-th state and the last one.
 
-    The march only copies the saved states.  Aborts through
-    MaxPrincipleViolation when a concentration leaves the band implied
-    by the wall data and the initial state by more than the blow-up
-    guard of 1e-4.
+    Aborts through MaxPrincipleViolation when a concentration leaves the
+    band implied by the wall data and the initial state by more than
+    the blow-up guard of 1e-4.
     """
     ws = _StepWorkspace(cfg)
-    traj = Trajectory()
-    s = march(init, cfg, lambda s: step_npns(s, cfg, ws), lambda s: traj.snapshots.append(s.copy()),
-              save_every, tol=1e-4)
-    logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", cfg.n_steps, len(traj), s.t)
-    return traj
+    run = march(init, cfg, lambda s: step_npns(s, cfg, ws), save_every, tol=1e-4)
+    logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", cfg.n_steps, len(run), run[-1].t)
+    return run

@@ -372,10 +372,10 @@ def per_snapshot_modulated_energy(grid, s, p, c1_lim, u_lim, psi_lim) -> dict[st
     return {"H": float(H), "Theta": float(theta)}
 
 
-def per_snapshot_rate_metrics(fx, traj, ltraj, eps: float) -> dict[str, float]:
+def per_snapshot_rate_metrics(fx, run, lrun, eps: float) -> dict[str, float]:
     """The error columns of one sweep member, one snapshot at a time.
 
-    fx is the member's experiments.Fixture and traj, ltraj its finite-eps
+    fx is the member's experiments.Fixture and run, lrun its finite-eps
     and limit runs.  Every norm takes one (nx, ny) field and the wall
     layers of the composite are built per snapshot; the library takes
     the same norms over blocks of snapshots, so the two must agree
@@ -388,7 +388,7 @@ def per_snapshot_rate_metrics(fx, traj, ltraj, eps: float) -> dict[str, float]:
     gc = cutoff_right(g.y)[None, :]
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
     gpsi_sq, rho_sq, gc_sq = [], [], []
-    for s, sl in zip(traj.snapshots, ltraj.snapshots):
+    for s, sl in zip(run, lrun):
         d1 = s.c1 - sl.c1
         d2 = s.c2 - ratio * sl.c1
         err_c = max(err_c, norm_l2(g, d1), norm_l2(g, d2))
@@ -403,7 +403,7 @@ def per_snapshot_rate_metrics(fx, traj, ltraj, eps: float) -> dict[str, float]:
         model1 = sl.c1 + e2 * (f * left.c1(g.y / eps) + gc * right.c1((1.0 - g.y) / eps))
         model2 = ratio * sl.c1 + e2 * (f * left.c2(g.y / eps) + gc * right.c2((1.0 - g.y) / eps))
         err_cs = max(err_cs, norm_h1_semi(g, s.c1 - model1), norm_h1_semi(g, s.c2 - model2))
-    times = traj.times
+    times = np.array([s.t for s in run])
     trapz = getattr(np, "trapezoid", None) or np.trapz
     return {
         "err_c_LinfL2": err_c,

@@ -1,5 +1,6 @@
 """Config file format, presets, overrides, and the CLI front end."""
 
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,7 +391,40 @@ def test_cli_report_honours_strict(tmp_path, how):
     assert "downgraded to a warning" in report["warnings"][0]["message"]
 
 
-def _abort_in_worker(cfg, eps, ltraj):
+@pytest.mark.parametrize(
+    "preset, text, message",
+    [
+        ("thm1_rate", "epsilon,err_c_LinfL2,config_hash\n", "sweep.csv: no sweep rows"),
+        ("energy_identity", "epsilon,err_c_LinfL2,config_hash\n0.1,0.1,abc\n", "only applies to rate presets"),
+        ("thm1_rate", "epsilon,err_c_LinfL2,config_hash\n0.1,0.2,abc\n0.05,zap,abc\n",
+         "sweep.csv: row 2, column 'err_c_LinfL2': 'zap' is not a number"),
+        ("thm1_rate", "epsilon,err_u_LinfL2,config_hash\n0.1,0.1,abc\n", "sweep.csv: no 'err_c_LinfL2' column"),
+    ],
+    ids=["no_rows", "not_a_rate_preset", "bad_cell", "no_headline_column"],
+)
+def test_cli_report_rejects_a_bad_sweep_csv(tmp_path, capsys, preset, text, message):
+    # a sweep.csv that cannot be refit is a usage error: exit 2 with the
+    # reason on stderr, no traceback and no report
+    (tmp_path / "sweep.csv").write_text(text)
+    assert run_cli("report", "--preset", preset, "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_rate_sweep_script_prints_a_missing_fit(monkeypatch, capsys):
+    # two eps give no fit: the report's slope and r2 are None
+    path = Path(__file__).resolve().parents[1] / "scripts" / "rate_sweep.py"
+    spec = importlib.util.spec_from_file_location("rate_sweep_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    report = {"slope": None, "intercept": None, "r2": None, "window": [0.5, 1.5], "pass": False,
+              "per_epsilon": [{"epsilon": e, "ny": 65.0, "dt": 1e-3} for e in (0.125, 0.0625)]}
+    monkeypatch.setattr(script, "run_experiment", lambda cfg, parallel: report)
+    assert script.main(["--preset", "thm1_rate", "--eps", "0.125,0.0625", "--serial"]) == 0
+    assert "thm1_rate: slope=n/a r2=n/a window=[0.5, 1.5] pass=False" in capsys.readouterr().out
+
+
+def _abort_in_worker(cfg, eps, lrun):
     raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0}, eps)
 
 

@@ -1,5 +1,7 @@
 """Functional and rate-fit tests, including the quadrature oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -181,7 +183,7 @@ def test_modulated_energy_zero_for_matching_states():
     p, g, _ = setup_1d()
     c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
     s = State(t=0.0, c1=c1, c2=c1.copy(), u=VelocityField.zero(g), psi=g.zeros())
-    out = modulated_energy(g, s, p, c1, VelocityField.zero(g), g.zeros())
+    out = modulated_energy(g, s, s, p)
     assert out["H"] == 0.0, f"H = {out['H']}"
     assert out["Theta"] == 0.0, f"Theta = {out['Theta']}"
 
@@ -191,7 +193,8 @@ def test_modulated_energy_field_reduction():
     c1 = np.full(g.shape, 2.0)
     psi = 0.25 * np.sin(np.pi * g.yy)
     s = State(t=0.0, c1=c1, c2=c1.copy(), u=VelocityField.zero(g), psi=psi)
-    out = modulated_energy(g, s, p, c1, VelocityField.zero(g), g.zeros())
+    lim = State(t=0.0, c1=c1, c2=c1, u=VelocityField.zero(g), psi=g.zeros())
+    out = modulated_energy(g, s, lim, p)
     expected = 0.5 * p.eps ** 2 * norm_l2(g, ddy(g, psi)) ** 2
     assert np.isclose(out["H"], expected, rtol=1e-12)
 
@@ -204,7 +207,8 @@ def test_modulated_energy_quadratic_approximation(delta):
     c1 = np.full(g.shape, 2.0)
     c1_eps = c1 + delta * np.sin(np.pi * g.yy)
     s = State(t=0.0, c1=c1_eps, c2=c1_eps.copy(), u=VelocityField.zero(g), psi=g.zeros())
-    out = modulated_energy(g, s, p, c1, VelocityField.zero(g), g.zeros())
+    lim = State(t=0.0, c1=c1, c2=c1, u=VelocityField.zero(g), psi=g.zeros())
+    out = modulated_energy(g, s, lim, p)
     quad = 2 * 0.5 * norm_l2(g, (c1_eps - c1) / np.sqrt(c1)) ** 2
     ratio = out["H"] / quad
     assert abs(ratio - 1.0) <= delta, f"delta={delta}: entropy/quadratic ratio {ratio}"
@@ -235,25 +239,25 @@ def test_identity_residual_zero_at_equilibrium():
     p, g, bdata = setup_1d()
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=4e-3)
     s0 = well_prepared_init(g, np.full(g.shape, 2.0), VelocityField.zero(g), cfg)
-    traj = run_npns(s0, cfg)
-    res = identity_residual(g, traj.snapshots, bdata, p)
+    run = run_npns(s0, cfg)
+    res = identity_residual(g, run, bdata, p)
     assert np.all(res == 0.0), f"equilibrium residual must be exactly zero, got {res}"
 
 
 def test_identity_residual_first_order_in_dt():
     res_levels = []
     for dt in (2e-3, 1e-3):
-        g, bdata, p, traj = make_traj(ny=257, dt=dt, t_end=4e-2)
-        res = identity_residual(g, traj.snapshots, bdata, p)
+        g, bdata, p, run = make_traj(ny=257, dt=dt, t_end=4e-2)
+        res = identity_residual(g, run, bdata, p)
         res_levels.append(np.max(np.abs(res[2:-2])))
     ratio = res_levels[0] / res_levels[1]
     assert ratio >= 1.5, f"identity residual should shrink roughly linearly in dt, ratio={ratio:.2f}"
 
 
 def test_dissipation_lower_bound_along_run():
-    g, bdata, p, traj = make_traj(ny=257, dt=1e-3, t_end=1e-2, eps=0.1)
+    g, bdata, p, run = make_traj(ny=257, dt=1e-3, t_end=1e-2, eps=0.1)
     wall = wall_fields(g, bdata)
-    for s in traj.snapshots:
+    for s in run:
         out = dissipation_lower_bound(g, s, wall, p)
         # discrete integration by parts costs O(h^2); 5% slack plus floor
         assert out["lhs"] <= 1.05 * out["rhs"] + 1e-12, (
@@ -284,7 +288,7 @@ def test_recorded_diagnostics_match_fresh_computation(d):
     # diagnostics_record evaluates E block by block with the run's wall fields
     # and hands those energies to the residual; both must equal a snapshot-by-
     # snapshot evaluation with wall fields built afresh
-    g, bdata, p, traj = wall_driven_run(d)
+    g, bdata, p, run = wall_driven_run(d)
     wall = wall_fields(g, bdata)
     # one bundle serves every snapshot of a run, so no caller may write to it
     for a in (wall.phiw, wall.gamma1, wall.gamma2, *wall.grad_phiw,
@@ -293,14 +297,15 @@ def test_recorded_diagnostics_match_fresh_computation(d):
     if d == 2:
         for grads in (wall.grad_phiw, wall.grad_log_gamma1, wall.grad_log_gamma2):
             assert np.any(grads[0] != 0.0), "x-part of a wall gradient vanishes"
-        assert np.any(traj.snapshots[-1].u.components[0] != 0.0), "the run must move the fluid"
-    fresh_E = np.array([free_energy(g, s, wall_fields(g, bdata), p) for s in traj.snapshots])
-    fresh_res = identity_residual(g, traj.snapshots, bdata, p)
-    rec = diagnostics_record(g, traj.snapshots, wall, p)
-    assert np.array(rec.E).tobytes() == fresh_E.tobytes()
-    assert np.array(rec.dissipation_residual).tobytes() == fresh_res.tobytes()
+        assert np.any(run[-1].u.components[0] != 0.0), "the run must move the fluid"
+    fresh_E = np.array([free_energy(g, s, wall_fields(g, bdata), p) for s in run])
+    fresh_res = identity_residual(g, run, bdata, p)
+    rows = diagnostics_record(g, run, wall, p)
+    E = [row["E"] for row in rows]
+    assert np.array(E).tobytes() == fresh_E.tobytes()
+    assert np.array([row["dissipation_residual"] for row in rows]).tobytes() == fresh_res.tobytes()
     with pytest.raises(ValueError, match="energies"):
-        dissipation_identity_residual(g, traj.snapshots, wall, p, rec.E[1:])
+        dissipation_identity_residual(g, run, wall, p, E[1:])
 
 
 def oracle_fixture(d):
@@ -333,35 +338,35 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     g, p, bdata = cfg.grid, cfg.params, cfg.bdata
     if block is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
-    traj = run_npns(s0, cfg)
-    ltraj = run_limit(l0, cfg)
-    snaps = traj.snapshots
+    snaps = run_npns(s0, cfg)
+    lrun = run_limit(l0, cfg)
     assert len(snaps) == 11
     if d == 2:
         assert np.any(snaps[-1].u.components[0] != 0.0), "the run must move the fluid"
     sizes = [len(blk.t) for blk in snapshot_blocks(g, snaps)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
 
-    rec = diagnostics_record(g, snaps, cfg.wall, p)
+    rows = diagnostics_record(g, snaps, cfg.wall, p)
+    assert [row["t"] for row in rows] == [s.t for s in snaps]
     E = np.array([per_snapshot_free_energy(g, s, bdata, p) for s in snaps])
-    assert np.array(rec.E).tobytes() == E.tobytes()
+    assert np.array([row["E"] for row in rows]).tobytes() == E.tobytes()
     res = per_snapshot_identity_residual(g, snaps, bdata, p)
-    assert np.array(rec.dissipation_residual).tobytes() == res.tobytes()
+    assert np.array([row["dissipation_residual"] for row in rows]).tobytes() == res.tobytes()
     assert dissipation_identity_residual(g, snaps, cfg.wall, p, E).tobytes() == res.tobytes()
     for name in ("c1", "c2"):
         fields = [getattr(s, name) for s in snaps]
-        assert getattr(rec, f"min_{name}") == [float(np.min(f)) for f in fields]
-        assert getattr(rec, f"max_{name}") == [float(np.max(f)) for f in fields]
+        assert [row[f"min_{name}"] for row in rows] == [float(np.min(f)) for f in fields]
+        assert [row[f"max_{name}"] for row in rows] == [float(np.max(f)) for f in fields]
 
     H, theta = [], []
-    for blk, lim in zip(snapshot_blocks(g, snaps), snapshot_blocks(g, ltraj.snapshots)):
-        me = modulated_energy(g, blk, p, lim.c1, lim.u, lim.psi)
+    for blk, lim in zip(snapshot_blocks(g, snaps), snapshot_blocks(g, lrun)):
+        me = modulated_energy(g, blk, lim, p)
         H += me["H"].tolist()
         theta += me["Theta"].tolist()
-    for k, (s, sl) in enumerate(zip(snaps, ltraj.snapshots)):
+    for k, (s, sl) in enumerate(zip(snaps, lrun)):
         ref = per_snapshot_modulated_energy(g, s, p, sl.c1, sl.u, sl.psi)
         assert (H[k], theta[k]) == (ref["H"], ref["Theta"]), f"snapshot {k}"
-        assert modulated_energy(g, s, p, sl.c1, sl.u, sl.psi) == ref
+        assert modulated_energy(g, s, sl, p) == ref
         assert free_energy(g, s, cfg.wall, p) == E[k]
     assert H[-1] > 0.0 and theta[-1] > 0.0
 
@@ -369,14 +374,14 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
 def test_blocks_reject_a_nonpositive_concentration_inside():
     cfg, s0, l0 = oracle_fixture(1)
     g, p = cfg.grid, cfg.params
-    snaps = [s.copy() for s in run_npns(s0, cfg).snapshots]
+    snaps = copy.deepcopy(run_npns(s0, cfg))
     snaps[5].c2[0, 100] = 0.0
     (blk,) = snapshot_blocks(g, snaps)
-    lim = next(snapshot_blocks(g, run_limit(l0, cfg).snapshots))
+    lim = next(snapshot_blocks(g, run_limit(l0, cfg)))
     with pytest.raises(ValueError):
         free_energy(g, blk, cfg.wall, p)
     with pytest.raises(ValueError):
-        modulated_energy(g, blk, p, lim.c1, lim.u, lim.psi)
+        modulated_energy(g, blk, lim, p)
     with pytest.raises(ValueError):
         diagnostics_record(g, snaps, cfg.wall, p)
 

@@ -171,8 +171,8 @@ def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "debyeflow" and vars(module).get("harmonic_extension") is original:
             monkeypatch.setattr(module, "harmonic_extension", counted)
-    traj, ltraj = _run_pair(cfg, fx)
-    assert len(traj.snapshots) == len(ltraj.snapshots) >= 3
+    run, lrun = _run_pair(cfg, fx)
+    assert len(run) == len(lrun) >= 3
     assert len(calls) <= 3, f"harmonic_extension calls per pair: {len(calls)}"
 
 
@@ -244,8 +244,8 @@ def test_members_with_one_grid_and_step_get_bitwise_equal_limits():
     a, b = (_limit_worker((cfg, eps)) for eps in cfg.eps_list)
     assert build_fixture(cfg, 0.3).c1_eps0.tobytes() != build_fixture(cfg, 0.15).c1_eps0.tobytes()
     assert len(a) == len(b) == 11
-    assert np.any(a.snapshots[-1].c1[:, 1] != a.snapshots[-1].c1[0, 1]), "the limit must vary in x"
-    for sa, sb in zip(a.snapshots, b.snapshots):
+    assert np.any(a[-1].c1[:, 1] != a[-1].c1[0, 1]), "the limit must vary in x"
+    for sa, sb in zip(a, b):
         assert sa.t == sb.t
         for fa, fb in zip((sa.c1, sa.psi, *sa.u.components), (sb.c1, sb.psi, *sb.u.components)):
             assert fa.tobytes() == fb.tobytes()
@@ -263,11 +263,11 @@ def test_blocked_rate_metrics_match_per_snapshot_oracle(d, block, monkeypatch):
     g = fx.run.grid
     if block is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
-    traj, ltraj = _run_pair(cfg, fx)
-    sizes = [len(blk.t) for blk in snapshot_blocks(g, traj.snapshots)]
+    run, lrun = _run_pair(cfg, fx)
+    sizes = [len(blk.t) for blk in snapshot_blocks(g, run)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
-    ref = per_snapshot_rate_metrics(fx, traj, ltraj, eps)
-    got = _rate_metrics(cfg, eps, ltraj)
+    ref = per_snapshot_rate_metrics(fx, run, lrun, eps)
+    got = _rate_metrics(cfg, eps, lrun)
     for key, value in ref.items():
         assert repr(got[key]) == repr(value), key
     assert (ref["err_u_LinfL2"] > 0.0) == (d == 2)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debyeflow import BoundaryData, ChannelGrid, Params
+from debyeflow.diagnostics import snapshot_blocks
 from debyeflow.layers import (
     boundary_layer,
     clustered_xi_grid,
@@ -388,7 +389,7 @@ def test_mixed_layer_rejections():
 def _limit_snapshots(cfg):
     g = cfg.grid
     init = initial_limit_state(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
-    return run_limit(init, cfg).snapshots
+    return run_limit(init, cfg)
 
 
 def test_composite_order_zero_plus_wall_layers_only():
@@ -402,12 +403,13 @@ def test_composite_order_zero_plus_wall_layers_only():
     f = cutoff_left(g.y)[None, :]
     gcut = cutoff_right(g.y)[None, :]
     xi, eta = g.y / eps, (1.0 - g.y) / eps
-    block1, block2 = models(np.stack([s.psi for s in snaps]), np.stack([s.c1 for s in snaps]))
+    (block,) = snapshot_blocks(g, snaps)
+    block1, block2 = models(block)
     for k, sl in enumerate(snaps):
         bl, br = wall_layers(cfg, sl.psi + cfg.wall.phiw)
         want1 = sl.c1 + eps * eps * (f * bl.c1(xi) + gcut * br.c1(eta))
         want2 = -(p.z1 / p.z2) * sl.c1 + eps * eps * (f * bl.c2(xi) + gcut * br.c2(eta))
-        c1, c2 = models(sl.psi, sl.c1)
+        c1, c2 = models(sl)
         assert np.array_equal(c1, want1), f"snapshot {k}: c1 is not order 0 plus the wall layers"
         assert np.array_equal(c2, want2), f"snapshot {k}: c2 is not order 0 plus the wall layers"
         assert np.array_equal(block1[k], c1) and np.array_equal(block2[k], c2), f"snapshot {k}: block differs"

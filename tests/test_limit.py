@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField, limit
 from debyeflow.elliptic import harmonic_extension
 from debyeflow.limit import (
-    LimitState,
     effective_diffusivity,
     initial_limit_state,
     limit_psi_residuals,
@@ -206,9 +205,9 @@ def test_run_limit_max_principle_and_monotone_peak():
     g = cfg.grid
     c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
     s0 = initial_limit_state(g, c1, VelocityField.zero(g), cfg)
-    traj = run_limit(s0, cfg)
-    peaks = [float(np.max(s.c1)) for s in traj.snapshots]
-    assert all(2.0 - 1e-12 <= float(np.min(s.c1)) for s in traj.snapshots)
+    run = run_limit(s0, cfg)
+    peaks = [float(np.max(s.c1)) for s in run]
+    assert all(2.0 - 1e-12 <= float(np.min(s.c1)) for s in run)
     assert all(b <= a + 1e-12 for a, b in zip(peaks, peaks[1:])), "peak grew under pure diffusion"
     assert peaks[-1] < peaks[0]
 
@@ -280,8 +279,13 @@ def test_limit_config_validation():
     st.floats(min_value=0.01, max_value=100.0),
 )
 def test_limit_c2_constraint_bitwise(z1, z2, c_val):
-    p = make_params(z1=float(z1), z2=z2, D1=1.0, D2=1.0)
-    g = ChannelGrid(d=1, nx=1, ny=9)
-    s = LimitState(t=0.0, c1=np.full(g.shape, c_val), u=VelocityField.zero(g), psi=g.zeros())
-    rho = p.z1 * s.c1 + p.z2 * s.c2(p)
-    assert np.all(rho == 0.0), f"constraint broke: max |rho| = {np.max(np.abs(rho))}"
+    # the initial state and every step carry c2 = -(z1/z2) c1, whose
+    # charge is zero bitwise
+    cfg = make_cfg(ny=9, gamma=(c_val, c_val), z1=float(z1), z2=z2, D1=1.0, D2=1.0)
+    g, p = cfg.grid, cfg.params
+    states = [initial_limit_state(g, c_val * (1.0 + 0.25 * np.sin(np.pi * g.yy)), VelocityField.zero(g), cfg)]
+    for _ in range(2):
+        states.append(step_limit(states[-1], cfg))
+    for k, s in enumerate(states):
+        rho = p.z1 * s.c1 + p.z2 * s.c2
+        assert np.all(rho == 0.0), f"step {k}: constraint broke: max |rho| = {np.max(np.abs(rho))}"

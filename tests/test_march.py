@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
 from debyeflow.limit import initial_limit_state, run_limit
 from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
 
@@ -39,12 +39,19 @@ def test_save_every_below_one_is_rejected(start, save_every):
     [(4e-3, 1, [0, 1, 2, 3, 4]), (1.2e-2, 2, [0, 2, 4, 6, 8, 10, 12]), (1e-2, 3, [0, 3, 6, 9, 10])],
 )
 def test_both_stacks_save_the_same_times(t_end, save_every, saved_steps):
-    # the final step is saved even when it is not a multiple of save_every
+    # the final step is saved even when it is not a multiple of save_every;
+    # both runs are plain lists of States, and every limit State carries the
+    # zero-charge c2 = -(z1/z2) c1
     cfg, c1 = make_run(t_end)
-    times = []
+    p = cfg.params
+    runs = []
     for start in (start_npns, start_limit):
         run, init = start(cfg, c1)
-        times.append(run(init, cfg, save_every=save_every).times)
+        runs.append(run(init, cfg, save_every=save_every))
     want = np.array([k * cfg.dt for k in saved_steps])
-    assert times[0].tobytes() == want.tobytes(), f"finite-eps times {times[0]}"
-    assert times[1].tobytes() == want.tobytes(), f"limit times {times[1]}"
+    for name, saved in zip(("finite-eps", "limit"), runs):
+        assert type(saved) is list and all(type(s) is State for s in saved), name
+        times = np.array([s.t for s in saved])
+        assert times.tobytes() == want.tobytes(), f"{name} times {times}"
+    for s in runs[1]:
+        assert s.c2.tobytes() == (-(p.z1 / p.z2) * s.c1).tobytes(), f"limit c2 at t={s.t}"
