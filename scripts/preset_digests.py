@@ -5,9 +5,12 @@ Each preset runs twice, serial and through the worker pool, into a
 temporary directory.  One line per artifact: preset, mode, file name
 and digest.  sweep.csv's wall_clock_s column is measured time, so it is
 blanked before hashing; every other byte is part of the determinism
-contract.  The script exits 1, naming each preset whose serial and
-pooled digests differ, after printing every line.  Two source trees
-give the same bytes when this prints the same lines for both, e.g.
+contract.  Each rate preset's sweep.csv is also refit through
+refit_report, outside the hashed directory, and must rebuild the run's
+report.json byte for byte.  The script exits 1, naming each preset whose
+serial and pooled digests differ or whose refit differs from its report,
+after printing every line.  Two source trees give the same bytes when
+this prints the same lines for both, e.g.
 
     PYTHONPATH=src python3 scripts/preset_digests.py > new.txt
     PYTHONPATH=../old/src python3 scripts/preset_digests.py > old.txt
@@ -20,8 +23,8 @@ import tempfile
 from pathlib import Path
 
 import debyeflow
-from debyeflow.config_io import PRESET_NAMES, preset_defaults
-from debyeflow.experiments import run_experiment
+from debyeflow.config_io import PRESET_NAMES, RATE_PRESETS, preset_defaults
+from debyeflow.experiments import refit_report, run_experiment
 
 PRESETS = tuple(p for p in PRESET_NAMES if p != "custom")
 
@@ -54,21 +57,29 @@ def artifact_digests(out: Path) -> dict[str, str]:
 
 def main() -> int:
     print(f"# debyeflow from {Path(debyeflow.__file__).parent}", file=sys.stderr)
-    differing = []
+    differing, refit_differs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for preset in PRESETS:
             by_mode = {}
+            cfg = preset_defaults(preset)
             for mode in ("serial", "pooled"):
                 out = Path(tmp) / preset / mode
-                run_experiment(preset_defaults(preset), out_dir=str(out), parallel=(mode == "pooled"))
+                run_experiment(cfg, out_dir=str(out), parallel=(mode == "pooled"))
                 by_mode[mode] = artifact_digests(out)
                 for name, digest in by_mode[mode].items():
                     print(f"{preset} {mode} {name} {digest}", flush=True)
+                if preset in RATE_PRESETS:
+                    refit = Path(tmp) / preset / f"{mode}-refit.json"
+                    refit_report(cfg, out / "sweep.csv", refit)
+                    if refit.read_bytes() != (out / "report.json").read_bytes():
+                        refit_differs.append(f"{preset} ({mode})")
             if by_mode["serial"] != by_mode["pooled"]:
                 differing.append(preset)
     for preset in differing:
         print(f"error: {preset}: serial and pooled artifacts differ", file=sys.stderr)
-    return 1 if differing else 0
+    for name in refit_differs:
+        print(f"error: {name}: refit of sweep.csv differs from report.json", file=sys.stderr)
+    return 1 if differing or refit_differs else 0
 
 
 if __name__ == "__main__":

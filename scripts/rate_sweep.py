@@ -11,7 +11,8 @@ import argparse
 import logging
 import sys
 
-from debyeflow.config_io import RATE_PRESETS, apply_overrides, preset_defaults
+from debyeflow.cli import _parse_eps
+from debyeflow.config_io import RATE_PRESETS, ConfigError, apply_overrides, preset_defaults
 from debyeflow.experiments import ExperimentError, run_experiment
 
 
@@ -24,8 +25,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    eps = tuple(float(t) for t in args.eps.split(",")) if args.eps else None
-    cfg = apply_overrides(preset_defaults(args.preset), eps_list=eps, output_dir=args.out)
+    try:
+        eps = _parse_eps(args.eps) if args.eps else None
+        cfg = apply_overrides(preset_defaults(args.preset), eps_list=eps, output_dir=args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         report = run_experiment(cfg, parallel=not args.serial)
     except ExperimentError as exc:

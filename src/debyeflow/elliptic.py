@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ChannelGrid, VelocityField
-from .operators import half_node_average_y
+from .operators import half_node_average_x, half_node_average_y
 
 __all__ = [
     "solve_shifted_poisson",
@@ -203,7 +203,7 @@ def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndar
     # nx-k, column q; band[j-1, i, nx-k] is that slot for q = (j-1) nx + i
     nx = grid.nx
     ay = half_node_average_y(a) / h2  # couples (i, j) and (i, j+1)
-    ax = 0.5 * (a + np.roll(a, -1, axis=0)) / grid.hx ** 2  # (i, j) and (i+1, j)
+    ax = half_node_average_x(a) / grid.hx ** 2  # (i, j) and (i+1, j)
     band = np.zeros((m, nx, nx + 1))
     band[:, :, nx] = (ay[:, :-1] + ay[:, 1:] + ax[:, 1:-1] + np.roll(ax, 1, axis=0)[:, 1:-1]).T
     band[:, 1:, nx - 1] = -ax[:-1, 1:-1].T

@@ -7,9 +7,13 @@ and writes plain CSV/JSON artifacts.  Outputs are byte-reproducible for
 a fixed config except for the wall_clock_s column of sweep.csv, which
 records measured time and is exempt from the determinism contract.
 
-Artifact map: rate presets write sweep.csv + report.json, the energy
-preset writes diag.csv + report.json, and the layer/decay presets write
-profile.csv + report.json.  Every row carries the config hash.
+Artifact map (CSV_ARTIFACTS): rate presets write sweep.csv + report.json,
+the energy preset writes diag.csv + report.json, and the layer/decay
+presets write profile.csv + report.json.  Every row carries the config
+hash.  A rate preset's sweep.csv is its one per-eps record: the run
+writes it, then grades report.json from the file with _sweep_report,
+the function refit_report uses, so a refit rebuilds the report byte for
+byte.
 
 The rate sweeps, layer_profile and energy_identity split their work into
 independent runs (one per eps, or per dt level plus the equilibrium run)
@@ -29,6 +33,7 @@ study, the one preset that reads them.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -54,25 +59,24 @@ logger = logging.getLogger(__name__)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+# columns added later go last, so readers that index the older ones by
+# position keep working
 SWEEP_COLUMNS = (
-    "epsilon",
-    "err_c_LinfL2",
-    "err_u_LinfL2",
-    "err_grad_psi_L2L2",
-    "err_rho_over_eps_L2L2",
-    "err_cS_grad_LinfL2",
-    "err_c_LinfH2",
-    "wall_clock_s",
-    "config_hash",
+    "epsilon", "err_c_LinfL2", "err_u_LinfL2", "err_grad_psi_L2L2", "err_rho_over_eps_L2L2",
+    "err_cS_grad_LinfL2", "err_c_LinfH2", "wall_clock_s", "config_hash",
+    "err_grad_c_L2L2", "eps_grad_psi_LinfL2", "ny", "dt",
 )
 DIAG_COLUMNS = (
     "t", "E", "H", "Theta",
     "min_c1", "max_c1", "min_c2", "max_c2",
     "dissipation_residual", "config_hash",
 )
-PROFILE_COLUMNS = {
-    "layer_profile": ("epsilon", "y", "rho_scaled", "rho_model", "config_hash"),
-    "initial_layer_decay": ("tau", "rho_l2", "config_hash"),
+# the csv file each preset writes, and its columns
+CSV_ARTIFACTS = {
+    **{preset: ("sweep.csv", SWEEP_COLUMNS) for preset in RATE_PRESETS},
+    "energy_identity": ("diag.csv", DIAG_COLUMNS),
+    "layer_profile": ("profile.csv", ("epsilon", "y", "rho_scaled", "rho_model", "config_hash")),
+    "initial_layer_decay": ("profile.csv", ("tau", "rho_l2", "config_hash")),
 }
 
 # fitted-slope acceptance windows of the rate presets
@@ -280,6 +284,14 @@ def _pool_map(worker, items: list, parallel: bool) -> list:
     return [worker(it) for it in items]
 
 
+def _report(cfg: ExperimentConfig, fit: dict, window, passed, per_eps: list[dict],
+            report_warnings: list[dict], **extra) -> dict:
+    """The report.json fields of every preset; run_experiment adds config_hash."""
+    return {"preset": cfg.preset, "slope": fit["slope"], "intercept": fit["intercept"], "r2": fit["r2"],
+            "window": list(window), "pass": bool(passed), "per_epsilon": per_eps,
+            "warnings": report_warnings, **extra}
+
+
 # ---------------------------------------------------------------------------
 # identity / profile presets
 
@@ -336,18 +348,7 @@ def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[
     fit = rate_fit([(lv["dt"], lv["residual"]) for lv in levels])
     window = (math.log2(ENERGY_RATIO_MIN), 3.0)
     passed = all(r >= ENERGY_RATIO_MIN for r in ratios) and eq_residual == 0.0
-    report = {
-        "preset": cfg.preset,
-        "slope": fit["slope"],
-        "intercept": fit["intercept"],
-        "r2": fit["r2"],
-        "window": list(window),
-        "pass": bool(passed),
-        "per_epsilon": levels,
-        "equilibrium_residual": eq_residual,
-        "warnings": [],
-    }
-    return diag_rows, report
+    return diag_rows, _report(cfg, fit, window, passed, levels, [], equilibrium_residual=eq_residual)
 
 
 def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], dict]:
@@ -390,17 +391,7 @@ def _layer_profile_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tupl
         fit = {"slope": None, "intercept": None, "r2": None}
         report_warnings.append({"code": "insufficient_points_for_fit",
                                 "message": "insufficient points for fit"})
-    report = {
-        "preset": cfg.preset,
-        "slope": fit["slope"],
-        "intercept": fit["intercept"],
-        "r2": fit["r2"],
-        "window": [0.0, PROFILE_REL_ERR_MAX],
-        "pass": bool(passed),
-        "per_epsilon": per_eps,
-        "warnings": report_warnings,
-    }
-    return rows, report
+    return rows, _report(cfg, fit, (0.0, PROFILE_REL_ERR_MAX), passed, per_eps, report_warnings)
 
 
 def _decay_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -426,30 +417,14 @@ def _decay_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
     lam = float(np.min(background))
     bound = -DECAY_MARGIN * p.z1 * (p.z1 * p.D1 - p.z2 * p.D2) * lam
-    report = {
-        "preset": cfg.preset,
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "r2": r2,
-        "window": [-1000.0, bound],
-        "pass": bool(-1000.0 <= slope <= bound),
-        "per_epsilon": [{
-            "epsilon": cfg.eps, "lambda": lam, "tail_from": 0.5 * cfg.t_end,
-            "rho_l2_initial": float(norms[0]), "rho_l2_final": float(norms[-1]),
-        }],
-        "warnings": [],
-    }
-    return rows, report
+    fit = {"slope": float(slope), "intercept": float(intercept), "r2": r2}
+    entry = {"epsilon": cfg.eps, "lambda": lam, "tail_from": 0.5 * cfg.t_end,
+             "rho_l2_initial": float(norms[0]), "rho_l2_final": float(norms[-1])}
+    return rows, _report(cfg, fit, (-1000.0, bound), -1000.0 <= slope <= bound, [entry], [])
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -459,12 +434,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict], config_hash: str) -> None:
+    """Floats are written as their repr, so they read back exactly."""
     lines = [",".join(columns)]
     for row in rows:
-        cells = []
-        for col in columns:
-            cells.append(config_hash if col == "config_hash" else _format_cell(row[col]))
-        lines.append(",".join(cells))
+        cells = (config_hash if col == "config_hash" else row[col] for col in columns)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -472,9 +446,38 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _fit_report(cfg: ExperimentConfig, per_eps: list[dict]) -> dict:
+def _sweep_report(cfg: ExperimentConfig, sweep_path) -> dict:
+    """The report of a rate preset, graded from its sweep.csv alone.
+
+    The per-eps entries are the file's rows less wall_clock_s and
+    config_hash.  A non-rate preset, an empty file, a missing column the
+    grading reads or a cell that is not a number raises ConfigError,
+    which names the file and, for a cell, its data row and column.
+    """
+    if cfg.preset not in RATE_PRESETS:
+        raise ConfigError(f"refit only applies to rate presets, got {cfg.preset!r}")
     metric = HEADLINE_METRIC[cfg.preset]
     window = RATE_WINDOWS[cfg.preset]
+    with open(sweep_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ConfigError(f"{sweep_path}: no sweep rows to refit")
+    for col in ("epsilon", metric, "config_hash"):
+        if col not in rows[0]:
+            raise ConfigError(f"{sweep_path}: no {col!r} column")
+    per_eps = []
+    for n, row in enumerate(rows, start=1):
+        entry = {}
+        # per-run timings stay out of the report so reruns are byte-identical
+        for k, v in row.items():
+            if k in ("wall_clock_s", "config_hash"):
+                continue
+            try:
+                entry[k] = float(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{sweep_path}: row {n}, column {k!r}: {v!r} is not a number") from None
+        per_eps.append(entry)
+
     pairs = [(m["epsilon"], m[metric]) for m in per_eps if m[metric] > 0.0]
     report_warnings: list[dict] = []
     if len(pairs) < 3:
@@ -502,18 +505,7 @@ def _fit_report(cfg: ExperimentConfig, per_eps: list[dict]) -> dict:
                 passed = monotone
             else:
                 passed = monotone and in_window
-    # per-run timings stay out of the report so reruns are byte-identical
-    clean = [{k: v for k, v in m.items() if k != "wall_clock_s"} for m in per_eps]
-    return {
-        "preset": cfg.preset,
-        "slope": fit["slope"],
-        "intercept": fit["intercept"],
-        "r2": fit["r2"],
-        "window": list(window),
-        "pass": bool(passed),
-        "per_epsilon": clean,
-        "warnings": report_warnings,
-    }
+    return _report(cfg, fit, window, passed, per_eps, report_warnings, config_hash=rows[0]["config_hash"])
 
 
 def _error_payload(cfg: ExperimentConfig, stage: str, exc: BaseException) -> dict:
@@ -534,16 +526,15 @@ def _error_payload(cfg: ExperimentConfig, stage: str, exc: BaseException) -> dic
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   eps_list: tuple[float, ...] | None = None,
                    parallel: bool = True) -> dict:
     """Execute a preset and write its artifacts; returns the report.
 
-    On a solver abort the diagnostic payload is written to error.json in
-    the output directory before ExperimentError propagates, so a crashed
-    sweep still leaves a machine-readable trace behind.
+    A rate preset's report is graded from the sweep.csv it just wrote, as
+    refit_report grades it.  On a solver abort the diagnostic payload is
+    written to error.json in the output directory before ExperimentError
+    propagates, so a crashed sweep still leaves a machine-readable trace
+    behind.
     """
-    if eps_list is not None:
-        cfg = replace(cfg, eps_list=tuple(eps_list))
     cfg = cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -555,22 +546,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     try:
         if cfg.preset in RATE_PRESETS:
-            per_eps = _rate_sweep(cfg, parallel)
-            _write_csv(out / "sweep.csv", SWEEP_COLUMNS, per_eps, chash)
-            written["sweep"] = str(out / "sweep.csv")
-            report = _fit_report(cfg, per_eps)
+            rows = _rate_sweep(cfg, parallel)
         elif cfg.preset == "energy_identity":
-            diag_rows, report = _energy_metrics(cfg, parallel=parallel)
-            _write_csv(out / "diag.csv", DIAG_COLUMNS, diag_rows, chash)
-            written["diag"] = str(out / "diag.csv")
+            rows, report = _energy_metrics(cfg, parallel=parallel)
         elif cfg.preset == "layer_profile":
             rows, report = _layer_profile_metrics(cfg, parallel=parallel)
-            _write_csv(out / "profile.csv", PROFILE_COLUMNS[cfg.preset], rows, chash)
-            written["profile"] = str(out / "profile.csv")
         elif cfg.preset == "initial_layer_decay":
             rows, report = _decay_metrics(cfg)
-            _write_csv(out / "profile.csv", PROFILE_COLUMNS[cfg.preset], rows, chash)
-            written["profile"] = str(out / "profile.csv")
         else:  # pragma: no cover - validate() rejects unknown presets
             raise RuntimeError(f"unhandled preset {cfg.preset}")
     except solver_errors as exc:
@@ -579,6 +561,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         logger.error("experiment aborted: %s", exc)
         raise ExperimentError(str(exc), payload) from exc
 
+    name, columns = CSV_ARTIFACTS[cfg.preset]
+    _write_csv(out / name, columns, rows, chash)
+    written[name.removesuffix(".csv")] = str(out / name)
+    if cfg.preset in RATE_PRESETS:
+        # read back outside the try: a ConfigError is a ValueError, not a solver abort
+        report = _sweep_report(cfg, out / name)
     report["config_hash"] = chash
     _write_json(out / "report.json", report)
     written["report"] = str(out / "report.json")
@@ -591,33 +579,11 @@ def refit_report(cfg_or_preset, sweep_path, out_path) -> dict:
     """Rebuild report.json from an existing sweep.csv without re-running.
 
     A config is graded as given (its strict flag included); a bare
-    preset name is graded with that preset's non-strict defaults.  A
-    non-rate preset, an empty file, a missing column the grading reads
-    or a cell that is not a number raises ConfigError, which names the
-    file and, for a cell, its data row and column.
+    preset name is graded with that preset's non-strict defaults.  The
+    grading is run_experiment's, so a refit of a run's sweep.csv rewrites
+    that run's report.json byte for byte.
     """
-    import csv as _csv
-
     cfg = ExperimentConfig(preset=cfg_or_preset) if isinstance(cfg_or_preset, str) else cfg_or_preset
-    if cfg.preset not in RATE_PRESETS:
-        raise ConfigError(f"refit only applies to rate presets, got {cfg.preset!r}")
-    with open(sweep_path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"{sweep_path}: no sweep rows to refit")
-    for col in ("epsilon", HEADLINE_METRIC[cfg.preset], "config_hash"):
-        if col not in rows[0]:
-            raise ConfigError(f"{sweep_path}: no {col!r} column")
-    per_eps = []
-    for n, row in enumerate(rows, start=1):
-        entry = {}
-        for k, v in row.items():
-            try:
-                entry[k] = v if k == "config_hash" else float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{sweep_path}: row {n}, column {k!r}: {v!r} is not a number") from None
-        per_eps.append(entry)
-    report = _fit_report(cfg, per_eps)
-    report["config_hash"] = rows[0]["config_hash"]
+    report = _sweep_report(cfg, sweep_path)
     _write_json(Path(out_path), report)
     return report

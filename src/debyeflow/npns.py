@@ -56,6 +56,7 @@ from .operators import (
     div_a_grad_pattern,
     div_a_grad_values,
     grad,
+    half_node_average_y,
     laplacian,
 )
 from .params import BoundaryData, Params
@@ -253,8 +254,8 @@ def _set_coupling_1d(A: BandedMatrix, grid: ChannelGrid, p: Params, c1n, c2n) ->
     ny = grid.ny
     h2 = grid.hy ** 2
     ab, u = A.ab, A.u
-    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n[0]), (p.z2, p.D2, c2n[0]))):
-        ah = 0.5 * (a[:-1] + a[1:])  # ah[j] = a at j+1/2
+    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n), (p.z2, p.D2, c2n))):
+        ah = half_node_average_y(a)[0]  # ah[j] = a at j+1/2
         lo = ah[:-1]
         hi = ah[1:]
         off = 2 - v

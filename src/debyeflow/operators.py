@@ -36,6 +36,7 @@ __all__ = [
     "norm_h1_semi",
     "norm_h2",
     "norm_linf",
+    "half_node_average_x",
     "half_node_average_y",
     "div_a_grad",
     "div_a_grad_pattern",
@@ -200,6 +201,12 @@ def half_node_average_y(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a[:, 1:] + a[:, :-1])
 
 
+def half_node_average_x(a: np.ndarray) -> np.ndarray:
+    """Arithmetic average of a at the periodic x half nodes, shape (nx, ny);
+    entry i sits between nodes i and i+1 (mod nx)."""
+    return 0.5 * (a + np.roll(a, -1, axis=0))
+
+
 def div_a_grad(grid: ChannelGrid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Conservative discretization of div(a grad f) on interior nodes.
 
@@ -216,7 +223,7 @@ def div_a_grad(grid: ChannelGrid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     out[:, 1:-1] = (flux[:, 1:] - flux[:, :-1]) / h
     if grid.d == 2 and grid.nx > 1:
         hx = grid.hx
-        a_e = 0.5 * (a + np.roll(a, -1, axis=0))
+        a_e = half_node_average_x(a)
         flux_x = a_e * (np.roll(f, -1, axis=0) - f) / hx
         out[:, 1:-1] += (flux_x[:, 1:-1] - np.roll(flux_x, 1, axis=0)[:, 1:-1]) / hx
     return out
@@ -252,12 +259,13 @@ def div_a_grad_pattern(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray]:
 def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
     """Entries of div_a_grad_matrix(grid, a), in div_a_grad_pattern order."""
     h2 = grid.hy ** 2
-    a_lo = (0.5 * (a[:, :-2] + a[:, 1:-1]) / h2).ravel()
-    a_hi = (0.5 * (a[:, 1:-1] + a[:, 2:]) / h2).ravel()
+    ah = half_node_average_y(a) / h2
+    a_lo = ah[:, :-1].ravel()
+    a_hi = ah[:, 1:].ravel()
     vals = [-(a_lo + a_hi), a_lo, a_hi]
     if grid.d == 2:
         # the west coefficient of node i is the east one of node i-1
-        a_e = 0.5 * (a + np.roll(a, -1, axis=0))[:, 1:-1] / grid.hx ** 2
+        a_e = half_node_average_x(a)[:, 1:-1] / grid.hx ** 2
         a_w = np.roll(a_e, 1, axis=0)
         vals[0] = vals[0] - (a_e + a_w).ravel()
         vals += [a_e.ravel(), a_w.ravel()]

@@ -142,6 +142,16 @@ def test_c04_h2_error_rate_is_half_order(thm2):
     assert report["pass"] is True, "monotone decrease plus non-strict window"
 
 
+@pytest.mark.parametrize("sweep", ["thm1", "thm51"])
+def test_refit_rebuilds_the_rate_report_byte_for_byte(sweep, request, tmp_path):
+    # report.json is a pure function of sweep.csv, so c01-c03 grade the
+    # same numbers whether the report comes from the run or from a refit;
+    # thm2_h2_rate's report is itself a refit of thm51_rate's sweep.csv
+    _, out, cfg = request.getfixturevalue(sweep)
+    refit_report(cfg, out / "sweep.csv", tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # 5. discrete free-energy balance closes at first order in dt
 

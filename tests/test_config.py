@@ -424,6 +424,39 @@ def test_rate_sweep_script_prints_a_missing_fit(monkeypatch, capsys):
     assert "thm1_rate: slope=n/a r2=n/a window=[0.5, 1.5] pass=False" in capsys.readouterr().out
 
 
+def test_rate_sweep_script_rejects_bad_eps(capsys):
+    # a bad --eps list is a usage error with the message `debyeflow sweep`
+    # prints: exit 2, no traceback
+    path = Path(__file__).resolve().parents[1] / "scripts" / "rate_sweep.py"
+    spec = importlib.util.spec_from_file_location("rate_sweep_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert run_cli("sweep", "--preset", "thm1_rate", "--eps", "0.1,zap") == 2
+    cli_err = capsys.readouterr().err
+    assert script.main(["--preset", "thm1_rate", "--eps", "0.1,zap"]) == 2
+    assert capsys.readouterr().err == cli_err
+    assert "comma list of floats" in cli_err
+
+
+def test_cli_report_rebuilds_a_thm1_rate_report_byte_for_byte(tmp_path):
+    # the refit carries every metric c01 and c02 grade, so a regraded
+    # thm1_rate report is the run's report
+    out = tmp_path / "artifacts"
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n[time]\nt_end = 0.01\n")
+    assert run_cli("sweep", "--config", str(config), "--out", str(out), "--serial") == 0
+    ran = (out / "report.json").read_bytes()
+    (out / "report.json").unlink()
+    assert run_cli("report", "--config", str(config), "--out", str(out)) == 0
+    assert (out / "report.json").read_bytes() == ran
+    report = json.loads(ran)
+    assert len(report["per_epsilon"]) == 5
+    for entry in report["per_epsilon"]:
+        assert {"err_c_LinfL2", "err_grad_c_L2L2", "err_rho_over_eps_L2L2",
+                "eps_grad_psi_LinfL2", "ny", "dt"} <= set(entry)
+        assert "config_hash" not in entry and "wall_clock_s" not in entry
+
+
 def _abort_in_worker(cfg, eps, lrun):
     raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0}, eps)
 

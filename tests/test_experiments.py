@@ -147,13 +147,37 @@ def test_refit_only_applies_to_rate_presets(tmp_path):
         refit_report("energy_identity", tmp_path / "sweep.csv", tmp_path / "r.json")
 
 
-def test_refit_matches_original_report(tmp_path):
-    cfg = tiny_custom()
-    report = run_experiment(cfg, out_dir=tmp_path, parallel=False)
-    refit = refit_report(cfg, tmp_path / "sweep.csv", tmp_path / "refit.json")
-    assert np.isclose(refit["slope"], report["slope"], rtol=1e-12)
-    assert refit["window"] == report["window"]
-    assert refit["pass"] == report["pass"]
+@pytest.fixture(scope="module")
+def tiny_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_sweep")
+    return run_experiment(tiny_custom(), out_dir=out, parallel=False), out
+
+
+def test_refit_matches_original_report(tiny_sweep, tmp_path):
+    # report.json is a pure function of sweep.csv: the refit rewrites the
+    # run's file byte for byte, every per-eps metric included
+    report, out = tiny_sweep
+    refit_report(tiny_custom(), out / "sweep.csv", tmp_path / "refit.json")
+    assert (tmp_path / "refit.json").read_bytes() == (out / "report.json").read_bytes()
+    assert {"err_grad_c_L2L2", "eps_grad_psi_LinfL2", "ny", "dt"} <= set(report["per_epsilon"][0])
+
+
+def test_refit_grades_a_sweep_csv_without_the_newer_columns(tiny_sweep, tmp_path):
+    # a sweep.csv written before err_grad_c_L2L2, eps_grad_psi_LinfL2, ny
+    # and dt became columns still refits: its headline metric is graded
+    # and the entries hold the columns it has
+    report, out = tiny_sweep
+    newer = ("err_grad_c_L2L2", "eps_grad_psi_LinfL2", "ny", "dt")
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()]
+    keep = [k for k, col in enumerate(rows[0]) if col not in newer]
+    old = tmp_path / "sweep.csv"
+    old.write_text("".join(",".join(r[k] for k in keep) + "\n" for r in rows))
+    refit = refit_report(tiny_custom(), old, tmp_path / "refit.json")
+    for key in ("slope", "intercept", "r2", "window", "pass", "config_hash"):
+        assert refit[key] == report[key], key
+    assert refit["pass"] is True
+    assert refit["per_epsilon"] == [{k: v for k, v in m.items() if k not in newer}
+                                    for m in report["per_epsilon"]]
 
 
 def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
