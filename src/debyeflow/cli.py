@@ -49,18 +49,12 @@ def _parse_eps(text: str) -> tuple[float, ...]:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is None and args.preset is None:
-        raise ConfigError("one of --config or --preset is required")
-    if args.config is not None:
-        cfg = parse_config(args.config)
-        preset_override = args.preset
-    else:
-        cfg = preset_defaults(args.preset)
-        preset_override = None
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("exactly one of --config or --preset is required")
+    cfg = parse_config(args.config) if args.config is not None else preset_defaults(args.preset)
     eps = _parse_eps(args.eps) if args.eps else None
     return apply_overrides(
         cfg,
-        preset=preset_override,
         eps_list=eps,
         output_dir=args.out,
         strict=True if args.strict else None,
@@ -70,7 +64,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="experiment config file")
     sub.add_argument("--preset", metavar="NAME", choices=PRESET_NAMES,
-                     help="preset name (used alone or to re-base a default config)")
+                     help="preset name; cannot be combined with --config")
     sub.add_argument("--eps", metavar="LIST",
                      help="comma list of eps values, overrides the config")
     sub.add_argument("--out", metavar="DIR", help="output directory")

@@ -13,7 +13,7 @@ import hashlib
 import logging
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,6 +176,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"layer presets require ny >= 8/eps_min = {need:.0f}, got ny={self.ny}"
                 )
+        for e in self.eps_list:
+            # ny = 0 grades a grid per eps, with the floor of an explicit ny
+            if (n := self.graded_ny(e)) < 9:
+                raise ConfigError(f"ny must be at least 9, got ny={n} graded from eps={e}")
         for key in ("gamma1_lower", "gamma1_upper", "w_lower", "w_upper"):
             text = getattr(self, key)
             try:
@@ -188,15 +192,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: concentration trace must stay positive, got {text!r}")
         return self
 
-    def canonical(self) -> str:
-        """Round-trippable text form with every field explicit."""
-        return serialize_config(self)
+    def graded_ny(self, eps: float) -> int:
+        """Wall-normal nodes of the run at eps: ny, or with ny = 0 the
+        ceil(8/eps) + 1 that puts eight nodes in the O(eps) wall layer."""
+        if self.ny > 0:
+            return self.ny
+        return int(math.ceil(8.0 / eps)) + 1
 
     def hash(self) -> str:
         # output_dir is plumbing, not identity: the same experiment written
         # to two directories must carry the same hash
         fixed = replace(self, output_dir="out")
-        return hashlib.sha256(fixed.canonical().encode()).hexdigest()[:12]
+        return hashlib.sha256(serialize_config(fixed).encode()).hexdigest()[:12]
 
 
 # section -> key -> (attribute, type tag, converter)
@@ -408,25 +415,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(out)
 
 
-def apply_overrides(cfg: ExperimentConfig, *, preset: str | None = None,
+def apply_overrides(cfg: ExperimentConfig, *,
                     eps_list: tuple[float, ...] | None = None,
                     output_dir: str | None = None,
                     strict: bool | None = None) -> ExperimentConfig:
-    """Command-line overrides, applied after the file and re-validated.
-
-    Changing the preset re-bases onto that preset's defaults; explicit
-    file values are not tracked through a preset switch, so the switch
-    is only allowed when the rest of the config is still the old
-    preset's defaults.
-    """
-    if preset is not None and preset != cfg.preset:
-        old_defaults = preset_defaults(cfg.preset)
-        if cfg != old_defaults:
-            raise ConfigError(
-                "cannot override the preset of a config that customizes other keys; "
-                "set preset in the file instead"
-            )
-        cfg = preset_defaults(preset)
+    """Command-line overrides, applied after the file and re-validated."""
     changes: dict[str, object] = {}
     if eps_list is not None:
         changes["eps_list"] = tuple(float(e) for e in eps_list)

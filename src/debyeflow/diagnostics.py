@@ -34,7 +34,7 @@ import numpy as np
 
 from .elliptic import harmonic_extension
 from .grid import ChannelGrid, State, VelocityField
-from .operators import grad, integrate, norm_l2
+from .operators import grad, integrate
 from .params import BoundaryData, Params
 
 __all__ = [
@@ -43,12 +43,11 @@ __all__ = [
     "snapshot_blocks",
     "phi_entropy",
     "free_energy",
-    "electrochemical_potentials",
     "dissipation_identity_residual",
-    "dissipation_lower_bound",
     "modulated_energy",
     "max_principle_check",
     "MaxPrincipleReport",
+    "line_fit",
     "rate_fit",
     "diagnostics_record",
 ]
@@ -159,23 +158,6 @@ def free_energy(grid: ChannelGrid, s: State, wall: WallFields, p: Params) -> flo
     return ent + elec + kin
 
 
-def electrochemical_potentials(
-    grid: ChannelGrid, s: State, wall: WallFields, p: Params
-) -> dict[str, np.ndarray]:
-    """Potentials mu_i = log c_i + z_i(psi + phiW) and their wall-data
-    counterparts mu_i_star = log Gamma_i + z_i phiW."""
-    if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
-        raise ValueError("potentials undefined for non-positive concentrations")
-    phiw, g1, g2 = wall.phiw, wall.gamma1, wall.gamma2
-    total = s.psi + phiw
-    return {
-        "mu1": np.log(s.c1) + p.z1 * total,
-        "mu2": np.log(s.c2) + p.z2 * total,
-        "mu1_star": np.log(g1) + p.z1 * phiw,
-        "mu2_star": np.log(g2) + p.z2 * phiw,
-    }
-
-
 def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spatial terms of the energy balance, one value per snapshot of a block.
 
@@ -233,37 +215,6 @@ def dissipation_identity_residual(
     num = dEdt + visc + diss - rhs
     den = np.maximum(np.abs(visc) + diss + np.abs(rhs), 1e-14)
     return num / den
-
-
-def dissipation_lower_bound(grid: ChannelGrid, s: State, wall: WallFields, p: Params) -> dict[str, float]:
-    """Both sides of the coercivity bound on the entropy dissipation.
-
-    gradient terms + field term + charge term <= M * dissipation, with
-    the explicit constant M = max(Lambda/D*, 1/((z1^2+z2^2) lambda D*),
-    1/(2 D*)).  Returns the sides and the constant; callers assert with
-    an O(h^2) slack since the continuous proof integrates by parts once.
-    """
-    total = s.psi + wall.phiw
-    rho = s.rho(p)
-
-    diss = 0.0
-    grad_c_sq = 0.0
-    grad_total = grad(grid, total)
-    for c, z, D in ((s.c1, p.z1, p.D1), (s.c2, p.z2, p.D2)):
-        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad_total)]
-        diss += D * integrate(grid, c * sum(a * a for a in gmu))
-        grad_c_sq += integrate(grid, _grad_sq(grid, c))
-    field_sq = integrate(grid, _grad_sq(grid, total))
-    charge_sq = integrate(grid, (rho / p.eps) ** 2)
-
-    zz = p.z1 ** 2 + p.z2 ** 2
-    M = max(p.c_upper / p.D_star, 1.0 / (zz * p.c_lower * p.D_star), 1.0 / (2.0 * p.D_star))
-    return {
-        "lhs": grad_c_sq + field_sq + charge_sq,
-        "rhs": M * diss,
-        "dissipation": diss,
-        "constant": M,
-    }
 
 
 def modulated_energy(grid: ChannelGrid, s: State, lim: State, p: Params) -> dict[str, float | np.ndarray]:
@@ -360,8 +311,14 @@ def rate_fit(pairs) -> dict[str, float]:
         raise ValueError(f"rate fit needs at least 3 points, got {len(pairs)}")
     if any(e <= 0.0 or err <= 0.0 for e, err in pairs):
         raise ValueError("rate fit requires positive eps and error values")
-    x = np.log([e for e, _ in pairs])
-    y = np.log([err for _, err in pairs])
+    return line_fit(np.log([e for e, _ in pairs]), np.log([err for _, err in pairs]))
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """Least-squares line y = slope x + intercept and the r^2 of the fit.
+
+    With constant y, r^2 is 1 for an exact fit and 0 otherwise.
+    """
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .config_io import ConfigError, ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
-from .diagnostics import diagnostics_record, modulated_energy, rate_fit, snapshot_blocks
+from .diagnostics import diagnostics_record, line_fit, modulated_energy, rate_fit, snapshot_blocks
 from .grid import ChannelGrid, State, VelocityField
 from .layers import composite, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
@@ -123,12 +123,6 @@ class Fixture:
     c1_eps0: np.ndarray
 
 
-def _graded_ny(cfg: ExperimentConfig, eps: float) -> int:
-    if cfg.ny > 0:
-        return cfg.ny
-    return int(math.ceil(8.0 / eps)) + 1
-
-
 def _effective_dt(cfg: ExperimentConfig, eps: float) -> float:
     """Per-eps step size; layer presets cap dt at eps^2/8 to track the
     fast charge relaxation, then snap so t_end is a whole number of steps."""
@@ -140,7 +134,7 @@ def _effective_dt(cfg: ExperimentConfig, eps: float) -> float:
 
 
 def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
-    grid = ChannelGrid(d=cfg.d, nx=cfg.nx, ny=_graded_ny(cfg, eps))
+    grid = ChannelGrid(d=cfg.d, nx=cfg.nx, ny=cfg.graded_ny(eps))
     x = grid.x
     g1 = np.stack([
         evaluate_trace(cfg.gamma1_lower, x, cfg.d),
@@ -155,13 +149,7 @@ def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
     c1_lim0 = g1[0][:, None] * (1.0 - y)[None, :] + g1[1][:, None] * y[None, :] + bump[None, :]
     c1_eps0 = c1_lim0 + cfg.ic_eps_amp * eps * np.sin(math.pi * y)[None, :]
 
-    ratio_max = max(1.0, -cfg.z1 / cfg.z2)
-    lo = min(float(np.min(c1_lim0)), float(np.min(c1_eps0)), float(np.min(g1)))
-    hi = max(float(np.max(c1_lim0)), float(np.max(c1_eps0)), float(np.max(g1)))
-    p = Params(
-        z1=cfg.z1, z2=cfg.z2, D1=cfg.D1, D2=cfg.D2, nu=cfg.nu, eps=eps,
-        c_lower=lo * min(1.0, -cfg.z1 / cfg.z2), c_upper=hi * ratio_max,
-    )
+    p = Params(z1=cfg.z1, z2=cfg.z2, D1=cfg.D1, D2=cfg.D2, nu=cfg.nu, eps=eps)
     bdata = BoundaryData.electroneutral(gamma1=g1, w=w, params=p)
     run = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=_effective_dt(cfg, eps), t_end=cfg.t_end)
     return Fixture(run=run, c1_lim0=c1_lim0, c1_eps0=c1_eps0)
@@ -258,11 +246,11 @@ def _rate_sweep(cfg: ExperimentConfig, parallel: bool) -> list[dict[str, float]]
 
     The limit system has no eps in it: its run reads eps only to label
     an abort.  Members with the same grid and step, the key
-    (_graded_ny, _effective_dt), share one limit run, marched for the
+    (cfg.graded_ny, _effective_dt), share one limit run, marched for the
     first member of the key.  The pool runs the distinct limits first,
     then the members.
     """
-    keys = [(_graded_ny(cfg, e), _effective_dt(cfg, e)) for e in cfg.eps_list]
+    keys = [(cfg.graded_ny(e), _effective_dt(cfg, e)) for e in cfg.eps_list]
     firsts = {}
     for key, e in zip(keys, cfg.eps_list):
         firsts.setdefault(key, e)
@@ -409,18 +397,13 @@ def _decay_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             for k in range(0, n + 1, cfg.save_every)]
 
     tail = tau >= 0.5 * cfg.t_end
-    slope, intercept = np.polyfit(tau[tail], np.log(norms[tail]), 1)
-    fitted = slope * tau[tail] + intercept
-    ss_res = float(np.sum((np.log(norms[tail]) - fitted) ** 2))
-    ss_tot = float(np.sum((np.log(norms[tail]) - np.mean(np.log(norms[tail]))) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    fit = line_fit(tau[tail], np.log(norms[tail]))
 
     lam = float(np.min(background))
     bound = -DECAY_MARGIN * p.z1 * (p.z1 * p.D1 - p.z2 * p.D2) * lam
-    fit = {"slope": float(slope), "intercept": float(intercept), "r2": r2}
     entry = {"epsilon": cfg.eps, "lambda": lam, "tail_from": 0.5 * cfg.t_end,
              "rho_l2_initial": float(norms[0]), "rho_l2_final": float(norms[-1])}
-    return rows, _report(cfg, fit, (-1000.0, bound), -1000.0 <= slope <= bound, [entry], [])
+    return rows, _report(cfg, fit, (-1000.0, bound), -1000.0 <= fit["slope"] <= bound, [entry], [])
 
 
 # ---------------------------------------------------------------------------

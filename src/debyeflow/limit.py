@@ -32,7 +32,7 @@ from .npns import (
     advance_velocity,
     march,
 )
-from .operators import advect, div_a_grad, norm_linf
+from .operators import advect, div_a_grad
 from .params import Params
 
 logger = logging.getLogger(__name__)
@@ -40,7 +40,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "effective_diffusivity",
     "solve_limit_psi",
-    "limit_psi_residuals",
     "step_limit",
     "run_limit",
 ]
@@ -71,29 +70,6 @@ def solve_limit_psi(grid: ChannelGrid, c1: np.ndarray, p: Params, phiw: np.ndarr
     ones = np.ones(grid.shape)
     rhs = -(p.D1 - p.D2) * div_a_grad(grid, ones, c1) - div_a_grad(grid, a, phiw)
     return solve_div_form(grid, a, rhs)
-
-
-def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray,
-                        p: Params, phiw: np.ndarray) -> dict:
-    """Discrete residuals of both divergence forms of the psi equation.
-
-    The charge-weighted form, with the second species eliminated by the
-    constraint, is exactly z1 times the primary form, so its residual
-    is tied to the first by linearity of the flux assembly.
-    """
-    ones = np.ones(grid.shape)
-    a = (p.z1 * p.D1 - p.z2 * p.D2) * c1
-    primary = ((p.D1 - p.D2) * div_a_grad(grid, ones, c1)
-               + div_a_grad(grid, a, psi) + div_a_grad(grid, a, phiw))
-    c2 = -(p.z1 / p.z2) * c1
-    a2 = p.z1 ** 2 * p.D1 * c1 + p.z2 ** 2 * p.D2 * c2
-    weighted = (p.z1 * p.D1 * div_a_grad(grid, ones, c1)
-                + p.z2 * p.D2 * div_a_grad(grid, ones, c2)
-                + div_a_grad(grid, a2, psi) + div_a_grad(grid, a2, phiw))
-    return {
-        "primary": norm_linf(grid, primary),
-        "charge_weighted": norm_linf(grid, weighted),
-    }
 
 
 def initial_limit_state(grid: ChannelGrid, c1_0: np.ndarray, u_0: VelocityField,

@@ -28,14 +28,12 @@ __all__ = [
     "d2dy2",
     "laplacian",
     "grad",
-    "divergence",
     "advect",
     "quad_weights",
     "integrate",
     "norm_l2",
     "norm_h1_semi",
     "norm_h2",
-    "norm_linf",
     "half_node_average_x",
     "half_node_average_y",
     "div_a_grad",
@@ -107,17 +105,6 @@ def grad(grid: ChannelGrid, f: np.ndarray) -> list[np.ndarray]:
     return [ddx(grid, f), ddy(grid, f)]
 
 
-def divergence(grid: ChannelGrid, components) -> np.ndarray:
-    """Divergence of a vector sample (VelocityField or list of arrays)."""
-    if isinstance(components, VelocityField):
-        components = components.components
-    if len(components) != grid.d:
-        raise ValueError(f"need {grid.d} components, got {len(components)}")
-    if grid.d == 1:
-        return ddy(grid, components[0])
-    return ddx(grid, components[0]) + ddy(grid, components[1])
-
-
 def advect(grid: ChannelGrid, u: VelocityField, f: np.ndarray) -> np.ndarray:
     """Advective derivative u . grad f."""
     gf = grad(grid, f)
@@ -186,10 +173,6 @@ def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
         fxy = ddy(grid, ddx(grid, f))
         s += integrate(grid, fxx * fxx) + 2.0 * integrate(grid, fxy * fxy)
     return _root(s)
-
-
-def norm_linf(grid: ChannelGrid, f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class Params:
         Kinematic viscosity of the solvent.
     eps : float
         Scaled Debye length.
-    c_lower, c_upper : float
-        Envelope of admissible concentrations: the min/max over the wall
-        traces and the initial data of both species.  Used by maximum
-        principle checks and by ellipticity guards.
     """
 
     z1: float
@@ -42,8 +38,6 @@ class Params:
     D2: float
     nu: float
     eps: float
-    c_lower: float = 1.0
-    c_upper: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.z1 > 0.0 > self.z2):
@@ -54,11 +48,6 @@ class Params:
             raise ValueError(f"viscosity must be positive, got nu={self.nu}")
         if self.eps <= 0.0:
             raise ValueError(f"Debye length must be positive, got eps={self.eps}")
-        if not (0.0 < self.c_lower <= self.c_upper):
-            raise ValueError(
-                f"data bounds must satisfy 0 < c_lower <= c_upper, "
-                f"got c_lower={self.c_lower}, c_upper={self.c_upper}"
-            )
 
     @property
     def D_star(self) -> float:

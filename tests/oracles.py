@@ -5,6 +5,10 @@ matrices are assembled by probing operators with unit fields, and the
 mixed-layer reference integrates the untransformed equations on a
 uniform grid.  Agreement between a library solver and its oracle is
 then a genuine two-route check.
+
+The module also holds the diagnostics that only the tests read: the
+divergence and max norm, the electrochemical potentials, the coercivity
+bound on the dissipation and the residuals of the limit psi equation.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import scipy.linalg
 import scipy.sparse
 
 from debyeflow.diagnostics import MaxPrincipleReport, phi_entropy, wall_fields
-from debyeflow.grid import ChannelGrid
+from debyeflow.grid import ChannelGrid, VelocityField
 from debyeflow.layers import cutoff_left, cutoff_right, wall_layers
 from debyeflow.limit import effective_diffusivity
 from debyeflow.npns import _implicit_diffusion
@@ -25,6 +29,7 @@ from debyeflow.operators import (
     advect,
     d2dx2,
     ddx,
+    ddy,
     div_a_grad,
     grad,
     integrate,
@@ -495,3 +500,94 @@ def solve_banded_projection(grid: ChannelGrid, u) -> list[np.ndarray]:
         comp[:, 0] = 0.0
         comp[:, -1] = 0.0
     return [ux, uy]
+
+
+# ---------------------------------------------------------------------------
+# diagnostics that only the tests read: no preset evaluates them, so they
+# live here rather than in the library
+
+
+def norm_linf(grid: ChannelGrid, f: np.ndarray) -> float:
+    return float(np.max(np.abs(f)))
+
+
+def divergence(grid: ChannelGrid, components) -> np.ndarray:
+    """Divergence of a vector sample (VelocityField or list of arrays)."""
+    if isinstance(components, VelocityField):
+        components = components.components
+    if len(components) != grid.d:
+        raise ValueError(f"need {grid.d} components, got {len(components)}")
+    if grid.d == 1:
+        return ddy(grid, components[0])
+    return ddx(grid, components[0]) + ddy(grid, components[1])
+
+
+def electrochemical_potentials(grid: ChannelGrid, s, wall, p) -> dict[str, np.ndarray]:
+    """Potentials mu_i = log c_i + z_i(psi + phiW) and their wall-data
+    counterparts mu_i_star = log Gamma_i + z_i phiW."""
+    if np.any(s.c1 <= 0.0) or np.any(s.c2 <= 0.0):
+        raise ValueError("potentials undefined for non-positive concentrations")
+    phiw, g1, g2 = wall.phiw, wall.gamma1, wall.gamma2
+    total = s.psi + phiw
+    return {
+        "mu1": np.log(s.c1) + p.z1 * total,
+        "mu2": np.log(s.c2) + p.z2 * total,
+        "mu1_star": np.log(g1) + p.z1 * phiw,
+        "mu2_star": np.log(g2) + p.z2 * phiw,
+    }
+
+
+def dissipation_lower_bound(grid: ChannelGrid, s, wall, p, bounds: tuple[float, float]) -> dict[str, float]:
+    """Both sides of the coercivity bound on the entropy dissipation.
+
+    gradient terms + field term + charge term <= M * dissipation, with
+    the explicit constant M = max(Lambda/D*, 1/((z1^2+z2^2) lambda D*),
+    1/(2 D*)), where bounds = (lambda, Lambda) is the envelope of both
+    concentrations.  Returns the sides and the constant; callers assert
+    with an O(h^2) slack since the continuous proof integrates by parts
+    once.
+    """
+    lam, Lam = bounds
+    total = s.psi + wall.phiw
+    rho = s.rho(p)
+
+    diss = 0.0
+    grad_c_sq = 0.0
+    grad_total = grad(grid, total)
+    for c, z, D in ((s.c1, p.z1, p.D1), (s.c2, p.z2, p.D2)):
+        gmu = [dc / c + z * dt for dc, dt in zip(grad(grid, c), grad_total)]
+        diss += D * integrate(grid, c * sum(a * a for a in gmu))
+        grad_c_sq += integrate(grid, _grad_sq(grid, c))
+    field_sq = integrate(grid, _grad_sq(grid, total))
+    charge_sq = integrate(grid, (rho / p.eps) ** 2)
+
+    zz = p.z1 ** 2 + p.z2 ** 2
+    M = max(Lam / p.D_star, 1.0 / (zz * lam * p.D_star), 1.0 / (2.0 * p.D_star))
+    return {
+        "lhs": grad_c_sq + field_sq + charge_sq,
+        "rhs": M * diss,
+        "dissipation": diss,
+        "constant": M,
+    }
+
+
+def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray, p, phiw: np.ndarray) -> dict:
+    """Discrete residuals of both divergence forms of the limit psi equation.
+
+    The charge-weighted form, with the second species eliminated by the
+    constraint, is exactly z1 times the primary form, so its residual
+    is tied to the first by linearity of the flux assembly.
+    """
+    ones = np.ones(grid.shape)
+    a = (p.z1 * p.D1 - p.z2 * p.D2) * c1
+    primary = ((p.D1 - p.D2) * div_a_grad(grid, ones, c1)
+               + div_a_grad(grid, a, psi) + div_a_grad(grid, a, phiw))
+    c2 = -(p.z1 / p.z2) * c1
+    a2 = p.z1 ** 2 * p.D1 * c1 + p.z2 ** 2 * p.D2 * c2
+    weighted = (p.z1 * p.D1 * div_a_grad(grid, ones, c1)
+                + p.z2 * p.D2 * div_a_grad(grid, ones, c2)
+                + div_a_grad(grid, a2, psi) + div_a_grad(grid, a2, phiw))
+    return {
+        "primary": norm_linf(grid, primary),
+        "charge_weighted": norm_linf(grid, weighted),
+    }

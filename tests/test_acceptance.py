@@ -27,6 +27,7 @@ from debyeflow.layers import (
 )
 
 from oracles import mixed_layer_direct
+from test_experiments import strip_wall_clock
 
 RNG = np.random.default_rng(20250812)
 
@@ -336,11 +337,7 @@ def test_c10_property_suites(tmp_path):
     ra = (tmp_path / "a" / "report.json").read_bytes()
     rb = (tmp_path / "b" / "report.json").read_bytes()
     assert ra == rb, "report.json must be byte-identical across reruns"
-    strip = lambda text: [
-        ",".join(c for i, c in enumerate(ln.split(",")) if i != 7)
-        for ln in text.splitlines()
-    ]
-    sa = strip((tmp_path / "a" / "sweep.csv").read_text())
-    sb = strip((tmp_path / "b" / "sweep.csv").read_text())
+    sa = strip_wall_clock((tmp_path / "a" / "sweep.csv").read_text())
+    sb = strip_wall_clock((tmp_path / "b" / "sweep.csv").read_text())
     assert sa == sb, "sweep.csv must reproduce bitwise outside wall_clock_s"
     assert json.loads(ra)["config_hash"] == cfg.hash()

@@ -262,7 +262,7 @@ def test_hash_ignores_output_directory():
     cfg = preset_defaults("custom")
     moved = replace(cfg, output_dir="elsewhere/run7")
     assert moved.hash() == cfg.hash(), "output_dir must not enter the hash"
-    assert moved.canonical() != cfg.canonical(), "canonical text stays faithful"
+    assert serialize_config(moved) != serialize_config(cfg), "canonical text stays faithful"
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +300,6 @@ def test_overrides_apply_and_revalidate():
         apply_overrides(cfg, eps_list=(0.125, 0.125))
 
 
-def test_preset_override_only_from_pristine_defaults():
-    pristine = preset_defaults("custom")
-    switched = apply_overrides(pristine, preset="thm1_rate")
-    assert switched == preset_defaults("thm1_rate")
-    from dataclasses import replace
-    customized = replace(pristine, ny=99)
-    with pytest.raises(ConfigError, match="customizes other keys"):
-        apply_overrides(customized, preset="thm1_rate")
-
-
 # ---------------------------------------------------------------------------
 # cli
 
@@ -331,6 +321,26 @@ def test_cli_rejects_bad_eps(capsys):
 def test_cli_reports_missing_sweep(tmp_path, capsys):
     assert run_cli("report", "--preset", "thm1_rate", "--out", str(tmp_path)) == 2
     assert "no sweep.csv" in capsys.readouterr().err
+
+
+def test_cli_rejects_config_with_preset(tmp_path, capsys):
+    # the two flags cannot be combined, even when the file holds nothing
+    # but its preset's defaults: exit 2, and nothing is written
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = custom\n")
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--config", str(config), "--preset", "thm1_rate", "--out", str(out)) == 2
+    assert "one of --config or --preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_eps_graded_below_the_ny_floor(tmp_path, capsys):
+    # thm51_rate grades ny = ceil(8/eps) + 1, which is 5 at eps = 2: a
+    # config error that names the eps, not a solver abort with error.json
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--preset", "thm51_rate", "--eps", "2.0,1.0,0.5", "--out", str(out)) == 2
+    assert "ny must be at least 9, got ny=5 graded from eps=2.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_sweep_report_cycle(tmp_path, capsys):

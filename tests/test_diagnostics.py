@@ -12,8 +12,6 @@ from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField, d
 from debyeflow.diagnostics import (
     diagnostics_record,
     dissipation_identity_residual,
-    dissipation_lower_bound,
-    electrochemical_potentials,
     free_energy,
     max_principle_check,
     modulated_energy,
@@ -28,6 +26,8 @@ from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
 from debyeflow.operators import ddy, norm_l2
 
 from oracles import (
+    dissipation_lower_bound,
+    electrochemical_potentials,
     full_search_max_principle,
     per_snapshot_free_energy,
     per_snapshot_identity_residual,
@@ -35,10 +35,8 @@ from oracles import (
 )
 
 
-def setup_1d(ny=65, eps=0.1, gamma=(2.0, 2.0), w=(0.0, 0.0), z1=1.0, z2=-1.0, D1=1.0, D2=1.0,
-             c_bounds=None):
-    lo, hi = c_bounds if c_bounds is not None else (min(gamma), max(gamma))
-    p = Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps, c_lower=lo, c_upper=hi)
+def setup_1d(ny=65, eps=0.1, gamma=(2.0, 2.0), w=(0.0, 0.0), z1=1.0, z2=-1.0, D1=1.0, D2=1.0):
+    p = Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps)
     g = ChannelGrid(d=1, nx=1, ny=ny)
     bdata = BoundaryData.electroneutral(
         np.array([[gamma[0]], [gamma[1]]]), w=np.array([[w[0]], [w[1]]]), params=p
@@ -219,8 +217,7 @@ def test_modulated_energy_quadratic_approximation(delta):
 
 
 def make_traj(ny=129, dt=1e-3, t_end=2e-2, eps=0.25, gamma=(2.0, 2.0)):
-    # c_upper must cover the initial data, not just the wall values
-    p, g, bdata = setup_1d(ny=ny, eps=eps, gamma=gamma, c_bounds=(2.0, 2.5))
+    p, g, bdata = setup_1d(ny=ny, eps=eps, gamma=gamma)
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=t_end)
     c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
     s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
@@ -258,7 +255,8 @@ def test_dissipation_lower_bound_along_run():
     g, bdata, p, run = make_traj(ny=257, dt=1e-3, t_end=1e-2, eps=0.1)
     wall = wall_fields(g, bdata)
     for s in run:
-        out = dissipation_lower_bound(g, s, wall, p)
+        # the envelope must cover the initial data, not just the wall values
+        out = dissipation_lower_bound(g, s, wall, p, (2.0, 2.5))
         # discrete integration by parts costs O(h^2); 5% slack plus floor
         assert out["lhs"] <= 1.05 * out["rhs"] + 1e-12, (
             f"t={s.t}: lower bound violated, lhs={out['lhs']:.6g} rhs={out['rhs']:.6g}"
@@ -269,10 +267,10 @@ def wall_driven_run(d):
     """A short run whose wall data varies: across the channel in d = 1,
     and along x as well in d = 2, so every cached wall gradient is nonzero."""
     if d == 1:
-        p, g, bdata = setup_1d(ny=65, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5), c_bounds=(2.0, 2.8))
+        p, g, bdata = setup_1d(ny=65, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5))
         c1 = 2.0 + 0.5 * g.yy + 0.3 * np.sin(np.pi * g.yy)
     else:
-        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25, c_lower=1.8, c_upper=2.2)
+        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25)
         g = ChannelGrid(d=2, nx=8, ny=17)
         gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
         w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.full(g.nx, 0.3)])
@@ -313,10 +311,10 @@ def oracle_fixture(d):
     d = 1 at ny = 257, and d = 2 at 8x17 with x-varying Gamma1 and w,
     which drive a nonzero velocity."""
     if d == 1:
-        p, g, bdata = setup_1d(ny=257, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5), c_bounds=(2.0, 2.8))
+        p, g, bdata = setup_1d(ny=257, eps=0.25, gamma=(2.0, 2.5), w=(0.0, 0.5))
         c1 = 2.0 + 0.5 * g.yy + 0.3 * np.sin(np.pi * g.yy)
     else:
-        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25, c_lower=1.8, c_upper=2.2)
+        p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25)
         g = ChannelGrid(d=2, nx=8, ny=17)
         gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
         w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.full(g.nx, 0.3)])

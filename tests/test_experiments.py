@@ -117,7 +117,7 @@ def test_single_eps_warns_insufficient_points(tmp_path):
 
 def test_solver_abort_writes_error_payload(tmp_path):
     # a deep negative bump drives the initial concentration below zero,
-    # which the well-prepared initializer refuses
+    # which the initial-state check (npns._initial_fields) refuses
     cfg = replace(tiny_custom(), ic_bump=-5.0)
     with pytest.raises(ExperimentError) as err:
         run_experiment(cfg, out_dir=tmp_path, parallel=False)

@@ -28,9 +28,8 @@ from debyeflow.operators import grad, laplacian, norm_l2
 from oracles import mixed_layer_direct
 
 
-def make_params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, eps=0.1, c_bounds=(1.0, 3.0)):
-    return Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps,
-                  c_lower=c_bounds[0], c_upper=c_bounds[1])
+def make_params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, eps=0.1):
+    return Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps)
 
 
 def make_cfg(ny=65, dt=1e-3, n_steps=5, gamma=(2.0, 2.0), w=(0.0, 0.0), **pkw):

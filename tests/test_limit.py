@@ -10,22 +10,19 @@ from debyeflow.elliptic import harmonic_extension
 from debyeflow.limit import (
     effective_diffusivity,
     initial_limit_state,
-    limit_psi_residuals,
     run_limit,
     solve_limit_psi,
     step_limit,
 )
 from debyeflow.npns import MaxPrincipleViolation, NpnsConfig, StepError
-from debyeflow.operators import norm_l2, norm_linf
 
-from oracles import advected_limit_c1
+from oracles import advected_limit_c1, limit_psi_residuals, norm_linf
 
 Z_SAFE = (-1.0, -2.0, -4.0)  # power-of-two magnitudes keep the constraint scaling exact
 
 
-def make_params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, eps=0.1, c_bounds=(1.0, 3.0)):
-    return Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps,
-                  c_lower=c_bounds[0], c_upper=c_bounds[1])
+def make_params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, eps=0.1):
+    return Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=1.0, eps=eps)
 
 
 def make_cfg(ny=65, dt=1e-3, n_steps=5, gamma=(2.0, 2.0), w=(0.0, 0.0), **pkw):

@@ -9,7 +9,7 @@ from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
 
 
 def make_run(t_end, dt=1e-3):
-    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=1.0, eps=0.25, c_lower=1.0, c_upper=3.0)
+    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=1.0, eps=0.25)
     g = ChannelGrid(d=1, nx=1, ny=33)
     bdata = BoundaryData.electroneutral(np.array([[2.0], [2.0]]), w=np.array([[0.0], [0.5]]), params=p)
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=t_end)

@@ -20,9 +20,9 @@ from debyeflow.npns import (
     step_npns,
     well_prepared_init,
 )
-from debyeflow.operators import divergence, norm_l2
+from debyeflow.operators import norm_l2
 
-from oracles import banded_to_sparse, dense_coupled_matrix, interior_laplacian_action
+from oracles import banded_to_sparse, dense_coupled_matrix, divergence, interior_laplacian_action
 
 
 def make_cfg(
@@ -42,7 +42,7 @@ def make_cfg(
 ):
     if t_end is None:
         t_end = dt
-    p = Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=nu, eps=eps, c_lower=gamma1, c_upper=gamma1)
+    p = Params(z1=z1, z2=z2, D1=D1, D2=D2, nu=nu, eps=eps)
     grid = ChannelGrid(d=d, nx=nx, ny=ny)
     gam = np.full((2, nx), gamma1)
     wtr = np.vstack([np.full(nx, w[0]), np.full(nx, w[1])])
@@ -228,7 +228,7 @@ def test_config_validation():
 
 
 def test_d2_run_invariants():
-    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25, c_lower=1.8, c_upper=2.2)
+    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25)
     grid = ChannelGrid(d=2, nx=8, ny=17)
     gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * grid.x), np.full(grid.nx, 2.0)])
     w = np.vstack([0.1 * np.sin(2 * np.pi * grid.x), np.zeros(grid.nx)])
@@ -251,7 +251,7 @@ def test_d2_run_invariants():
 
 
 def _d2_cfg(eps):
-    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=eps, c_lower=1.8, c_upper=2.2)
+    p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=eps)
     grid = ChannelGrid(d=2, nx=8, ny=17)
     gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * grid.x), np.full(grid.nx, 2.0)])
     w = np.vstack([0.1 * np.sin(2 * np.pi * grid.x), np.zeros(grid.nx)])
