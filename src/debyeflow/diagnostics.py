@@ -7,11 +7,10 @@ scheme (the tests do that instead).
 
 The wall data is fixed for a run, so its harmonic extensions and their
 gradients are built once per run (wall_fields) and every functional
-that reads the wall data takes that WallFields bundle; diagnostics_record
-hands the energy residual the free energies it computed.  The solvers
+that reads the wall data takes that WallFields bundle.  The solvers
 compute none of this while they march: a caller that reads the energy
-balance of a run builds its rows (diagnostics_record) from the saved
-States.
+balance of a run builds its rows (diagnostics_record) from the run's
+stream of saved States as it is marched.
 
 free_energy and modulated_energy take one snapshot, a State whose
 fields are (nx, ny), or a block of snapshots, a State whose fields
@@ -19,16 +18,22 @@ stack them along a leading time axis; they return a float for a
 snapshot and one value per snapshot for a block, through the same
 code.  A trajectory is evaluated block by block (snapshot_blocks), so
 numpy's per-call overhead is paid once per block, not once per
-snapshot; dissipation_identity_residual does this itself.  Each
-snapshot's value in a block is bitwise the value it has on its own.
+snapshot, and a streamed run is held one block at a time.
+dissipation_identity_residual reads the blocks once and evaluates each
+block's free energy and spatial terms as it arrives; diagnostics_record
+feeds it the blocks and reads the extrema, H and Theta off each block
+on the way, so each block is stacked once.  Each snapshot's value in a
+block is bitwise the value it has on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -62,24 +67,31 @@ __all__ = [
 BLOCK_ELEMENTS = 2 ** 13
 
 
-def snapshot_blocks(grid: ChannelGrid, states: Sequence[State]) -> Iterator[State]:
+def snapshot_blocks(grid: ChannelGrid, states: Iterable[State]) -> Iterator[State]:
     """The States in order, in blocks of consecutive snapshots.
 
     Each block is one State whose arrays stack the snapshots' along a
-    leading time axis and whose t holds their times.
+    leading time axis and whose t holds their times.  states may be a
+    run's stream: a block's snapshots are read just before it is built
+    and released once it is, so a reader that keeps no block holds one
+    block's snapshots at a time.
     """
     size = max(1, BLOCK_ELEMENTS // (grid.nx * grid.ny))
-    for k in range(0, len(states), size):
-        chunk = states[k : k + size]
-        fields = {}
-        for f in dataclasses.fields(chunk[0]):
-            values = [getattr(s, f.name) for s in chunk]
-            if isinstance(values[0], VelocityField):
-                comps = [np.stack(c) for c in zip(*(v.components for v in values))]
-                fields[f.name] = VelocityField(grid, comps)
-            else:
-                fields[f.name] = np.stack(values)
-        yield State(**fields)
+    states = iter(states)
+    for first in states:
+        yield _stacked(grid, [first, *islice(states, size - 1)])
+
+
+def _stacked(grid: ChannelGrid, chunk: list[State]) -> State:
+    fields = {}
+    for f in dataclasses.fields(chunk[0]):
+        values = [getattr(s, f.name) for s in chunk]
+        if isinstance(values[0], VelocityField):
+            comps = [np.stack(c) for c in zip(*(v.components for v in values))]
+            fields[f.name] = VelocityField(grid, comps)
+        else:
+            fields[f.name] = np.stack(values)
+    return State(**fields)
 
 
 def phi_entropy(s):
@@ -188,33 +200,33 @@ def _identity_sides(grid, s: State, wall: WallFields, p) -> tuple[np.ndarray, np
 
 
 def dissipation_identity_residual(
-    grid: ChannelGrid,
-    snapshots: list[State],
-    wall: WallFields,
-    p: Params,
-    energies: Sequence[float],
-) -> np.ndarray:
-    """Normalized residual of the energy balance along a trajectory.
+    grid: ChannelGrid, blocks: Iterable[State], wall: WallFields, p: Params
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free energies and normalized residuals of the energy balance along a trajectory.
 
-    dE/dt is a centered difference of the free energy on the snapshot
-    times (one-sided second order at the ends), the spatial terms are
-    evaluated per snapshot, block by block, and the mismatch is
-    normalized by the size of the dissipation plus the right side so the
-    result is a relative quantity comparable across runs.  energies are
-    the free energies of the snapshots, already computed by the caller.
+    blocks are the trajectory's snapshot blocks (snapshot_blocks), read
+    once: each block's free energy and spatial terms are evaluated as it
+    arrives.  dE/dt is then a centered difference of the free energy on
+    the snapshot times (one-sided second order at the ends), and the
+    mismatch is normalized by the size of the dissipation plus the right
+    side so the result is a relative quantity comparable across runs.
+    Returns one energy and one residual per snapshot; fewer than three
+    snapshots raise ValueError.
     """
-    if len(snapshots) < 3:
-        raise ValueError(f"need at least 3 snapshots for a centered residual, got {len(snapshots)}")
-    if len(energies) != len(snapshots):
-        raise ValueError(f"got {len(energies)} energies for {len(snapshots)} snapshots")
-    times = np.array([s.t for s in snapshots])
-    E = np.array(energies, dtype=float)
-    dEdt = np.gradient(E, times, edge_order=2)
-    sides = [_identity_sides(grid, blk, wall, p) for blk in snapshot_blocks(grid, snapshots)]
+    times, energies, sides = [], [], []
+    for blk in blocks:
+        times.append(blk.t)
+        energies.append(free_energy(grid, blk, wall, p))
+        sides.append(_identity_sides(grid, blk, wall, p))
+    n = sum(len(t) for t in times)
+    if n < 3:
+        raise ValueError(f"need at least 3 snapshots for a centered residual, got {n}")
+    E = np.concatenate(energies)
+    dEdt = np.gradient(E, np.concatenate(times), edge_order=2)
     diss, rhs, visc = (np.concatenate(side) for side in zip(*sides))
     num = dEdt + visc + diss - rhs
     den = np.maximum(np.abs(visc) + diss + np.abs(rhs), 1e-14)
-    return num / den
+    return E, num / den
 
 
 def modulated_energy(grid: ChannelGrid, s: State, lim: State, p: Params) -> dict[str, float | np.ndarray]:
@@ -331,26 +343,56 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> dict[str, float]:
 
 
 def diagnostics_record(
-    grid: ChannelGrid, snapshots: Sequence[State], wall: WallFields, p: Params
+    grid: ChannelGrid, snapshots: Iterable[State], wall: WallFields, p: Params,
+    limit: Iterable[State] | None = None,
 ) -> list[dict[str, float]]:
-    """One diag.csv row per saved snapshot: t, E, the species extrema and
-    the energy residual.
+    """One diag.csv row per snapshot: t, E, the species extrema, the
+    energy residual and, against the limit run's states limit, H and Theta.
 
-    The energies and extrema are taken block by block (snapshot_blocks),
-    and the energies are handed to dissipation_identity_residual, which
-    needs at least three snapshots; with fewer the residual is NaN.
+    snapshots and limit are read once, in lockstep, block by block
+    (snapshot_blocks).  The blocks go through
+    dissipation_identity_residual, which gives E and the residual; the
+    extrema, H and Theta are read off each block on its way there.  With
+    fewer than three snapshots the residual is NaN.
     """
     rows = []
-    for blk in snapshot_blocks(grid, snapshots):
-        E = free_energy(grid, blk, wall, p).tolist()
-        mn1, mx1, mn2, mx2 = (f(c, axis=(-2, -1)).tolist()
-                              for c in (blk.c1, blk.c2) for f in (np.min, np.max))
-        for k, t in enumerate(blk.t.tolist()):
-            rows.append({"t": t, "E": E[k], "min_c1": mn1[k], "max_c1": mx1[k],
-                         "min_c2": mn2[k], "max_c2": mx2[k]})
-    residual = [math.nan] * len(rows)
-    if len(rows) >= 3:
-        residual = dissipation_identity_residual(grid, snapshots, wall, p, [r["E"] for r in rows]).tolist()
-    for row, r in zip(rows, residual):
+    limit_blocks = None if limit is None else snapshot_blocks(grid, limit)
+
+    def recorded(blocks):
+        for blk in blocks:
+            mn1, mx1, mn2, mx2 = (f(c, axis=(-2, -1)).tolist()
+                                  for c in (blk.c1, blk.c2) for f in (np.min, np.max))
+            cols = {"min_c1": mn1, "max_c1": mx1, "min_c2": mn2, "max_c2": mx2}
+            if limit_blocks is not None:
+                lim = next(limit_blocks, None)
+                if lim is None:
+                    raise ValueError("the limit run has fewer states than the snapshots")
+                me = modulated_energy(grid, blk, lim, p)
+                cols.update(H=me["H"].tolist(), Theta=me["Theta"].tolist())
+            for k, t in enumerate(blk.t.tolist()):
+                rows.append({"t": t, **{name: v[k] for name, v in cols.items()}})
+            yield blk
+
+    states = iter(snapshots)
+    head = deque(islice(states, 3))
+    short = len(head) < 3
+
+    def resumed():
+        # hands each peeked snapshot on without keeping it
+        while head:
+            yield head.popleft()
+        yield from states
+
+    blocks = recorded(snapshot_blocks(grid, resumed()))
+    if short:
+        E = np.concatenate([free_energy(grid, blk, wall, p) for blk in blocks])
+        residual = np.full(len(E), math.nan)
+    else:
+        E, residual = dissipation_identity_residual(grid, blocks, wall, p)
+    # runs the limit stream to its end, so a longer one shows
+    if limit_blocks is not None and next(limit_blocks, None) is not None:
+        raise ValueError("the limit run has more states than the snapshots")
+    for row, e, r in zip(rows, E.tolist(), residual.tolist()):
+        row["E"] = e
         row["dissipation_residual"] = r
     return rows

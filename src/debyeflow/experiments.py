@@ -29,6 +29,15 @@ member for the graded layer presets.  Its two pool phases run the limit
 runs, then the members.  Each member's norms are taken over blocks of
 snapshots, and the energy diagnostics are computed only by the energy
 study, the one preset that reads them.
+
+Every run is a stream of its saved States (npns.run_npns,
+limit.run_limit), and every study reduces it block by block as it is
+marched: a rate member walks its finite-eps stream against the shared
+limit list, the energy study walks the finite-eps and limit streams in
+lockstep, and the profile study keeps only the last states.  The shared
+limit run of a rate sweep is the one run kept whole, as a list, since
+it is sent to the member jobs.  A solver abort surfaces while a stream
+is read, inside the study, and carries its eps and t as before.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ import math
 import os
 import time
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -47,12 +58,12 @@ from pathlib import Path
 import numpy as np
 
 from .config_io import ConfigError, ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
-from .diagnostics import diagnostics_record, line_fit, modulated_energy, rate_fit, snapshot_blocks
+from .diagnostics import diagnostics_record, line_fit, rate_fit, snapshot_blocks
 from .grid import ChannelGrid, State, VelocityField
 from .layers import composite, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
 from .npns import MaxPrincipleViolation, NpnsConfig, StepError, run_npns, well_prepared_init
-from .operators import laplacian, norm_h1_semi, norm_h2, norm_l2
+from .operators import laplacian, norm_h1_semi, norm_l2, norms_h1_semi_h2
 from .params import BoundaryData, Params
 
 logger = logging.getLogger(__name__)
@@ -155,21 +166,21 @@ def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
     return Fixture(run=run, c1_lim0=c1_lim0, c1_eps0=c1_eps0)
 
 
-def _run_eps(cfg: ExperimentConfig, fx: Fixture) -> list[State]:
-    """The finite-eps run of one fixture."""
+def _run_eps(cfg: ExperimentConfig, fx: Fixture) -> Iterator[State]:
+    """The finite-eps run of one fixture, as a stream."""
     g = fx.run.grid
     init = well_prepared_init(g, fx.c1_eps0, VelocityField.zero(g), fx.run)
     return run_npns(init, fx.run, save_every=cfg.save_every)
 
 
-def _run_limit(cfg: ExperimentConfig, fx: Fixture) -> list[State]:
-    """The limit run of one fixture."""
+def _run_limit(cfg: ExperimentConfig, fx: Fixture) -> Iterator[State]:
+    """The limit run of one fixture, as a stream."""
     g = fx.run.grid
     linit = initial_limit_state(g, fx.c1_lim0, VelocityField.zero(g), fx.run)
     return run_limit(linit, fx.run, save_every=cfg.save_every)
 
 
-def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[list[State], list[State]]:
+def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Iterator[State], Iterator[State]]:
     """Both runs of one fixture; one driver gives them the same snapshot times."""
     return _run_eps(cfg, fx), _run_limit(cfg, fx)
 
@@ -177,30 +188,32 @@ def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[list[State], list[Sta
 def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[str, float]:
     """All sweep columns for one eps against the saved States lrun of its limit run.
 
-    The norms are taken over blocks of snapshots (snapshot_blocks) and
-    then folded one snapshot at a time, as Python floats, into the time
-    maxima and trapezoid integrals.  Time integrals use the trapezoid
-    rule on the snapshot grid, so transients shorter than save_every*dt
-    are under-resolved; the windowed criteria only involve norms that
-    are insensitive to that.  wall_clock_s times the finite-eps run and
-    this reduction, not the limit run, which members may share.
+    The finite-eps run is reduced as it is marched: its norms are taken
+    over blocks of snapshots (snapshot_blocks), each block against the
+    limit's block of the same times, and then folded one snapshot at a
+    time, as Python floats, into the time maxima and trapezoid integrals.
+    Time integrals use the trapezoid rule on the snapshot grid, so
+    transients shorter than save_every*dt are under-resolved; the
+    windowed criteria only involve norms that are insensitive to that.
+    wall_clock_s times the finite-eps run and this reduction, not the
+    limit run, which members may share.
     """
     t0 = time.perf_counter()
     fx = build_fixture(cfg, eps)
     g, p = fx.run.grid, fx.run.params
-    run = _run_eps(cfg, fx)
-    times = [s.t for s in run]
     models = composite(fx.run)
 
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
-    gpsi_sq, rho_sq, gc_sq = [], [], []
-    for s, sl in zip(snapshot_blocks(g, run), snapshot_blocks(g, lrun)):
+    times, gpsi_sq, rho_sq, gc_sq = [], [], [], []
+    for s, sl in zip(snapshot_blocks(g, _run_eps(cfg, fx)), snapshot_blocks(g, lrun)):
+        times += s.t.tolist()
         d1 = s.c1 - sl.c1
         d2 = s.c2 - sl.c2
         model1, model2 = models(sl)
+        (h1_1, h2_1), (h1_2, h2_2) = norms_h1_semi_h2(g, d1), norms_h1_semi_h2(g, d2)
         norms = [
-            norm_l2(g, d1), norm_l2(g, d2), norm_h2(g, d1), norm_h2(g, d2),
-            norm_h1_semi(g, d1), norm_h1_semi(g, d2), norm_h1_semi(g, s.psi - sl.psi),
+            norm_l2(g, d1), norm_l2(g, d2), h2_1, h2_2,
+            h1_1, h1_2, norm_h1_semi(g, s.psi - sl.psi),
             norm_l2(g, s.rho(p)), norm_h1_semi(g, s.psi),
             norm_h1_semi(g, s.c1 - model1), norm_h1_semi(g, s.c2 - model2),
             *(norm_l2(g, a - b) for a, b in zip(s.u.components, sl.u.components)),
@@ -233,8 +246,9 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[
 
 
 def _limit_worker(item: tuple[ExperimentConfig, float]) -> list[State]:
+    # the one run a sweep keeps whole: its members each read all of it
     cfg, eps = item
-    return _run_limit(cfg, build_fixture(cfg, eps))
+    return list(_run_limit(cfg, build_fixture(cfg, eps)))
 
 
 def _sweep_worker(item: tuple[ExperimentConfig, float, list[State]]) -> dict[str, float]:
@@ -290,25 +304,17 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict
 
     Only those rows read the limit (through H and Theta), so the coarser
     levels and the equilibrium run march the finite-eps system alone.
+    At the finest level the two runs are marched in lockstep as
+    diagnostics_record reads them.
     """
     cfg, divisor = item
     scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
     fx = build_fixture(scaled, cfg.eps)
-    g = fx.run.grid
     fine = divisor == ENERGY_DT_DIVISORS[-1]
-    run, lrun = _run_pair(scaled, fx) if fine else (_run_eps(scaled, fx), [])
-    rows = diagnostics_record(g, run, fx.run.wall, fx.run.params)
+    run, lrun = _run_pair(scaled, fx) if fine else (_run_eps(scaled, fx), None)
+    rows = diagnostics_record(fx.run.grid, run, fx.run.wall, fx.run.params, lrun)
     max_residual = float(np.max(np.abs([row["dissipation_residual"] for row in rows])))
-    if not fine:
-        return max_residual, []
-    H, theta = [], []
-    for blk, lim in zip(snapshot_blocks(g, run), snapshot_blocks(g, lrun)):
-        me = modulated_energy(g, blk, lim, fx.run.params)
-        H += me["H"].tolist()
-        theta += me["Theta"].tolist()
-    for row, h, th in zip(rows, H, theta):
-        row.update(H=h, Theta=th)
-    return max_residual, rows
+    return max_residual, rows if fine else []
 
 
 def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[dict], dict]:
@@ -344,8 +350,8 @@ def _profile_worker(item: tuple[ExperimentConfig, float]) -> tuple[list[dict], d
     cfg, eps = item
     fx = build_fixture(cfg, eps)
     g, p = fx.run.grid, fx.run.params
-    run, lrun = _run_pair(cfg, fx)
-    s, sl = run[-1], lrun[-1]
+    # the last state of each run; the others are dropped as they are marched
+    s, sl = (deque(run, maxlen=1)[0] for run in _run_pair(cfg, fx))
 
     phi0 = sl.psi + fx.run.wall.phiw
     bl_l, bl_r = wall_layers(fx.run, phi0)

@@ -2,21 +2,24 @@
 
 The neutral concentration is marched with the ambipolar diffusivity,
 the potential is recovered from its variable-coefficient elliptic
-problem each step, and the velocity sees no electric force.  The
-second species is not marched: every state sets c2 = -(z1/z2) c1 from
-the charge constraint, so its charge is zero bitwise and the constraint
-cannot drift.  This limit run is the order-zero inner term of the
+problem for every saved state, and the velocity sees no electric
+force.  The second species is not marched: every state sets
+c2 = -(z1/z2) c1 from the charge constraint, so its charge is zero
+bitwise and the constraint cannot drift.  This limit run is the order-zero inner term of the
 composite approximation (layers.composite); no higher inner order is
 computed.
 
 A limit run reads the finite-eps run config npns.NpnsConfig, is
 marched by npns.march with the same diffusion and velocity steps, and
-returns the saved grid.States, as run_npns does.
+is a stream of the saved grid.States, as run_npns is.  Nothing in the
+march reads psi, so the march carries none, and the stream solves it
+only for the states it yields.
 """
 
 from __future__ import annotations
 
-import logging
+from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,8 +37,6 @@ from .npns import (
 )
 from .operators import advect, div_a_grad
 from .params import Params
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "effective_diffusivity",
@@ -85,10 +86,11 @@ def step_limit(s: State, cfg: NpnsConfig) -> State:
     """One step: explicit advection, implicit ambipolar diffusion.
 
     The velocity uses the same scheme as the full solver minus the
-    electric force.  psi is recomputed from the elliptic problem; it is
-    a diagnostic and does not feed back into the concentration.  As in
-    step_npns, a non-finite or non-positive concentration raises
-    StepError before that solve.
+    electric force.  psi is a diagnostic and does not feed back into the
+    concentration: it is solved from the elliptic problem when s carries
+    one, and left None when s has none, which is how run_limit marches
+    the steps it does not save.  As in step_npns, a non-finite or
+    non-positive concentration raises StepError before that solve.
     """
     g, p = cfg.grid, cfg.params
     t_new = s.t + cfg.dt
@@ -105,16 +107,32 @@ def step_limit(s: State, cfg: NpnsConfig) -> State:
     else:
         zero_force = [np.zeros(g.shape)] * g.d
         u = advance_velocity(g, s.u, cfg.dt, p.nu, _advect_vector(g, s.u, s.u), zero_force)
-    psi = solve_limit_psi(g, c1, p, cfg.wall.phiw)
+    psi = None if s.psi is None else solve_limit_psi(g, c1, p, cfg.wall.phiw)
     return State(t=t_new, c1=c1, c2=-(p.z1 / p.z2) * c1, u=u, psi=psi)
 
 
-def run_limit(init: State, cfg: NpnsConfig, save_every: int = 1) -> list[State]:
-    """March the limit system, saving as run_npns does and enforcing the maximum principle."""
+def run_limit(init: State, cfg: NpnsConfig, save_every: int = 1) -> Iterator[State]:
+    """Stream of the limit run's saved states, as run_npns saves them, enforcing the maximum principle.
+
+    The march steps states without psi; psi is solved only for the
+    states the stream yields, with the values step_limit would give.
+    """
     # scheme slack: implicit diffusion will not overshoot by more than
     # one step's worth of change plus spatial truncation
     hi1 = max(float(np.max(cfg.bdata.gamma1)), float(np.max(init.c1)))
     tol = 1e-6 + hi1 * (cfg.dt + cfg.grid.hy ** 2)
-    run = march(init, cfg, lambda s: step_limit(s, cfg), save_every, tol)
-    logger.info("limit run: %d steps to t=%g, %d snapshots", cfg.n_steps, run[-1].t, len(run))
-    return run
+    states = march(replace(init, psi=None), cfg, lambda s: step_limit(s, cfg), save_every, tol,
+                   label="limit run")
+    return _with_psi(states, init, cfg)
+
+
+def _with_psi(states: Iterator[State], init: State, cfg: NpnsConfig) -> Iterator[State]:
+    """The marched states with their psi solved; init, which has one, replaces the march's copy.
+
+    Each yielded State is a new one on the march's arrays: the march
+    keeps stepping its own psi-less state.
+    """
+    next(states)
+    yield init
+    for s in states:
+        yield replace(s, psi=solve_limit_psi(cfg.grid, s.c1, cfg.params, cfg.wall.phiw))

@@ -15,10 +15,13 @@ zeros and exact equilibria are bitwise fixed points.
 The quasi-neutral limit (limit.py) shares the run config NpnsConfig,
 the time loop march, the velocity step and the delta-form diffusion.
 
-A run returns the list of the States it saved, as the steps built them:
-no step writes to a state it was given, so nothing is copied.  The
-solvers compute no diagnostics; a caller that reads the energy balance
-builds it from the saved states afterwards (diagnostics.diagnostics_record).
+A run is a stream of the States it saves, as the steps built them: each
+step is taken when the caller asks for the next saved state, and no
+step writes to a state it was given, so nothing is copied.  A caller
+that reduces the stream as it reads it holds no trajectory; one that
+needs a list writes list(run).  The solvers compute no diagnostics; a
+caller that reads the energy balance builds it from the saved states as
+they arrive (diagnostics.diagnostics_record).
 
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
@@ -38,6 +41,7 @@ increment, so the fixed-point property holds in d = 2 as well.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -520,13 +524,16 @@ def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, e
     return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs)
 
 
-def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float) -> list[State]:
-    """Step init to cfg.t_end; return init, every save_every-th state and the last one.
+def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float, label: str) -> Iterator[State]:
+    """Stream of init, every save_every-th state and the last one, stepped to cfg.t_end.
 
     step maps a state to the next.  After each step the state's time is
     set to k dt, so repeated addition cannot drift, and its c1 and c2
     must stay in the band spanned by the wall data and init, widened by
-    tol, or the march aborts through MaxPrincipleViolation.
+    tol, or the march aborts through MaxPrincipleViolation while the
+    stream is read.  save_every and cfg are checked here, before the
+    first state is asked for; label names the run in the line logged
+    when the stream ends.
     """
     if save_every < 1:
         raise ValueError(f"save_every must be >= 1, got {save_every}")
@@ -537,8 +544,14 @@ def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float) -> li
         min(float(np.min(cfg.bdata.gamma2)), float(np.min(init.c2))),
         max(float(np.max(cfg.bdata.gamma2)), float(np.max(init.c2))),
     )
-    saved = [init]
+    return _saved_states(init, cfg, step, save_every, n, bounds, tol, label)
+
+
+def _saved_states(init: State, cfg: NpnsConfig, step, save_every: int, n: int, bounds, tol: float,
+                  label: str) -> Iterator[State]:
+    yield init
     s = init
+    saved = 1
     for k in range(1, n + 1):
         s = step(s)
         s.t = k * cfg.dt
@@ -547,18 +560,18 @@ def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float) -> li
             logger.error("max principle violated at t=%.6g: %s", s.t, report)
             raise MaxPrincipleViolation(s.t, report, cfg.params.eps)
         if k % save_every == 0 or k == n:
-            saved.append(s)
-    return saved
+            saved += 1
+            yield s
+    logger.info("%s complete: %d steps, %d snapshots, t_end=%.6g", label, n, saved, s.t)
 
 
-def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> list[State]:
-    """March to t_end; return init, every save_every-th state and the last one.
+def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Iterator[State]:
+    """Stream of init, every save_every-th state and the last one, marched to t_end.
 
-    Aborts through MaxPrincipleViolation when a concentration leaves the
-    band implied by the wall data and the initial state by more than
-    the blow-up guard of 1e-4.
+    The run's workspace is built here; each step is taken as the stream
+    is read.  The run aborts through MaxPrincipleViolation when a
+    concentration leaves the band implied by the wall data and the
+    initial state by more than the blow-up guard of 1e-4.
     """
     ws = _StepWorkspace(cfg)
-    run = march(init, cfg, lambda s: step_npns(s, cfg, ws), save_every, tol=1e-4)
-    logger.info("run complete: %d steps, %d snapshots, t_end=%.6g", cfg.n_steps, len(run), run[-1].t)
-    return run
+    return march(init, cfg, lambda s: step_npns(s, cfg, ws), save_every, tol=1e-4, label="run")

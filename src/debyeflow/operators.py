@@ -33,7 +33,7 @@ __all__ = [
     "integrate",
     "norm_l2",
     "norm_h1_semi",
-    "norm_h2",
+    "norms_h1_semi_h2",
     "half_node_average_x",
     "half_node_average_y",
     "div_a_grad",
@@ -156,23 +156,27 @@ def norm_h1_semi(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
     return _root(s)
 
 
-def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
-    """Full H^2 norm.
+def norms_h1_semi_h2(grid: ChannelGrid, f: np.ndarray) -> tuple:
+    """H^1 seminorm and full H^2 norm of f, each first derivative taken once.
 
-    Sums the squared L^2 norms of the function, its first derivatives,
-    and its second derivatives; the mixed derivative is counted twice
-    so the seminorm is symmetric in the two index orders.
+    The H^1 seminorm is norm_h1_semi's value, bitwise.  The H^2 norm sums
+    the squared L^2 norms of the function, its first derivatives, and its
+    second derivatives; the mixed derivative is counted twice so the
+    seminorm is symmetric in the two index orders.
     """
-    s = integrate(grid, f * f)
+    h1 = 0.0
+    h2 = integrate(grid, f * f)
     for df in grad(grid, f):
-        s += integrate(grid, df * df)
+        sq = integrate(grid, df * df)
+        h1 += sq
+        h2 += sq
     fyy = d2dy2(grid, f)
-    s += integrate(grid, fyy * fyy)
+    h2 += integrate(grid, fyy * fyy)
     if grid.d == 2:
         fxx = d2dx2(grid, f)
         fxy = ddy(grid, ddx(grid, f))
-        s += integrate(grid, fxx * fxx) + 2.0 * integrate(grid, fxy * fxy)
-    return _root(s)
+        h2 += integrate(grid, fxx * fxx) + 2.0 * integrate(grid, fxy * fxy)
+    return _root(h1), _root(h2)
 
 
 # ---------------------------------------------------------------------------

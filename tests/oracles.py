@@ -34,8 +34,8 @@ from debyeflow.operators import (
     grad,
     integrate,
     norm_h1_semi,
-    norm_h2,
     norm_l2,
+    norms_h1_semi_h2,
 )
 
 
@@ -509,6 +509,11 @@ def solve_banded_projection(grid: ChannelGrid, u) -> list[np.ndarray]:
 
 def norm_linf(grid: ChannelGrid, f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
+
+
+def norm_h2(grid: ChannelGrid, f: np.ndarray) -> float | np.ndarray:
+    """Full H^2 norm of f, as the rate reduction computes it."""
+    return norms_h1_semi_h2(grid, f)[1]
 
 
 def divergence(grid: ChannelGrid, components) -> np.ndarray:

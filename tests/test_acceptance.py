@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow import ChannelGrid, Params, VelocityField
 from debyeflow.config_io import preset_defaults
 from debyeflow.diagnostics import phi_entropy, rate_fit
 from debyeflow.elliptic import project_div_free, solve_poisson

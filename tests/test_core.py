@@ -28,8 +28,8 @@ from debyeflow.operators import (
     integrate,
     laplacian,
     norm_h1_semi,
-    norm_h2,
     norm_l2,
+    norms_h1_semi_h2,
     quad_weights,
 )
 
@@ -40,6 +40,7 @@ from oracles import (
     dense_projection,
     divergence,
     interior_laplacian_action,
+    norm_h2,
     norm_linf,
     per_mode_shifted_poisson,
     solve_banded_projection,
@@ -214,6 +215,14 @@ def test_stacked_norms_match_per_slice_calls(g, norm):
         assert values[idx] == norm(g, stack[idx]), idx
     assert values[1, 2] == one
     assert norm(g, stack[:1, :1]).tolist() == [[norm(g, stack[0, 0])]]
+
+
+@pytest.mark.parametrize("g", [grid1d(65), grid2d(8, 17)], ids=["d1", "d2"])
+def test_paired_norms_give_the_h1_seminorm_bitwise(g):
+    stack = RNG.standard_normal((3,) + g.shape)
+    h1, _ = norms_h1_semi_h2(g, stack)
+    assert h1.tolist() == norm_h1_semi(g, stack).tolist()
+    assert norms_h1_semi_h2(g, stack[0])[0] == norm_h1_semi(g, stack[0])
 
 
 @settings(max_examples=50, deadline=None)

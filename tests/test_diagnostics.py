@@ -1,6 +1,8 @@
 """Functional and rate-fit tests, including the quadrature oracle."""
 
 import copy
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from debyeflow.diagnostics import (
     snapshot_blocks,
     wall_fields,
 )
-from debyeflow.elliptic import harmonic_extension, solve_poisson
+from debyeflow.elliptic import harmonic_extension
 from debyeflow.limit import initial_limit_state, run_limit
 from debyeflow.npns import NpnsConfig, run_npns, well_prepared_init
 from debyeflow.operators import ddy, norm_l2
@@ -45,10 +47,8 @@ def setup_1d(ny=65, eps=0.1, gamma=(2.0, 2.0), w=(0.0, 0.0), z1=1.0, z2=-1.0, D1
 
 
 def identity_residual(g, snapshots, bdata, p):
-    """The energy residual of a trajectory, its energies taken one snapshot at a time."""
-    wall = wall_fields(g, bdata)
-    energies = [free_energy(g, s, wall, p) for s in snapshots]
-    return dissipation_identity_residual(g, snapshots, wall, p, energies)
+    """The energy residual of a trajectory."""
+    return dissipation_identity_residual(g, snapshot_blocks(g, snapshots), wall_fields(g, bdata), p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def make_traj(ny=129, dt=1e-3, t_end=2e-2, eps=0.25, gamma=(2.0, 2.0)):
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=dt, t_end=t_end)
     c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
     s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
-    return g, bdata, p, run_npns(s0, cfg)
+    return g, bdata, p, list(run_npns(s0, cfg))
 
 
 def test_identity_residual_needs_three_snapshots():
@@ -229,14 +229,14 @@ def test_identity_residual_needs_three_snapshots():
     s = State(t=0.0, c1=np.full(g.shape, 2.0), c2=np.full(g.shape, 2.0),
               u=VelocityField.zero(g), psi=g.zeros())
     with pytest.raises(ValueError):
-        dissipation_identity_residual(g, [s, s], wall_fields(g, bdata), p, [0.0, 0.0])
+        dissipation_identity_residual(g, snapshot_blocks(g, [s, s]), wall_fields(g, bdata), p)
 
 
 def test_identity_residual_zero_at_equilibrium():
     p, g, bdata = setup_1d()
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=4e-3)
     s0 = well_prepared_init(g, np.full(g.shape, 2.0), VelocityField.zero(g), cfg)
-    run = run_npns(s0, cfg)
+    run = list(run_npns(s0, cfg))
     res = identity_residual(g, run, bdata, p)
     assert np.all(res == 0.0), f"equilibrium residual must be exactly zero, got {res}"
 
@@ -278,7 +278,7 @@ def wall_driven_run(d):
         c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy
     cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=6e-3)
     s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
-    return g, bdata, p, run_npns(s0, cfg)
+    return g, bdata, p, list(run_npns(s0, cfg))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -302,8 +302,6 @@ def test_recorded_diagnostics_match_fresh_computation(d):
     E = [row["E"] for row in rows]
     assert np.array(E).tobytes() == fresh_E.tobytes()
     assert np.array([row["dissipation_residual"] for row in rows]).tobytes() == fresh_res.tobytes()
-    with pytest.raises(ValueError, match="energies"):
-        dissipation_identity_residual(g, run, wall, p, E[1:])
 
 
 def oracle_fixture(d):
@@ -336,8 +334,8 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     g, p, bdata = cfg.grid, cfg.params, cfg.bdata
     if block is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
-    snaps = run_npns(s0, cfg)
-    lrun = run_limit(l0, cfg)
+    snaps = list(run_npns(s0, cfg))
+    lrun = list(run_limit(l0, cfg))
     assert len(snaps) == 11
     if d == 2:
         assert np.any(snaps[-1].u.components[0] != 0.0), "the run must move the fluid"
@@ -350,7 +348,8 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     assert np.array([row["E"] for row in rows]).tobytes() == E.tobytes()
     res = per_snapshot_identity_residual(g, snaps, bdata, p)
     assert np.array([row["dissipation_residual"] for row in rows]).tobytes() == res.tobytes()
-    assert dissipation_identity_residual(g, snaps, cfg.wall, p, E).tobytes() == res.tobytes()
+    energies, residual = dissipation_identity_residual(g, snapshot_blocks(g, snaps), cfg.wall, p)
+    assert (energies.tobytes(), residual.tobytes()) == (E.tobytes(), res.tobytes())
     for name in ("c1", "c2"):
         fields = [getattr(s, name) for s in snaps]
         assert [row[f"min_{name}"] for row in rows] == [float(np.min(f)) for f in fields]
@@ -369,10 +368,57 @@ def test_blocked_diagnostics_match_per_snapshot_oracle(d, block, monkeypatch):
     assert H[-1] > 0.0 and theta[-1] > 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_streamed_diagnostics_match_the_list(d, monkeypatch):
+    # one-shot streams of both runs give the rows of the lists, bitwise;
+    # H and Theta are the per-snapshot oracle's
+    cfg, s0, l0 = oracle_fixture(d)
+    g, p, bdata = cfg.grid, cfg.params, cfg.bdata
+    monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", 4 * g.nx * g.ny)
+    snaps, lrun = list(run_npns(s0, cfg)), list(run_limit(l0, cfg))
+    want = diagnostics_record(g, snaps, cfg.wall, p, lrun)
+    for got in (diagnostics_record(g, iter(snaps), cfg.wall, p, iter(lrun)),
+                diagnostics_record(g, run_npns(s0, cfg), cfg.wall, p, run_limit(l0, cfg))):
+        assert repr(got) == repr(want)
+    assert repr(diagnostics_record(g, iter(snaps), cfg.wall, p)) == repr(
+        [{k: v for k, v in row.items() if k not in ("H", "Theta")} for row in want])
+    for row, s, sl in zip(want, snaps, lrun):
+        ref = per_snapshot_modulated_energy(g, s, p, sl.c1, sl.u, sl.psi)
+        assert (row["H"], row["Theta"]) == (ref["H"], ref["Theta"]), f"t={s.t}"
+        assert row["E"] == per_snapshot_free_energy(g, s, bdata, p)
+
+
+def test_diagnostics_read_the_limit_stream_to_its_end(monkeypatch, caplog):
+    # blocks of one snapshot divide the 11, so the last block leaves the
+    # limit march unfinished until the record drains it; a limit run of
+    # another length is refused
+    cfg, s0, l0 = oracle_fixture(1)
+    g, p = cfg.grid, cfg.params
+    monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", g.nx * g.ny)
+    with caplog.at_level("INFO", logger="debyeflow.npns"):
+        rows = diagnostics_record(g, run_npns(s0, cfg), cfg.wall, p, run_limit(l0, cfg))
+    assert len(rows) == 11
+    done = [r.getMessage() for r in caplog.records if "complete" in r.getMessage()]
+    assert [m.split(":")[0] for m in done] == ["run complete", "limit run complete"]
+    snaps, lrun = list(run_npns(s0, cfg)), list(run_limit(l0, cfg))
+    for limit in (lrun[:-1], lrun + lrun[-1:]):
+        with pytest.raises(ValueError, match="limit run"):
+            diagnostics_record(g, snaps, cfg.wall, p, limit)
+
+
+def test_diagnostics_of_a_two_snapshot_run_have_a_nan_residual():
+    cfg, s0, _ = oracle_fixture(1)
+    cfg = replace(cfg, t_end=cfg.dt)
+    rows = diagnostics_record(cfg.grid, run_npns(s0, cfg), cfg.wall, cfg.params)
+    assert [row["t"] for row in rows] == [0.0, cfg.dt]
+    assert all(math.isnan(row["dissipation_residual"]) for row in rows)
+    assert rows[0]["E"] == free_energy(cfg.grid, s0, cfg.wall, cfg.params)
+
+
 def test_blocks_reject_a_nonpositive_concentration_inside():
     cfg, s0, l0 = oracle_fixture(1)
     g, p = cfg.grid, cfg.params
-    snaps = copy.deepcopy(run_npns(s0, cfg))
+    snaps = copy.deepcopy(list(run_npns(s0, cfg)))
     snaps[5].c2[0, 100] = 0.0
     (blk,) = snapshot_blocks(g, snaps)
     lim = next(snapshot_blocks(g, run_limit(l0, cfg)))

@@ -5,8 +5,8 @@ import math
 import os
 import sys
 import time
+import weakref
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +195,7 @@ def test_run_pair_reuses_the_fixture_wall_extension(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "debyeflow" and vars(module).get("harmonic_extension") is original:
             monkeypatch.setattr(module, "harmonic_extension", counted)
-    run, lrun = _run_pair(cfg, fx)
+    run, lrun = map(list, _run_pair(cfg, fx))
     assert len(run) == len(lrun) >= 3
     assert len(calls) <= 3, f"harmonic_extension calls per pair: {len(calls)}"
 
@@ -217,6 +217,29 @@ def test_energy_study_marches_the_limit_at_the_finest_level_only(monkeypatch):
     assert len(calls) == 1, f"run_limit calls: {len(calls)}"
     assert report["equilibrium_residual"] == 0.0
     assert len(rows) == 41 and all(row["H"] > 0.0 for row in rows[1:])
+
+
+def test_energy_study_holds_one_block_of_a_run_at_a_time(monkeypatch):
+    # the study reduces each finite-eps run as it is marched: of the
+    # States a run yields, no more than one block plus the one being
+    # stepped are ever alive at once
+    block = 4
+    monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * 33)
+    refs, most = [], []
+    original = experiments.run_npns
+
+    def watched(*args, **kwargs):
+        for s in original(*args, **kwargs):
+            refs.append(weakref.ref(s))
+            most.append(sum(r() is not None for r in refs))
+            yield s
+
+    monkeypatch.setattr(experiments, "run_npns", watched)
+    cfg = replace(preset_defaults("energy_identity"), ny=33, t_end=0.01)
+    rows, report = _energy_metrics(cfg, parallel=False)
+    assert len(rows) == 41 and report["equilibrium_residual"] == 0.0
+    assert len(refs) == 41 + 21 + 11 + 11, "four runs, every step saved"
+    assert max(most) <= block + 1, f"up to {max(most)} States alive at once"
 
 
 def _count_limit_runs(monkeypatch) -> list:
@@ -287,7 +310,7 @@ def test_blocked_rate_metrics_match_per_snapshot_oracle(d, block, monkeypatch):
     g = fx.run.grid
     if block is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", block * g.nx * g.ny)
-    run, lrun = _run_pair(cfg, fx)
+    run, lrun = map(list, _run_pair(cfg, fx))
     sizes = [len(blk.t) for blk in snapshot_blocks(g, run)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
     ref = per_snapshot_rate_metrics(fx, run, lrun, eps)

@@ -388,7 +388,7 @@ def test_mixed_layer_rejections():
 def _limit_snapshots(cfg):
     g = cfg.grid
     init = initial_limit_state(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
-    return run_limit(init, cfg)
+    return list(run_limit(init, cfg))
 
 
 def test_composite_order_zero_plus_wall_layers_only():

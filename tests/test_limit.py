@@ -202,7 +202,7 @@ def test_run_limit_max_principle_and_monotone_peak():
     g = cfg.grid
     c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
     s0 = initial_limit_state(g, c1, VelocityField.zero(g), cfg)
-    run = run_limit(s0, cfg)
+    run = list(run_limit(s0, cfg))
     peaks = [float(np.max(s.c1)) for s in run]
     assert all(2.0 - 1e-12 <= float(np.min(s.c1)) for s in run)
     assert all(b <= a + 1e-12 for a, b in zip(peaks, peaks[1:])), "peak grew under pure diffusion"
@@ -226,7 +226,7 @@ def test_run_limit_aborts_on_a_nan_concentration(monkeypatch):
 
     monkeypatch.setattr(limit, "step_limit", poisoned)
     with pytest.raises(MaxPrincipleViolation) as err:
-        run_limit(s0, cfg)
+        list(run_limit(s0, cfg))
     assert len(steps) == 2 and err.value.t == 2 * cfg.dt
     rep = err.value.report
     assert (rep.ok, rep.worst_violation, rep.worst_species, rep.worst_index) == (False, np.inf, 1, (0, 7))
@@ -248,12 +248,49 @@ def test_nan_from_the_limit_diffusion_solve_is_a_step_error(monkeypatch):
 
     monkeypatch.setattr(limit, "_implicit_diffusion", poisoned)
     with pytest.raises(StepError) as err:
-        run_limit(s0, cfg)
+        list(run_limit(s0, cfg))
     assert err.value.t == cfg.dt
     assert err.value.eps == cfg.params.eps
     assert "non-finite" in err.value.message
     assert all(np.isfinite(v) for v in err.value.extrema.values()), "extrema are those of the last good state"
     assert err.value.extrema["max_c1"] == float(np.max(c1))
+
+
+@pytest.mark.parametrize("d, save_every", [(1, 1), (1, 3), (2, 2)])
+def test_run_limit_solves_psi_for_the_saved_states_only(d, save_every, monkeypatch):
+    # every saved state carries the psi that stepping with a psi solve at
+    # every step gives, bitwise, and the run solves no other
+    if d == 1:
+        cfg = make_cfg(ny=65, dt=1e-3, n_steps=10, gamma=(2.0, 1.5), w=(0.0, 0.5))
+    else:
+        p = make_params()
+        g = ChannelGrid(d=2, nx=8, ny=17)
+        gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
+        w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.full(g.nx, 0.3)])
+        bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
+        cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=5e-3)
+    g = cfg.grid
+    c1 = cfg.bdata.gamma1[0][:, None] * (1.0 - g.yy) + cfg.bdata.gamma1[1][:, None] * g.yy
+    s0 = initial_limit_state(g, c1 + 0.3 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    eager = [s0]
+    for k in range(1, cfg.n_steps + 1):
+        eager.append(step_limit(eager[-1], cfg))
+    kept = [k for k in range(cfg.n_steps + 1) if k % save_every == 0 or k == cfg.n_steps]
+
+    solves = []
+    original = limit.solve_limit_psi
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(limit, "solve_limit_psi", counted)
+    run = list(run_limit(s0, cfg, save_every=save_every))
+    assert [s.t for s in run] == [k * cfg.dt for k in kept]
+    assert len(solves) == len(kept) - 1, "the initial state keeps its psi"
+    for s, k in zip(run, kept):
+        for name in ("c1", "psi"):
+            assert getattr(s, name).tobytes() == getattr(eager[k], name).tobytes(), f"step {k}: {name}"
 
 
 def test_limit_config_validation():

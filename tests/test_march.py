@@ -47,7 +47,7 @@ def test_both_stacks_save_the_same_times(t_end, save_every, saved_steps):
     runs = []
     for start in (start_npns, start_limit):
         run, init = start(cfg, c1)
-        runs.append(run(init, cfg, save_every=save_every))
+        runs.append(list(run(init, cfg, save_every=save_every)))
     want = np.array([k * cfg.dt for k in saved_steps])
     for name, saved in zip(("finite-eps", "limit"), runs):
         assert type(saved) is list and all(type(s) is State for s in saved), name

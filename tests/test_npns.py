@@ -167,7 +167,7 @@ def test_psi_charge_relation_invariant():
 def test_run_t_end_zero_returns_initial():
     cfg = make_cfg(t_end=0.0)
     s0 = well_prepared_init(cfg.grid, np.full(cfg.grid.shape, 2.0), VelocityField.zero(cfg.grid), cfg)
-    run = run_npns(s0, cfg)
+    run = list(run_npns(s0, cfg))
     assert len(run) == 1
     assert run[0].t == 0.0
 
@@ -175,12 +175,30 @@ def test_run_t_end_zero_returns_initial():
 def test_run_equilibrium_all_identical():
     cfg = make_cfg(dt=1e-3, t_end=5e-3)
     s0 = well_prepared_init(cfg.grid, np.full(cfg.grid.shape, 2.0), VelocityField.zero(cfg.grid), cfg)
-    run = run_npns(s0, cfg)
+    run = list(run_npns(s0, cfg))
     times = np.array([s.t for s in run])
     assert np.all(np.diff(times) > 0), "snapshot times must increase"
     for s in run[1:]:
         assert np.array_equal(s.c1, run[0].c1)
         assert np.array_equal(s.c2, run[0].c2)
+
+
+def test_run_builds_its_workspace_when_called(monkeypatch):
+    # the set-up is paid by the call, the steps by the reader of the stream
+    built = []
+    original = npns._StepWorkspace
+
+    def counted(cfg):
+        built.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(npns, "_StepWorkspace", counted)
+    cfg = make_cfg(dt=1e-3, t_end=3e-3, w=(0.0, 0.5))
+    s0 = well_prepared_init(cfg.grid, np.full(cfg.grid.shape, 2.0), VelocityField.zero(cfg.grid), cfg)
+    run = run_npns(s0, cfg)
+    assert built == [cfg]
+    assert [s.t for s in run] == [0.0, 1e-3, 2e-3, 3e-3]
+    assert built == [cfg]
 
 
 def test_run_self_convergence_first_order():
@@ -190,7 +208,7 @@ def test_run_self_convergence_first_order():
         g = cfg.grid
         c1 = 2.0 + 0.5 * np.sin(np.pi * g.yy)
         s0 = well_prepared_init(g, c1, VelocityField.zero(g), cfg)
-        return run_npns(s0, cfg, save_every=10 ** 9)[-1].c1
+        return list(run_npns(s0, cfg, save_every=10 ** 9))[-1].c1
 
     g = ChannelGrid(d=1, nx=1, ny=65)
     ref = final_c1(2.5e-4)
@@ -209,7 +227,7 @@ def test_nan_from_the_coupled_solve_aborts_the_run(monkeypatch):
     s0 = well_prepared_init(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
     monkeypatch.setattr(npns.BandedMatrix, "solve", lambda self, r: np.full_like(r, np.nan))
     with pytest.raises(StepError, match="non-finite") as err:
-        run_npns(s0, cfg)
+        list(run_npns(s0, cfg))
     assert err.value.eps == cfg.params.eps, "the abort must name the run's eps"
     assert err.value.t == cfg.dt, "the first step must abort"
     assert err.value.extrema["min_c1"] == float(np.min(s0.c1))
@@ -236,7 +254,7 @@ def test_d2_run_invariants():
     cfg = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=1e-3, t_end=5e-3)
     c1 = np.tile(gamma1[0][:, None], (1, grid.ny)) * (1.0 - grid.yy) + 2.0 * grid.yy
     s0 = well_prepared_init(grid, c1, VelocityField.zero(grid), cfg)
-    run = run_npns(s0, cfg)
+    run = list(run_npns(s0, cfg))
     s = run[-1]
     assert np.all(np.isfinite(s.c1)) and np.all(np.isfinite(s.c2))
     # wall conditions exact
@@ -335,7 +353,7 @@ def test_run_with_shared_workspace_matches_fresh_steps():
     cfg = make_cfg(ny=33, eps=0.125, dt=1e-3, t_end=6e-3, w=(0.0, 0.5))
     g = cfg.grid
     s = well_prepared_init(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
-    run = run_npns(s, cfg)
+    run = list(run_npns(s, cfg))
     for k, snap in enumerate(run[1:], start=1):
         ws = npns._StepWorkspace(cfg)
         ws.coupled = npns._coupled_banded_1d(g, cfg.params, cfg.dt, s.c1, s.c2)
@@ -387,7 +405,7 @@ def test_d2_run_with_shared_matrix_matches_fresh_steps():
     cfg, s = _d2_cfg(1 / 16)
     cfg = dataclasses.replace(cfg, t_end=4e-3)
     g = cfg.grid
-    run = run_npns(s, cfg)
+    run = list(run_npns(s, cfg))
     assert np.max(np.abs(run[-1].u.components[0])) > 0.0, "the flow must be driven"
     for k, snap in enumerate(run[1:], start=1):
         ws = npns._StepWorkspace(cfg)
@@ -423,7 +441,7 @@ def test_wall_data_is_extended_once_per_run(d, monkeypatch):
             cfg, s0 = _d2_cfg(0.25)
             cfg = dataclasses.replace(cfg, t_end=t_end)
         calls.clear()
-        run = run_npns(s0, cfg, save_every=save_every)
+        run = list(run_npns(s0, cfg, save_every=save_every))
         assert len(run) >= 3, "the run must reach the energy residual"
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3, f"harmonic_extension calls per run: {counts}"
