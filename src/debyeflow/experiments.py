@@ -19,8 +19,8 @@ The rate sweeps, layer_profile and energy_identity split their work into
 independent runs (one per eps, or per dt level plus the equilibrium run)
 and map them over one process pool, _pool_map.  Results come back in
 submission order, and workers return only floats, row dicts and, in a
-rate sweep, the saved States of limit runs, so serial and pooled
-artifacts are byte-identical.
+rate sweep, the stacked fields of limit runs, so serial and pooled
+artifacts are byte-identical.  A serial run never imports the pool.
 
 The limit system has no eps in it, so a rate sweep (_rate_sweep) marches
 one limit run per distinct (ny, dt) of its members and hands it to every
@@ -33,11 +33,15 @@ study, the one preset that reads them.
 Every run is a stream of its saved States (npns.run_npns,
 limit.run_limit), and every study reduces it block by block as it is
 marched: a rate member walks its finite-eps stream against the shared
-limit list, the energy study walks the finite-eps and limit streams in
+limit, the energy study walks the finite-eps and limit streams in
 lockstep, and the profile study keeps only the last states.  The shared
-limit run of a rate sweep is the one run kept whole, as a list, since
-it is sent to the member jobs.  A solver abort surfaces while a stream
-is read, inside the study, and carries its eps and t as before.
+limit run of a rate sweep is the one run kept whole, since it is sent to
+the member jobs, and it keeps only what they read (SharedLimit): the
+snapshot times, c1, psi and, in d = 2, u, each one array stacked along
+time and filled as the run streams.  A member rebuilds c2 = -(z1/z2) c1 per block, the
+expression the limit step uses, so its values are the run's bitwise.  A
+solver abort surfaces while a stream is read, inside the study, and
+carries its eps and t as before.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -134,6 +137,29 @@ class Fixture:
     c1_eps0: np.ndarray
 
 
+@dataclass(frozen=True)
+class SharedLimit:
+    """The fields of a rate sweep's shared limit run that its members read.
+
+    Each is one array with a leading axis over the saved states: the
+    times t, c1 and psi, and u, the velocity components stacked along a
+    first axis, in d = 2.  In d = 1 u is None, as the limit velocity is
+    zero.  c2 is not kept: block rebuilds it.
+    """
+
+    t: np.ndarray
+    c1: np.ndarray
+    psi: np.ndarray
+    u: np.ndarray | None
+
+    def block(self, grid: ChannelGrid, p: Params, rows: slice) -> State:
+        """The saved states in rows as one block, c2 = -(z1/z2) c1 as the limit step builds it."""
+        c1 = self.c1[rows]
+        comps = [np.zeros_like(c1)] if self.u is None else list(self.u[:, rows])
+        return State(t=self.t[rows], c1=c1, c2=-(p.z1 / p.z2) * c1, u=VelocityField(grid, comps),
+                     psi=self.psi[rows])
+
+
 def _effective_dt(cfg: ExperimentConfig, eps: float) -> float:
     """Per-eps step size; layer presets cap dt at eps^2/8 to track the
     fast charge relaxation, then snap so t_end is a whole number of steps."""
@@ -185,8 +211,8 @@ def _run_pair(cfg: ExperimentConfig, fx: Fixture) -> tuple[Iterator[State], Iter
     return _run_eps(cfg, fx), _run_limit(cfg, fx)
 
 
-def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[str, float]:
-    """All sweep columns for one eps against the saved States lrun of its limit run.
+def _rate_metrics(cfg: ExperimentConfig, eps: float, limit: SharedLimit) -> dict[str, float]:
+    """All sweep columns for one eps against its limit run.
 
     The finite-eps run is reduced as it is marched: its norms are taken
     over blocks of snapshots (snapshot_blocks), each block against the
@@ -205,7 +231,8 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[
 
     err_c = err_u = err_h2 = err_cs = eps_gpsi = 0.0
     times, gpsi_sq, rho_sq, gc_sq = [], [], [], []
-    for s, sl in zip(snapshot_blocks(g, _run_eps(cfg, fx)), snapshot_blocks(g, lrun)):
+    for s in snapshot_blocks(g, _run_eps(cfg, fx)):
+        sl = limit.block(g, p, slice(len(times), len(times) + len(s.t)))
         times += s.t.tolist()
         d1 = s.c1 - sl.c1
         d2 = s.c2 - sl.c2
@@ -245,13 +272,24 @@ def _rate_metrics(cfg: ExperimentConfig, eps: float, lrun: list[State]) -> dict[
     }
 
 
-def _limit_worker(item: tuple[ExperimentConfig, float]) -> list[State]:
-    # the one run a sweep keeps whole: its members each read all of it
+def _limit_worker(item: tuple[ExperimentConfig, float]) -> SharedLimit:
     cfg, eps = item
-    return list(_run_limit(cfg, build_fixture(cfg, eps)))
+    fx = build_fixture(cfg, eps)
+    g = fx.run.grid
+    # the march saves the initial state, every save_every-th one and the last
+    n = 1 + math.ceil(fx.run.n_steps / cfg.save_every)
+    t = np.empty(n)
+    c1 = np.empty((n, *g.shape))
+    psi = np.empty((n, *g.shape))
+    u = np.empty((g.d, n, *g.shape)) if g.d == 2 else None
+    for k, s in enumerate(_run_limit(cfg, fx)):
+        t[k], c1[k], psi[k] = s.t, s.c1, s.psi
+        if u is not None:
+            u[:, k] = s.u.components
+    return SharedLimit(t=t, c1=c1, psi=psi, u=u)
 
 
-def _sweep_worker(item: tuple[ExperimentConfig, float, list[State]]) -> dict[str, float]:
+def _sweep_worker(item: tuple[ExperimentConfig, float, SharedLimit]) -> dict[str, float]:
     return _rate_metrics(*item)
 
 
@@ -281,6 +319,9 @@ def _pool_map(worker, items: list, parallel: bool) -> list:
     start first; worker must be a module-level function.
     """
     if parallel and len(items) > 1:
+        # imported here, so that a serial run never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as pool:
             return list(pool.map(worker, items))
     return [worker(it) for it in items]

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .elliptic import solve_div_form, solve_poisson
 from .grid import ChannelGrid, State
@@ -353,6 +351,8 @@ class MixedLayerState:
 def _nonuniform_second_derivative(xi: np.ndarray) -> scipy.sparse.csr_matrix:
     # three-point stencil on a nonuniform grid, rows only on interior
     # nodes; second-order on smoothly graded spacings
+    import scipy.sparse
+
     n = xi.size
     hm = xi[1:-1] - xi[:-2]
     hp = xi[2:] - xi[1:-1]
@@ -432,6 +432,10 @@ def solve_mixed_layer(
     a2 = np.asarray(a2, dtype=float)
     if a1.shape != taus.shape or a2.shape != taus.shape:
         raise ValueError(f"traces must be sampled on the tau grid, expected shape {taus.shape}")
+    # imported here, not with the module: no preset run calls this
+    # solver, and a run loads scipy.sparse only when it needs it
+    import scipy.sparse
+    import scipy.sparse.linalg
 
     n = xi.size
     lap = _nonuniform_second_derivative(xi)

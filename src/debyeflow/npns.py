@@ -27,27 +27,22 @@ The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
 entries that depend on the concentrations and factors into the same
 buffer, so the step allocates no factor storage.  In d = 2 a run
-likewise assembles one CSR matrix, and each step refills only the data
-slots of its two coupling blocks.  That system is solved by restarted
-GMRES (Saad & Schultz 1986), preconditioned by the same operator with
-x-mean coefficients, which the rfft in x splits into one banded matrix
-per mode.  GMRES stops once the residual norm has
-dropped by GMRES_RTOL = 1e-13, or to the rounding level of the residual
-being solved for if that is larger; a step whose GMRES does not
-converge raises StepError.  A zero residual gives an exact zero
-increment, so the fixed-point property holds in d = 2 as well.
+likewise keeps one CSR matrix whose coupling entries each step refills,
+and solves it by preconditioned GMRES.  That solve lives in coupled2d,
+the only module a preset run loads scipy.sparse through.  NpnsConfig
+imports it when it is built with a d = 2 grid, so a d = 1 run never
+loads it and a d = 2 run pays the import in its set-up.  A step whose
+GMRES does not converge raises StepError.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .diagnostics import MaxPrincipleReport, WallFields, max_principle_check, wall_fields
 from .elliptic import project_div_free, solve_poisson, solve_shifted_poisson
@@ -56,9 +51,6 @@ from .operators import (
     BandedMatrix,
     advect,
     div_a_grad,
-    div_a_grad_matrix,
-    div_a_grad_pattern,
-    div_a_grad_values,
     grad,
     half_node_average_y,
     laplacian,
@@ -77,14 +69,6 @@ __all__ = [
     "march",
     "advance_velocity",
 ]
-
-# d = 2 coupled solve: GMRES stops when |r - A delta| falls to GMRES_RTOL |r|
-# or to the rounding level of r itself, whichever is larger; GMRES_MAXITER
-# counts restart cycles of GMRES_RESTART iterations
-GMRES_RTOL = 1e-13
-GMRES_RESTART = 50
-GMRES_MAXITER = 10
-
 
 class StepError(RuntimeError):
     """A step failed: its linear solve did not converge, or it lost positivity or finiteness."""
@@ -141,6 +125,10 @@ class NpnsConfig:
                 f"boundary traces sampled on {self.bdata.gamma1.shape[1]} nodes, grid has nx={self.grid.nx}"
             )
         object.__setattr__(self, "wall", wall_fields(self.grid, self.bdata))
+        if self.grid.d == 2:
+            # the d = 2 solve and scipy.sparse load here, in set-up, and
+            # never in a d = 1 run
+            importlib.import_module(".coupled2d", __package__)
 
     @property
     def n_steps(self) -> int:
@@ -155,20 +143,19 @@ class _StepWorkspace:
 
     Holds the one coupled-step matrix of the run, which each step
     refills with the coupling entries of its concentrations: in d = 1 a
-    band matrix with its LU buffer, in d = 2 a CSR matrix together with
-    the positions of its two coupling blocks' entries in its data.
+    band matrix with its LU buffer, in d = 2 a coupled2d.CoupledMatrix.
     """
 
     def __init__(self, cfg: NpnsConfig):
         g = cfg.grid
-        self.coupling_slots = None
         # the coupling entries written here are overwritten by every step
         if g.d == 1:
             self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
         else:
+            from .coupled2d import CoupledMatrix
+
             ones = np.ones(g.shape)
-            self.coupled = _coupled_sparse_2d(g, cfg.params, cfg.dt, ones, ones)
-            self.coupling_slots = _coupling_slots_2d(self.coupled, g)
+            self.coupled = CoupledMatrix(g, cfg.params, cfg.dt, ones, ones)
 
 
 def well_prepared_init(
@@ -208,7 +195,7 @@ def _initial_fields(grid: ChannelGrid, c1_0, u_0: VelocityField, bdata: Boundary
 
 
 # ---------------------------------------------------------------------------
-# coupled implicit solve, d = 1 (banded) and d = 2 (sparse, GMRES)
+# coupled implicit solve, d = 1 (banded; d = 2 in coupled2d)
 
 
 def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> BandedMatrix:
@@ -269,134 +256,6 @@ def _set_coupling_1d(A: BandedMatrix, grid: ChannelGrid, p: Params, c1n, c2n) ->
         ab[u - off + 3, 2 : 3 * ny - 6 : 3] = -z * D * lo / h2
         ab[u - off, 5 : 3 * ny - 3 : 3] = z * D * (lo + hi) / h2
         ab[u - off - 3, 8 : 3 * ny : 3] = -z * D * hi / h2
-
-
-def _coupled_sparse_2d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> scipy.sparse.csr_matrix:
-    nx, ny = grid.shape
-    N = nx * ny
-    ones = np.ones(grid.shape)
-    lap = div_a_grad_matrix(grid, ones)
-
-    int_mask = np.ones(grid.shape)
-    int_mask[:, 0] = 0.0
-    int_mask[:, -1] = 0.0
-    I_int = scipy.sparse.diags(int_mask.ravel())
-    I_wall = scipy.sparse.diags(1.0 - int_mask.ravel())
-
-    Z = scipy.sparse.csr_matrix((N, N))
-    blocks = []
-    for z, D, a in ((p.z1, p.D1, c1n), (p.z2, p.D2, c2n)):
-        diff = I_int / dt - D * lap + I_wall
-        coup = -z * D * div_a_grad_matrix(grid, a)
-        row = [Z, Z, coup]
-        row[len(blocks)] = diff
-        blocks.append(row)
-    pois = -p.eps ** 2 * lap + I_wall
-    blocks.append([-p.z1 * I_int, -p.z2 * I_int, pois])
-    return scipy.sparse.bmat(blocks, format="csr")
-
-
-def _coupling_slots_2d(A: scipy.sparse.csr_matrix, grid: ChannelGrid) -> np.ndarray:
-    """Where the coupling entries of _coupled_sparse_2d sit in A.data.
-
-    Row v holds, in div_a_grad_pattern order, the data positions of
-    species v's block -z D div(c_n grad .), which spans rows v N to
-    (v+1) N and the psi columns 2N to 3N.  Each entry's flat index
-    row * 3N + column is looked up among A's stored entries, which
-    increase strictly in a canonical CSR matrix; a non-canonical A or an
-    entry A does not store raises ValueError.
-    """
-    N = grid.nx * grid.ny
-    n_rows, n_cols = A.shape
-    stored = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(A.indptr)) * n_cols + A.indices
-    rows, cols = div_a_grad_pattern(grid)
-    slots = np.empty((2, len(rows)), dtype=np.intp)
-    for v in range(2):
-        wanted = (v * N + rows.astype(np.int64)) * n_cols + 2 * N + cols
-        slots[v] = np.searchsorted(stored, wanted)
-        if not (A.has_canonical_format and np.array_equal(stored.take(slots[v], mode="clip"), wanted)):
-            raise ValueError("matrix does not store every coupling entry in canonical order")
-    return slots
-
-
-def _set_coupling_2d(A: scipy.sparse.csr_matrix, slots: np.ndarray, grid: ChannelGrid, p: Params,
-                     c1n, c2n) -> None:
-    """Write the coupling entries of the frozen concentrations into A.data.
-
-    The values are the div_a_grad_matrix entries scaled as in
-    _coupled_sparse_2d, so A becomes bitwise the matrix it would build
-    from c1n and c2n.  No other entry of A is touched.
-    """
-    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n), (p.z2, p.D2, c2n))):
-        A.data[slots[v]] = -z * D * div_a_grad_values(grid, a)
-
-
-def _mode_preconditioner(grid: ChannelGrid, p: Params, dt: float, c1n, c2n):
-    """Inverse of the d = 2 coupled operator with x-mean coefficients.
-
-    With coefficients constant in x the operator is diagonal in the rfft
-    modes.  Mode k is the d = 1 banded matrix of the x-mean
-    concentrations plus the five-point x-symbol
-    lam_k = (4/hx^2) sin^2(pi k/nx) on every x-derivative term: D lam_k
-    on the diffusion diagonals, z D abar lam_k on the coupling entries,
-    eps^2 lam_k on the Poisson diagonal; wall rows stay identities.  All
-    modes are stacked into one block-diagonal band, factored once.
-    """
-    nx, ny = grid.shape
-    nk = nx // 2 + 1
-    a1 = np.mean(c1n, axis=0, keepdims=True)
-    a2 = np.mean(c2n, axis=0, keepdims=True)
-    base = _coupled_banded_1d(grid, p, dt, a1, a2)
-    l, u = base.l, base.u
-    lam = (4.0 / grid.hx ** 2) * np.sin(np.pi * np.arange(nk) / nx) ** 2
-
-    # coefficients of lam_k in band storage, per column [c1_j, c2_j, psi_j]:
-    # the diagonal, then the psi column of the c1 row (offset +2) and of
-    # the c2 row (offset +1); wall nodes get none
-    interior = np.zeros(ny)
-    interior[1:-1] = 1.0
-    coef = np.zeros((3, ny, 3))
-    coef[0] = interior[:, None] * [p.D1, p.D2, p.eps ** 2]
-    coef[1, :, 2] = p.z1 * p.D1 * a1[0] * interior
-    coef[2, :, 2] = p.z2 * p.D2 * a2[0] * interior
-
-    ab = np.zeros((2 * l + u + 1, nk * 3 * ny))
-    ab[l:] = np.tile(base.ab, (1, nk))
-    ab[[l + u, l + u - 2, l + u - 1]] += (lam[:, None] * coef.reshape(3, 1, 3 * ny)).reshape(3, -1)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, l, u, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"mode preconditioner is singular (dgbtrf info={info})")
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        # [c1, c2, psi] fields -> per-mode node-major [c1_j, c2_j, psi_j]
-        rh = np.fft.rfft(r.reshape(3, nx, ny), axis=1).transpose(1, 2, 0).ravel()
-        x, _ = scipy.linalg.lapack.dgbtrs(lu, l, u, np.stack([rh.real, rh.imag], axis=1), piv)
-        xh = (x[:, 0] + 1j * x[:, 1]).reshape(nk, ny, 3).transpose(2, 0, 1)
-        return np.fft.irfft(xh, n=nx, axis=1).ravel()
-
-    n = 3 * nx * ny
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
-
-
-def _coupled_gmres(grid: ChannelGrid, p: Params, dt: float, c1n, c2n, A, r, atol: float):
-    """Delta of the d = 2 coupled system by preconditioned GMRES.
-
-    Returns the delta and scipy's info (0 on convergence).  A zero
-    residual returns an exact zero delta without any iteration.
-    """
-    M = _mode_preconditioner(grid, p, dt, c1n, c2n)
-    return scipy.sparse.linalg.gmres(
-        A, r, rtol=GMRES_RTOL, atol=atol, restart=GMRES_RESTART, maxiter=GMRES_MAXITER, M=M
-    )
-
-
-def _rounding_level(A: scipy.sparse.csr_matrix, x: np.ndarray, b: np.ndarray) -> float:
-    """Rounding level of the residual b - A x: machine eps times the norm of |A| |x| + |b|.
-
-    |A| is built on A's own index arrays, so the matrix is not copied.
-    """
-    abs_A = scipy.sparse.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    return np.finfo(float).eps * np.linalg.norm(abs_A @ np.abs(x) + np.abs(b))
 
 
 def advance_velocity(
@@ -472,19 +331,10 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
         c1 = x[0::3][None, :].copy()
         c2 = x[1::3][None, :].copy()
     else:
-        _set_coupling_2d(A, _ws.coupling_slots, g, p, s.c1, s.c2)
         N = g.nx * g.ny
         x = np.concatenate([s.c1.ravel(), s.c2.ravel(), s.psi.ravel()])
         b = np.concatenate([b1.ravel(), b2.ravel(), np.zeros(N)])
-        r = b - A @ x
-        wall = np.zeros(g.shape, dtype=bool)
-        wall[:, 0] = True
-        wall[:, -1] = True
-        r[np.concatenate([wall.ravel()] * 3)] = 0.0
-        # r carries the rounding error of b - A x; on fine grids a
-        # solve to GMRES_RTOL alone would chase that noise
-        noise = _rounding_level(A, x, b)
-        delta, info = _coupled_gmres(g, p, dt, s.c1, s.c2, A, r, noise)
+        delta, info = A.delta(s.c1, s.c2, x, b)
         if info != 0:
             raise StepError(t_new, f"GMRES did not converge (info={info})", _extrema(s.c1, s.c2), p.eps)
         x = x + delta

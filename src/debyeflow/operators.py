@@ -9,6 +9,12 @@ diagnostics evaluate a whole block of snapshots stacked along a leading
 time axis in one call.  So do the L^2, H^1 and H^2 norms, which return
 a float for one field and one value per slice otherwise.  Each slice's
 result is bitwise the one an (nx, ny) call gives.
+
+div(a grad .) is also given as matrix entries, a cached index pattern
+(div_a_grad_pattern) and the values of one coefficient
+(div_a_grad_values), from which coupled2d assembles its CSR matrix; the
+d = 1 coupled step uses the LAPACK band matrix BandedMatrix.  This
+module imports no scipy.sparse.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import functools
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
 
 from .grid import ChannelGrid, VelocityField
 
@@ -39,7 +44,6 @@ __all__ = [
     "div_a_grad",
     "div_a_grad_pattern",
     "div_a_grad_values",
-    "div_a_grad_matrix",
     "BandedMatrix",
 ]
 
@@ -218,13 +222,13 @@ def div_a_grad(grid: ChannelGrid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def div_a_grad_pattern(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the div_a_grad_matrix triplets.
+    """Row and column indices of the entries of div_a_grad(grid, a, .) as a matrix.
 
-    Node (i, j) is row-major index i ny + j.  Each interior node
-    contributes its diagonal, then its y neighbours j-1 and j+1, then in
-    d = 2 its x neighbours i+1 and i-1 (periodic); each group runs over
-    the interior nodes in row-major order.  The arrays depend only on
-    the grid and are cached, shared and read-only.
+    Node (i, j) is row-major index i ny + j; wall rows hold no entry.
+    Each interior node contributes its diagonal, then its y neighbours
+    j-1 and j+1, then in d = 2 its x neighbours i+1 and i-1 (periodic);
+    each group runs over the interior nodes in row-major order.  The
+    arrays depend only on the grid and are cached, shared and read-only.
     """
     nx, ny = grid.shape
     ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny - 1), indexing="ij")
@@ -244,7 +248,10 @@ def div_a_grad_pattern(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
-    """Entries of div_a_grad_matrix(grid, a), in div_a_grad_pattern order."""
+    """Entries of div_a_grad(grid, a, .) as a matrix, in div_a_grad_pattern order.
+
+    With a = 1 they are the five-point Laplacian (periodic in x).
+    """
     h2 = grid.hy ** 2
     ah = half_node_average_y(a) / h2
     a_lo = ah[:, :-1].ravel()
@@ -257,17 +264,6 @@ def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
         vals[0] = vals[0] - (a_e + a_w).ravel()
         vals += [a_e.ravel(), a_w.ravel()]
     return np.concatenate(vals)
-
-
-def div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Assembled div_a_grad(grid, a, .) over all nodes, row-major (i, j).
-
-    Wall rows are zero, as in div_a_grad.  With a = 1 this is the
-    five-point Laplacian (periodic in x).
-    """
-    N = grid.nx * grid.ny
-    rows, cols = div_a_grad_pattern(grid)
-    return scipy.sparse.csr_matrix((div_a_grad_values(grid, a), (rows, cols)), shape=(N, N))
 
 
 # ---------------------------------------------------------------------------

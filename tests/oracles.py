@@ -31,6 +31,8 @@ from debyeflow.operators import (
     ddx,
     ddy,
     div_a_grad,
+    div_a_grad_pattern,
+    div_a_grad_values,
     grad,
     integrate,
     norm_h1_semi,
@@ -255,6 +257,47 @@ def dense_coupled_matrix(grid: ChannelGrid, p, dt: float, c1n: np.ndarray, c2n: 
         out.append(-p.eps ** 2 * div_a_grad(grid, ones, psi) - charge + wall * psi)
         M[:, col] = np.concatenate([f.ravel() for f in out])
     return M
+
+
+def div_a_grad_matrix(grid: ChannelGrid, a: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Assembled div_a_grad(grid, a, .) over all nodes, row-major (i, j).
+
+    Wall rows are zero, as in div_a_grad.  With a = 1 this is the
+    five-point Laplacian (periodic in x).
+    """
+    N = grid.nx * grid.ny
+    rows, cols = div_a_grad_pattern(grid)
+    return scipy.sparse.csr_matrix((div_a_grad_values(grid, a), (rows, cols)), shape=(N, N))
+
+
+def coupled_sparse_2d(grid: ChannelGrid, p, dt: float, c1n: np.ndarray, c2n: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The d = 2 step matrix of dense_coupled_matrix, assembled block by block with bmat.
+
+    This is the reference coupled2d.CoupledMatrix must equal bitwise:
+    the same indptr, indices and data, dtypes included.
+    """
+    nx, ny = grid.shape
+    N = nx * ny
+    ones = np.ones(grid.shape)
+    lap = div_a_grad_matrix(grid, ones)
+
+    int_mask = np.ones(grid.shape)
+    int_mask[:, 0] = 0.0
+    int_mask[:, -1] = 0.0
+    I_int = scipy.sparse.diags(int_mask.ravel())
+    I_wall = scipy.sparse.diags(1.0 - int_mask.ravel())
+
+    Z = scipy.sparse.csr_matrix((N, N))
+    blocks = []
+    for z, D, a in ((p.z1, p.D1, c1n), (p.z2, p.D2, c2n)):
+        diff = I_int / dt - D * lap + I_wall
+        coup = -z * D * div_a_grad_matrix(grid, a)
+        row = [Z, Z, coup]
+        row[len(blocks)] = diff
+        blocks.append(row)
+    pois = -p.eps ** 2 * lap + I_wall
+    blocks.append([-p.z1 * I_int, -p.z2 * I_int, pois])
+    return scipy.sparse.bmat(blocks, format="csr")
 
 
 def dense_projection(grid: ChannelGrid, u) -> list[np.ndarray]:

@@ -1,9 +1,9 @@
 """Config file format, presets, overrides, and the CLI front end."""
 
-import importlib.util
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 import textwrap
@@ -421,31 +421,52 @@ def test_cli_report_rejects_a_bad_sweep_csv(tmp_path, capsys, preset, text, mess
     assert not (tmp_path / "report.json").exists()
 
 
-def test_rate_sweep_script_prints_a_missing_fit(monkeypatch, capsys):
-    # two eps give no fit: the report's slope and r2 are None
-    path = Path(__file__).resolve().parents[1] / "scripts" / "rate_sweep.py"
-    spec = importlib.util.spec_from_file_location("rate_sweep_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    report = {"slope": None, "intercept": None, "r2": None, "window": [0.5, 1.5], "pass": False,
-              "per_epsilon": [{"epsilon": e, "ny": 65.0, "dt": 1e-3} for e in (0.125, 0.0625)]}
-    monkeypatch.setattr(script, "run_experiment", lambda cfg, parallel: report)
-    assert script.main(["--preset", "thm1_rate", "--eps", "0.125,0.0625", "--serial"]) == 0
-    assert "thm1_rate: slope=n/a r2=n/a window=[0.5, 1.5] pass=False" in capsys.readouterr().out
+def test_cli_sweep_prints_a_missing_fit(tmp_path, capsys):
+    # two eps give no fit: the report's slope is None and the summary line says so
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 33\n[time]\nt_end = 0.005\n")
+    with pytest.warns(UserWarning, match="insufficient points"):
+        rc = run_cli("sweep", "--config", str(config), "--eps", "0.125,0.0625", "--serial",
+                     "--out", str(tmp_path / "out"))
+    assert rc == 0
+    assert "thm1_rate: slope=n/a  window=[0.85, 1.15]  pass=False" in capsys.readouterr().out
 
 
-def test_rate_sweep_script_rejects_bad_eps(capsys):
-    # a bad --eps list is a usage error with the message `debyeflow sweep`
-    # prints: exit 2, no traceback
-    path = Path(__file__).resolve().parents[1] / "scripts" / "rate_sweep.py"
-    spec = importlib.util.spec_from_file_location("rate_sweep_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert run_cli("sweep", "--preset", "thm1_rate", "--eps", "0.1,zap") == 2
-    cli_err = capsys.readouterr().err
-    assert script.main(["--preset", "thm1_rate", "--eps", "0.1,zap"]) == 2
-    assert capsys.readouterr().err == cli_err
-    assert "comma list of floats" in cli_err
+def test_serial_1d_sweep_loads_no_sparse_solver_or_process_pool(tmp_path):
+    # a fresh interpreter: a serial d = 1 sweep imports neither scipy.sparse
+    # nor the process pool; a d = 2 run config loads the d = 2 solver in
+    # its set-up, and that run still completes
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n")
+    script = textwrap.dedent(f"""
+        import json, sys
+        from dataclasses import replace
+        from debyeflow.cli import main
+        from debyeflow.config_io import preset_defaults
+        from debyeflow.experiments import build_fixture, run_experiment
+
+        names = ("scipy.sparse", "concurrent.futures.process", "debyeflow.coupled2d")
+        rc = main(["sweep", "--config", {str(config)!r}, "--eps", "0.25,0.125", "--serial",
+                   "--out", {str(tmp_path / "d1")!r}])
+        after_1d = [m for m in names if m in sys.modules]
+        cfg = replace(preset_defaults("custom"), d=2, nx=4, ny=9, dt=1e-3, t_end=2e-3,
+                      eps_list=(0.25, 0.125)).validate()
+        build_fixture(cfg, cfg.eps_list[0])
+        after_config = [m for m in names if m in sys.modules]
+        report = run_experiment(cfg, out_dir={str(tmp_path / "d2")!r}, parallel=False)
+        print(json.dumps({{"rc": rc, "after_1d": after_1d, "after_config": after_config,
+                          "rows": len(report["per_epsilon"])}}))
+    """)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["after_1d"] == []
+    assert {"scipy.sparse", "debyeflow.coupled2d"} <= set(result["after_config"])
+    assert "concurrent.futures.process" not in result["after_config"]
+    assert result["rows"] == 2
 
 
 def test_cli_report_rebuilds_a_thm1_rate_report_byte_for_byte(tmp_path):
@@ -467,7 +488,7 @@ def test_cli_report_rebuilds_a_thm1_rate_report_byte_for_byte(tmp_path):
         assert "config_hash" not in entry and "wall_clock_s" not in entry
 
 
-def _abort_in_worker(cfg, eps, lrun):
+def _abort_in_worker(cfg, eps, limit):
     raise StepError(0.125, "forced abort", {"min_c1": -1.0, "max_c1": 2.0, "min_c2": 1.0, "max_c2": 2.0}, eps)
 
 

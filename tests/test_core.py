@@ -23,7 +23,6 @@ from debyeflow.operators import (
     ddx,
     ddy,
     div_a_grad,
-    div_a_grad_matrix,
     grad,
     integrate,
     laplacian,
@@ -38,6 +37,7 @@ from oracles import (
     dense_dirichlet_poisson,
     dense_div_form,
     dense_projection,
+    div_a_grad_matrix,
     divergence,
     interior_laplacian_action,
     norm_h2,

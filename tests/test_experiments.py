@@ -290,12 +290,10 @@ def test_members_with_one_grid_and_step_get_bitwise_equal_limits():
     cfg = rate_oracle_cfg(2)
     a, b = (_limit_worker((cfg, eps)) for eps in cfg.eps_list)
     assert build_fixture(cfg, 0.3).c1_eps0.tobytes() != build_fixture(cfg, 0.15).c1_eps0.tobytes()
-    assert len(a) == len(b) == 11
-    assert np.any(a[-1].c1[:, 1] != a[-1].c1[0, 1]), "the limit must vary in x"
-    for sa, sb in zip(a, b):
-        assert sa.t == sb.t
-        for fa, fb in zip((sa.c1, sa.psi, *sa.u.components), (sb.c1, sb.psi, *sb.u.components)):
-            assert fa.tobytes() == fb.tobytes()
+    assert len(a.t) == len(b.t) == 11
+    assert np.any(a.c1[-1][:, 1] != a.c1[-1][0, 1]), "the limit must vary in x"
+    for name in ("t", "c1", "psi", "u"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -303,7 +301,8 @@ def test_members_with_one_grid_and_step_get_bitwise_equal_limits():
 def test_blocked_rate_metrics_match_per_snapshot_oracle(d, block, monkeypatch):
     # None is the shipped block size (one block holds all 11 snapshots);
     # blocks of 4 leave a short last block and blocks of 1 are single
-    # snapshots with a leading axis
+    # snapshots with a leading axis.  The member reads the stacked shared
+    # limit, the oracle the limit run's States
     cfg = rate_oracle_cfg(d)
     eps = cfg.eps_list[0]
     fx = build_fixture(cfg, eps)
@@ -313,8 +312,16 @@ def test_blocked_rate_metrics_match_per_snapshot_oracle(d, block, monkeypatch):
     run, lrun = map(list, _run_pair(cfg, fx))
     sizes = [len(blk.t) for blk in snapshot_blocks(g, run)]
     assert sum(sizes) == 11 and sizes[0] == (11 if block is None else block)
+    limit = _limit_worker((cfg, eps))
+    assert (limit.u is None) == (d == 1)
+    stacked = limit.block(g, fx.run.params, slice(None))
+    for k, sl in enumerate(lrun):
+        for name in ("t", "c1", "c2", "psi"):
+            assert np.asarray(getattr(stacked, name)[k]).tobytes() == np.asarray(getattr(sl, name)).tobytes(), name
+        for mine, want in zip(stacked.u.components, sl.u.components):
+            assert mine[k].tobytes() == want.tobytes()
     ref = per_snapshot_rate_metrics(fx, run, lrun, eps)
-    got = _rate_metrics(cfg, eps, lrun)
+    got = _rate_metrics(cfg, eps, limit)
     for key, value in ref.items():
         assert repr(got[key]) == repr(value), key
     assert (ref["err_u_LinfL2"] > 0.0) == (d == 2)

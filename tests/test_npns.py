@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse.linalg
 
 from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
-from debyeflow import elliptic, npns
+from debyeflow import coupled2d, elliptic, npns
 from debyeflow.diagnostics import max_principle_check
 from debyeflow.npns import (
     MaxPrincipleViolation,
@@ -22,7 +22,7 @@ from debyeflow.npns import (
 )
 from debyeflow.operators import norm_l2
 
-from oracles import banded_to_sparse, dense_coupled_matrix, divergence, interior_laplacian_action
+from oracles import banded_to_sparse, coupled_sparse_2d, dense_coupled_matrix, divergence, interior_laplacian_action
 
 
 def make_cfg(
@@ -268,9 +268,9 @@ def test_d2_run_invariants():
     assert np.max(np.abs(res)) <= 1e-10
 
 
-def _d2_cfg(eps):
+def _d2_cfg(eps, nx=8, ny=17):
     p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=eps)
-    grid = ChannelGrid(d=2, nx=8, ny=17)
+    grid = ChannelGrid(d=2, nx=nx, ny=ny)
     gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * grid.x), np.full(grid.nx, 2.0)])
     w = np.vstack([0.1 * np.sin(2 * np.pi * grid.x), np.zeros(grid.nx)])
     bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
@@ -284,14 +284,14 @@ def test_coupled_gmres_matches_direct_solve(eps, monkeypatch):
     cfg, s = _d2_cfg(eps)
     g, p = cfg.grid, cfg.params
     solves = []
-    gmres = npns._coupled_gmres
+    gmres = coupled2d._coupled_gmres
 
     def spy(grid, params, dt, c1n, c2n, A, r, atol):
         delta, info = gmres(grid, params, dt, c1n, c2n, A, r, atol)
         solves.append((delta, info, A, r, c1n, c2n))
         return delta, info
 
-    monkeypatch.setattr(npns, "_coupled_gmres", spy)
+    monkeypatch.setattr(coupled2d, "_coupled_gmres", spy)
     for _ in range(2):
         s = step_npns(s, cfg)
     assert len(solves) == 2
@@ -312,9 +312,9 @@ def test_mode_preconditioner_inverts_x_independent_operator():
     rng = np.random.default_rng(7)
     c1n = np.tile(2.0 + 0.3 * np.sin(np.pi * g.y), (g.nx, 1))
     c2n = np.tile(1.5 + 0.2 * g.y, (g.nx, 1))
-    A = npns._coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
+    A = coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
     v = rng.standard_normal(A.shape[0])
-    back = npns._mode_preconditioner(g, p, cfg.dt, c1n, c2n).matvec(A @ v)
+    back = coupled2d._mode_preconditioner(g, p, cfg.dt, c1n, c2n).matvec(A @ v)
     assert np.max(np.abs(back - v)) <= 1e-10 * np.max(np.abs(v))
 
 
@@ -364,37 +364,42 @@ def test_run_with_shared_workspace_matches_fresh_steps():
 
 
 def test_coupling_refill_2d_matches_fresh_assembly():
-    # the run's one CSR matrix, refilled in place as every step does, must
-    # be bitwise the matrix assembled from the new concentrations
-    cfg, _ = _d2_cfg(1 / 16)
-    g, p = cfg.grid, cfg.params
-    ws = npns._StepWorkspace(cfg)
-    A = ws.coupled
+    # the run's one CSR matrix, assembled directly and refilled in place
+    # as every step does, must be bitwise the bmat assembly of the new
+    # concentrations, and the kept |A| must follow every refill; 4x9
+    # has the smallest nx, where the periodic x neighbours wrap
     rng = np.random.default_rng(13)
-    for _ in range(2):
-        c1n = 0.5 + rng.random(g.shape)
-        c2n = 0.5 + rng.random(g.shape)
-        npns._set_coupling_2d(A, ws.coupling_slots, g, p, c1n, c2n)
-        fresh = npns._coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
-        for name in ("indptr", "indices", "data"):
-            mine, ref = getattr(A, name), getattr(fresh, name)
-            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), f"{name} differs"
+    for nx, ny in ((4, 9), (8, 17), (32, 129)):
+        cfg, _ = _d2_cfg(1 / 16, nx, ny)
+        g, p = cfg.grid, cfg.params
+        system = npns._StepWorkspace(cfg).coupled
+        A = system.csr
+        ones = np.ones(g.shape)
+        fields = [(ones, ones)] + [(0.5 + rng.random(g.shape), 0.5 + rng.random(g.shape)) for _ in range(2)]
+        for k, (c1n, c2n) in enumerate(fields):
+            if k:
+                system.refill(c1n, c2n)
+            ref = coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
+            for name in ("indptr", "indices", "data"):
+                mine, want = getattr(A, name), getattr(ref, name)
+                assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes(), \
+                    f"{nx}x{ny}, fill {k}: {name} differs"
+            assert system.abs.data.tobytes() == np.abs(A.data).tobytes(), f"{nx}x{ny}, fill {k}: |A| is stale"
 
 
 def test_rounding_level_matches_the_abs_matrix_product():
-    # |A| on A's own index arrays gives the bytes of the abs(A) CSR copy
+    # the kept |A| on A's own index arrays gives the bytes of the abs(A) CSR copy
     cfg, s = _d2_cfg(1 / 16)
-    g, p = cfg.grid, cfg.params
-    ws = npns._StepWorkspace(cfg)
-    A = ws.coupled
-    npns._set_coupling_2d(A, ws.coupling_slots, g, p, s.c1, s.c2)
+    system = npns._StepWorkspace(cfg).coupled
+    system.refill(s.c1, s.c2)
+    A = system.csr
     rng = np.random.default_rng(17)
     data = A.data.copy()
     for _ in range(3):
         x = rng.standard_normal(A.shape[0])
         b = rng.standard_normal(A.shape[0])
         ref = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
-        assert npns._rounding_level(A, x, b) == ref
+        assert system.rounding_level(x, b) == ref
     assert A.data.tobytes() == data.tobytes(), "the bound must leave A alone"
 
 
@@ -409,7 +414,7 @@ def test_d2_run_with_shared_matrix_matches_fresh_steps():
     assert np.max(np.abs(run[-1].u.components[0])) > 0.0, "the flow must be driven"
     for k, snap in enumerate(run[1:], start=1):
         ws = npns._StepWorkspace(cfg)
-        ws.coupled = npns._coupled_sparse_2d(g, cfg.params, cfg.dt, s.c1, s.c2)
+        ws.coupled = coupled2d.CoupledMatrix(g, cfg.params, cfg.dt, s.c1, s.c2)
         s = step_npns(s, cfg, ws)
         s.t = k * cfg.dt
         for name in ("c1", "c2", "psi"):
