@@ -17,21 +17,22 @@ level of the residual being solved for if that is larger.  A zero
 residual gives an exact zero increment, so exact equilibria stay
 bitwise fixed points.
 
-This is the only module a preset run loads scipy.sparse through.  npns
-imports it when it builds a d = 2 NpnsConfig, so a d = 1 run never
-loads it, and a d = 2 run loads it in its set-up.
+This is the only module a preset run loads scipy.sparse through, and
+scipy.sparse brings the scipy.linalg package with it.  npns imports it
+when it builds a d = 2 NpnsConfig, so a d = 1 run never loads it, and a
+d = 2 run loads it in its set-up.  The preconditioner's band LU calls
+LAPACK through operators.lapack, like every other solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .grid import ChannelGrid
 from .npns import _coupled_banded_1d
-from .operators import div_a_grad_pattern, div_a_grad_values
+from .operators import div_a_grad_pattern, div_a_grad_values, lapack
 from .params import Params
 
 __all__ = ["CoupledMatrix", "GMRES_RTOL", "GMRES_RESTART", "GMRES_MAXITER"]
@@ -183,14 +184,14 @@ def _mode_preconditioner(grid: ChannelGrid, p: Params, dt: float, c1n, c2n):
     ab = np.zeros((2 * l + u + 1, nk * 3 * ny))
     ab[l:] = np.tile(base.ab, (1, nk))
     ab[[l + u, l + u - 2, l + u - 1]] += (lam[:, None] * coef.reshape(3, 1, 3 * ny)).reshape(3, -1)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, l, u, overwrite_ab=1)
+    lu, piv, info = lapack.dgbtrf(ab, l, u, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"mode preconditioner is singular (dgbtrf info={info})")
 
     def solve(r: np.ndarray) -> np.ndarray:
         # [c1, c2, psi] fields -> per-mode node-major [c1_j, c2_j, psi_j]
         rh = np.fft.rfft(r.reshape(3, nx, ny), axis=1).transpose(1, 2, 0).ravel()
-        x, _ = scipy.linalg.lapack.dgbtrs(lu, l, u, np.stack([rh.real, rh.imag], axis=1), piv)
+        x, _ = lapack.dgbtrs(lu, l, u, np.stack([rh.real, rh.imag], axis=1), piv)
         xh = (x[:, 0] + 1j * x[:, 1]).reshape(nk, ny, 3).transpose(2, 0, 1)
         return np.fft.irfft(xh, n=nx, axis=1).ravel()
 

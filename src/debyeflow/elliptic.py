@@ -16,7 +16,11 @@ band LU cached per grid like the Poisson factors, and the divergence
 form a tridiagonal solve (d = 1) or a banded Cholesky factorization
 (d = 2): numbered x-fastest, the negated interior operator is a
 symmetric positive definite band of half-width nx.  The
-package's only iterative solve is the d = 2 coupled step in npns.py.
+package's only iterative solve is the d = 2 coupled step in coupled2d.py.
+
+Every factorization and solve here calls LAPACK through operators.lapack,
+scipy's compiled wrapper bound without the scipy.linalg package, so this
+module loads nothing else from scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .grid import ChannelGrid, VelocityField
-from .operators import half_node_average_x, half_node_average_y
+from .operators import half_node_average_x, half_node_average_y, lapack
 
 __all__ = [
     "solve_shifted_poisson",
@@ -65,7 +68,7 @@ def _shifted_poisson_factors(grid: ChannelGrid, alpha: float) -> tuple[np.ndarra
     diag = np.repeat(alpha + grid.kx ** 2 + 2.0 / h2, m)
     off = np.full(nk * m - 1, -1.0 / h2)
     off[m - 1 :: m] = 0.0
-    factors = scipy.linalg.lapack.dgttrf(off, diag, off.copy())
+    factors = lapack.dgttrf(off, diag, off.copy())
     if factors[-1] != 0:
         raise np.linalg.LinAlgError(f"shifted Poisson matrix is singular (dgttrf info={factors[-1]})")
     for a in factors[:-1]:
@@ -112,7 +115,7 @@ def solve_shifted_poisson(
         b[:, 0] = f[0, 1:-1]
         b[0, 0] += (b0[0] + 0.0) * (1.0 / h2)
         b[-1, 0] += (b1[0] + 0.0) * (1.0 / h2)
-        x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
         u = np.empty((1, grid.ny))
         u[0, 0] = b0[0]
         u[0, -1] = b1[0]
@@ -128,7 +131,7 @@ def solve_shifted_poisson(
     b = np.empty((nk * m, 2), order="F")
     b[:, 0] = rhs.real.ravel()
     b[:, 1] = rhs.imag.ravel()
-    x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+    x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
 
     uh = np.empty_like(fh)
     uh[:, 0] = b0h
@@ -186,7 +189,7 @@ def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndar
         ah = half_node_average_y(a)
         lo = ah[0, :-1]
         hi = ah[0, 1:]
-        _, _, _, x, info = scipy.linalg.lapack.dgtsv(
+        _, _, _, x, info = lapack.dgtsv(
             lo[1:] / h2, -(lo + hi) / h2, hi[:-1] / h2, rhs[0, 1:-1].copy(),
             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
@@ -211,10 +214,10 @@ def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndar
     band[1:, :, 0] = -ay[:, 1:-1].T
     b = -rhs[:, 1:-1].T.copy()
     # band.reshape(m nx, nx+1).T is the Fortran-order band LAPACK factors in place
-    chol, info = scipy.linalg.lapack.dpbtrf(band.reshape(m * nx, nx + 1).T, overwrite_ab=1)
+    chol, info = lapack.dpbtrf(band.reshape(m * nx, nx + 1).T, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"divergence-form matrix is not positive definite (dpbtrf info={info})")
-    x, info = scipy.linalg.lapack.dpbtrs(chol, b.reshape(m * nx, 1), overwrite_b=1)
+    x, info = lapack.dpbtrs(chol, b.reshape(m * nx, 1), overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"divergence-form band solve failed (dpbtrs info={info})")
     u = grid.zeros()
@@ -258,7 +261,7 @@ def _projection_factors(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray, np.n
     ab[2] = upper.ravel()
     ab[4] = diag.ravel()
     ab[6] = np.tile(lower, nk)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"projection matrix is singular (dgbtrf info={info})")
     for a in (lu, piv, pinned):
@@ -302,7 +305,7 @@ def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
     g[pinned, 0] = 0.0
     # a non-finite velocity raises ValueError here rather than spreading
     rhs = np.asarray_chkfinite(np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
-    sol, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, rhs, piv)
+    sol, _ = lapack.dgbtrs(lu, 2, 2, rhs, piv)
 
     q = np.zeros_like(uyh)
     q[:, 1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(nk, m)

@@ -32,7 +32,10 @@ and solves it by preconditioned GMRES.  That solve lives in coupled2d,
 the only module a preset run loads scipy.sparse through.  NpnsConfig
 imports it when it is built with a d = 2 grid, so a d = 1 run never
 loads it and a d = 2 run pays the import in its set-up.  A step whose
-GMRES does not converge raises StepError.
+GMRES does not converge raises StepError.  The d = 1 band solve and the
+Poisson recompute reach LAPACK through operators.lapack, scipy's
+compiled wrapper loaded alone, so a d = 1 run loads no other part of
+scipy.
 """
 
 from __future__ import annotations

@@ -13,16 +13,26 @@ result is bitwise the one an (nx, ny) call gives.
 div(a grad .) is also given as matrix entries, a cached index pattern
 (div_a_grad_pattern) and the values of one coefficient
 (div_a_grad_values), from which coupled2d assembles its CSR matrix; the
-d = 1 coupled step uses the LAPACK band matrix BandedMatrix.  This
-module imports no scipy.sparse.
+d = 1 coupled step uses the LAPACK band matrix BandedMatrix.
+
+This module binds LAPACK without the scipy.linalg package: lapack is
+scipy's compiled f2py wrapper scipy.linalg._flapack, loaded from its
+file, and operators, elliptic and coupled2d call every LAPACK routine
+through it.  Its functions are the ones scipy.linalg.lapack re-exports,
+so a later import of scipy.linalg finds the same module, and a d = 1 run
+loads nothing else from scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .grid import ChannelGrid, VelocityField
 
@@ -267,7 +277,39 @@ def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# banded matrix helper
+# LAPACK binding and banded matrix helper
+
+
+def _load_lapack() -> ModuleType:
+    """scipy's compiled LAPACK wrapper, without running scipy.linalg's __init__.
+
+    An already imported scipy.linalg._flapack is returned as it is.
+    Otherwise the extension file is found in the scipy directory, which
+    find_spec locates without importing scipy, and executed under its
+    qualified name, so scipy.linalg reuses it if it is imported later.
+    Without that file, scipy.linalg.lapack is imported: it re-exports the
+    same functions.  A file that exists but fails to load raises.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                file_spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(file_spec)
+                sys.modules[name] = module
+                file_spec.loader.exec_module(module)
+                return module
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+lapack = _load_lapack()
 
 
 class BandedMatrix:
@@ -324,8 +366,8 @@ class BandedMatrix:
         l, u = self.l, self.u
         self._lu[l:] = self.ab
         self._lu[:l] = 0.0
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(self._lu, l, u, overwrite_ab=1)
+        lu, piv, info = lapack.dgbtrf(self._lu, l, u, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        x, _ = scipy.linalg.lapack.dgbtrs(lu, l, u, rhs, piv)
+        x, _ = lapack.dgbtrs(lu, l, u, rhs, piv)
         return x

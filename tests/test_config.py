@@ -432,10 +432,11 @@ def test_cli_sweep_prints_a_missing_fit(tmp_path, capsys):
     assert "thm1_rate: slope=n/a  window=[0.85, 1.15]  pass=False" in capsys.readouterr().out
 
 
-def test_serial_1d_sweep_loads_no_sparse_solver_or_process_pool(tmp_path):
-    # a fresh interpreter: a serial d = 1 sweep imports neither scipy.sparse
-    # nor the process pool; a d = 2 run config loads the d = 2 solver in
-    # its set-up, and that run still completes
+def test_serial_1d_sweep_loads_only_the_lapack_wrapper_from_scipy(tmp_path):
+    # a fresh interpreter: a serial d = 1 sweep loads nothing from scipy
+    # but its compiled LAPACK wrapper, neither numpy.f2py nor the process
+    # pool; a d = 2 run config loads the d = 2 solver in its set-up, and
+    # that run still completes
     config = tmp_path / "exp.cfg"
     config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n")
     script = textwrap.dedent(f"""
@@ -449,13 +450,15 @@ def test_serial_1d_sweep_loads_no_sparse_solver_or_process_pool(tmp_path):
         rc = main(["sweep", "--config", {str(config)!r}, "--eps", "0.25,0.125", "--serial",
                    "--out", {str(tmp_path / "d1")!r}])
         after_1d = [m for m in names if m in sys.modules]
+        scipy_1d = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        f2py_1d = "numpy.f2py" in sys.modules
         cfg = replace(preset_defaults("custom"), d=2, nx=4, ny=9, dt=1e-3, t_end=2e-3,
                       eps_list=(0.25, 0.125)).validate()
         build_fixture(cfg, cfg.eps_list[0])
         after_config = [m for m in names if m in sys.modules]
         report = run_experiment(cfg, out_dir={str(tmp_path / "d2")!r}, parallel=False)
-        print(json.dumps({{"rc": rc, "after_1d": after_1d, "after_config": after_config,
-                          "rows": len(report["per_epsilon"])}}))
+        print(json.dumps({{"rc": rc, "after_1d": after_1d, "scipy_1d": scipy_1d, "f2py_1d": f2py_1d,
+                          "after_config": after_config, "rows": len(report["per_epsilon"])}}))
     """)
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -464,6 +467,8 @@ def test_serial_1d_sweep_loads_no_sparse_solver_or_process_pool(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["rc"] == 0
     assert result["after_1d"] == []
+    assert result["scipy_1d"] == ["scipy.linalg._flapack"]
+    assert result["f2py_1d"] is False
     assert {"scipy.sparse", "debyeflow.coupled2d"} <= set(result["after_config"])
     assert "concurrent.futures.process" not in result["after_config"]
     assert result["rows"] == 2

@@ -1,6 +1,12 @@
 """Core grid, operator, and elliptic-solver tests."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField, elliptic
+from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField, elliptic, operators
 from debyeflow.elliptic import (
     harmonic_extension,
     project_div_free,
@@ -622,3 +628,91 @@ def test_banded_matrix_matches_scipy_bitwise():
         assert np.array_equal(B.solve(x), first), "a repeated solve must not see the last LU"
         with pytest.raises(ValueError):
             B.solve(np.ones(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# LAPACK binding; each case runs in a fresh interpreter, since the binding
+# is made when debyeflow.operators is first imported
+
+LAPACK_NAMES = ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpbtrf", "dpbtrs")
+
+# one perturbed d = 1 coupled step; out["step"] is the digest of its fields
+STEP_DIGEST = """
+import hashlib
+from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow.npns import NpnsConfig, step_npns, well_prepared_init
+p = Params(z1=1.0, z2=-1.0, D1=1.0, D2=0.5, nu=1.0, eps=0.125)
+g = ChannelGrid(d=1, nx=1, ny=65)
+bdata = BoundaryData.electroneutral(np.full((2, 1), 2.0), w=np.array([[0.0], [0.3]]), params=p)
+cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=1e-3)
+s = step_npns(well_prepared_init(g, 2.0 + 0.1 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg), cfg)
+out["step"] = hashlib.sha256(b"".join(f.tobytes() for f in (s.c1, s.c2, s.psi))).hexdigest()
+"""
+
+
+def _fresh_python(*scripts: str) -> dict:
+    """Run the scripts in order in a new interpreter on this source tree;
+    they fill the dict out, printed as JSON."""
+    src = str(Path(operators.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import json, sys\nimport numpy as np\nout = {}\n" + "".join(map(textwrap.dedent, scripts)) + "\nprint(json.dumps(out))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_lapack_binding_is_the_wrapper_scipy_linalg_imports_later():
+    out = _fresh_python(f"""
+        from debyeflow import elliptic, operators
+        out["module"] = operators.lapack.__name__
+        out["linalg_before"] = "scipy.linalg" in sys.modules
+        from debyeflow import coupled2d  # its scipy.sparse import loads scipy.linalg
+        out["shared"] = elliptic.lapack is operators.lapack and coupled2d.lapack is operators.lapack
+        import scipy.linalg
+        import scipy.linalg.lapack
+        out["same"] = [getattr(scipy.linalg.lapack, n) is getattr(operators.lapack, n) for n in {LAPACK_NAMES!r}]
+        rng = np.random.default_rng(3)
+        ab = rng.standard_normal((6, 30))
+        ab[3] += 8.0
+        x = rng.standard_normal(30)
+        B = operators.BandedMatrix(30, {{k: ab[2 - k, max(k, 0):30 + min(k, 0)] for k in range(-3, 3)}})
+        out["solve_banded"] = bool(np.array_equal(scipy.linalg.solve_banded((3, 2), B.ab, x), B.solve(x)))
+    """)
+    assert out["module"] == "scipy.linalg._flapack"
+    assert out["linalg_before"] is False
+    assert out["shared"] is True
+    assert out["same"] == [True] * len(LAPACK_NAMES)
+    assert out["solve_banded"] is True
+
+
+def test_lapack_binding_reuses_an_imported_scipy_linalg():
+    out = _fresh_python("""
+        import scipy.linalg
+        from debyeflow import operators
+        out["reused"] = operators.lapack is sys.modules["scipy.linalg._flapack"]
+        out["again"] = operators._load_lapack() is operators.lapack
+    """)
+    assert out == {"reused": True, "again": True}
+
+
+def test_lapack_binding_falls_back_to_scipy_linalg_lapack(tmp_path):
+    # the scipy directory the lookup sees is empty, so the extension file
+    # is not found; the fallback binds the same functions and a step's
+    # bytes do not change
+    fallback = _fresh_python(f"""
+        import importlib.util, types
+        find_spec = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, *args: (
+            types.SimpleNamespace(submodule_search_locations=[{str(tmp_path)!r}])
+            if name == "scipy" else find_spec(name, *args))
+        from debyeflow import elliptic, operators
+        importlib.util.find_spec = find_spec
+        from debyeflow import coupled2d
+        import scipy.linalg.lapack
+        out["fallback"] = all(m.lapack is scipy.linalg.lapack for m in (operators, elliptic, coupled2d))
+    """, STEP_DIGEST)
+    loaded = {}
+    exec(STEP_DIGEST, {"np": np, "out": loaded})
+    assert fallback["fallback"] is True
+    assert operators.lapack.__name__ == "scipy.linalg._flapack"
+    assert fallback["step"] == loaded["step"]
