@@ -29,13 +29,14 @@ entries that depend on the concentrations and factors into the same
 buffer, so the step allocates no factor storage.  In d = 2 a run
 likewise keeps one CSR matrix whose coupling entries each step refills,
 and solves it by preconditioned GMRES.  That solve lives in coupled2d,
-the only module a preset run loads scipy.sparse through.  NpnsConfig
-imports it when it is built with a d = 2 grid, so a d = 1 run never
-loads it and a d = 2 run pays the import in its set-up.  A step whose
-GMRES does not converge raises StepError.  The d = 1 band solve and the
-Poisson recompute reach LAPACK through operators.lapack, scipy's
-compiled wrapper loaded alone, so a d = 1 run loads no other part of
-scipy.
+which multiplies by scipy's compiled CSR kernel, loaded alone, and runs
+its own port of scipy's GMRES, so the d = 2 step loads no scipy.sparse.
+NpnsConfig imports coupled2d when it is built with a d = 2 grid, so a
+d = 1 run never loads it and a d = 2 run pays the import in its set-up.
+A step whose GMRES does not converge raises StepError.  The d = 1 band
+solve and the Poisson recompute reach LAPACK through operators.lapack,
+scipy's compiled wrapper loaded alone, so a d = 1 run loads no other
+part of scipy.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class NpnsConfig:
             )
         object.__setattr__(self, "wall", wall_fields(self.grid, self.bdata))
         if self.grid.d == 2:
-            # the d = 2 solve and scipy.sparse load here, in set-up, and
-            # never in a d = 1 run
+            # the d = 2 solve and its CSR kernel load here, in set-up,
+            # and never in a d = 1 run
             importlib.import_module(".coupled2d", __package__)
 
     @property

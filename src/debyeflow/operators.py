@@ -15,12 +15,15 @@ div(a grad .) is also given as matrix entries, a cached index pattern
 (div_a_grad_values), from which coupled2d assembles its CSR matrix; the
 d = 1 coupled step uses the LAPACK band matrix BandedMatrix.
 
-This module binds LAPACK without the scipy.linalg package: lapack is
-scipy's compiled f2py wrapper scipy.linalg._flapack, loaded from its
-file, and operators, elliptic and coupled2d call every LAPACK routine
-through it.  Its functions are the ones scipy.linalg.lapack re-exports,
-so a later import of scipy.linalg finds the same module, and a d = 1 run
-loads nothing else from scipy.
+This module binds scipy's compiled code without scipy's packages:
+_load_compiled loads one extension module from its file, skipping the
+package imports, whose chain (array-API shims, numpy.f2py) costs about
+0.2 s per process.  lapack is the f2py wrapper scipy.linalg._flapack,
+through which operators, elliptic and coupled2d call every LAPACK
+routine; coupled2d binds scipy.sparse._sparsetools, the CSR kernels,
+the same way.  Each is the module its package would import, so a later
+import of scipy.linalg or scipy.sparse finds the same one, and a d = 1
+run loads nothing else from scipy.
 """
 
 from __future__ import annotations
@@ -277,39 +280,38 @@ def div_a_grad_values(grid: ChannelGrid, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LAPACK binding and banded matrix helper
+# bindings of scipy's compiled modules, and the banded matrix helper
 
 
-def _load_lapack() -> ModuleType:
-    """scipy's compiled LAPACK wrapper, without running scipy.linalg's __init__.
+def _load_compiled(name: str, fallback: str) -> ModuleType:
+    """One of scipy's compiled extension modules, without running its package's __init__.
 
-    An already imported scipy.linalg._flapack is returned as it is.
+    name is the module's qualified name, e.g. "scipy.linalg._flapack".
+    An already imported module of that name is returned as it is.
     Otherwise the extension file is found in the scipy directory, which
-    find_spec locates without importing scipy, and executed under its
-    qualified name, so scipy.linalg reuses it if it is imported later.
-    Without that file, scipy.linalg.lapack is imported: it re-exports the
-    same functions.  A file that exists but fails to load raises.
+    find_spec locates without importing scipy, and executed under name,
+    so the scipy package reuses it if it is imported later.  Without
+    that file, the module fallback is imported the usual way.  A file
+    that exists but fails to load raises.
     """
-    name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    _, *subpackages, leaf = name.split(".")
     spec = importlib.util.find_spec("scipy")
     roots = spec.submodule_search_locations if spec is not None else None
     for root in roots or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            path = os.path.join(root, *subpackages, leaf + suffix)
             if os.path.isfile(path):
                 file_spec = importlib.util.spec_from_file_location(name, path)
                 module = importlib.util.module_from_spec(file_spec)
                 sys.modules[name] = module
                 file_spec.loader.exec_module(module)
                 return module
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack
+    return importlib.import_module(fallback)
 
 
-lapack = _load_lapack()
+lapack = _load_compiled("scipy.linalg._flapack", "scipy.linalg.lapack")
 
 
 class BandedMatrix:

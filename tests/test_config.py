@@ -432,11 +432,12 @@ def test_cli_sweep_prints_a_missing_fit(tmp_path, capsys):
     assert "thm1_rate: slope=n/a  window=[0.85, 1.15]  pass=False" in capsys.readouterr().out
 
 
-def test_serial_1d_sweep_loads_only_the_lapack_wrapper_from_scipy(tmp_path):
+def test_serial_runs_load_only_scipys_compiled_lapack_and_csr_modules(tmp_path):
     # a fresh interpreter: a serial d = 1 sweep loads nothing from scipy
     # but its compiled LAPACK wrapper, neither numpy.f2py nor the process
-    # pool; a d = 2 run config loads the d = 2 solver in its set-up, and
-    # that run still completes
+    # pool; a d = 2 run config loads the d = 2 solver in its set-up, which
+    # adds scipy's compiled CSR kernels and no scipy package, and that run
+    # completes without loading more
     config = tmp_path / "exp.cfg"
     config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n")
     script = textwrap.dedent(f"""
@@ -446,19 +447,24 @@ def test_serial_1d_sweep_loads_only_the_lapack_wrapper_from_scipy(tmp_path):
         from debyeflow.config_io import preset_defaults
         from debyeflow.experiments import build_fixture, run_experiment
 
-        names = ("scipy.sparse", "concurrent.futures.process", "debyeflow.coupled2d")
+        names = ("scipy.sparse", "scipy.sparse.linalg", "numpy.f2py", "concurrent.futures.process",
+                 "debyeflow.coupled2d")
+
+        def loaded():
+            return ([m for m in names if m in sys.modules],
+                    sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
         rc = main(["sweep", "--config", {str(config)!r}, "--eps", "0.25,0.125", "--serial",
                    "--out", {str(tmp_path / "d1")!r}])
-        after_1d = [m for m in names if m in sys.modules]
-        scipy_1d = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        f2py_1d = "numpy.f2py" in sys.modules
+        after_1d = loaded()
         cfg = replace(preset_defaults("custom"), d=2, nx=4, ny=9, dt=1e-3, t_end=2e-3,
                       eps_list=(0.25, 0.125)).validate()
         build_fixture(cfg, cfg.eps_list[0])
-        after_config = [m for m in names if m in sys.modules]
+        after_config = loaded()
         report = run_experiment(cfg, out_dir={str(tmp_path / "d2")!r}, parallel=False)
-        print(json.dumps({{"rc": rc, "after_1d": after_1d, "scipy_1d": scipy_1d, "f2py_1d": f2py_1d,
-                          "after_config": after_config, "rows": len(report["per_epsilon"])}}))
+        after_2d = loaded()
+        print(json.dumps({{"rc": rc, "after_1d": after_1d, "after_config": after_config,
+                          "after_2d": after_2d, "rows": len(report["per_epsilon"])}}))
     """)
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -466,11 +472,10 @@ def test_serial_1d_sweep_loads_only_the_lapack_wrapper_from_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["rc"] == 0
-    assert result["after_1d"] == []
-    assert result["scipy_1d"] == ["scipy.linalg._flapack"]
-    assert result["f2py_1d"] is False
-    assert {"scipy.sparse", "debyeflow.coupled2d"} <= set(result["after_config"])
-    assert "concurrent.futures.process" not in result["after_config"]
+    assert result["after_1d"] == [[], ["scipy.linalg._flapack"]]
+    compiled = ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+    assert result["after_config"] == [["debyeflow.coupled2d"], compiled]
+    assert result["after_2d"] == [["debyeflow.coupled2d"], compiled]
     assert result["rows"] == 2
 
 

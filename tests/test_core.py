@@ -631,10 +631,11 @@ def test_banded_matrix_matches_scipy_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# LAPACK binding; each case runs in a fresh interpreter, since the binding
-# is made when debyeflow.operators is first imported
+# bindings of scipy's compiled modules (LAPACK, CSR kernels); each case
+# runs in a fresh interpreter, since a binding is made when its module
+# (debyeflow.operators, debyeflow.coupled2d) is first imported
 
-LAPACK_NAMES = ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpbtrf", "dpbtrs")
+LAPACK_NAMES = ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpbtrf", "dpbtrs", "dlartg")
 
 # one perturbed d = 1 coupled step; out["step"] is the digest of its fields
 STEP_DIGEST = """
@@ -647,6 +648,24 @@ bdata = BoundaryData.electroneutral(np.full((2, 1), 2.0), w=np.array([[0.0], [0.
 cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=1e-3)
 s = step_npns(well_prepared_init(g, 2.0 + 0.1 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg), cfg)
 out["step"] = hashlib.sha256(b"".join(f.tobytes() for f in (s.c1, s.c2, s.psi))).hexdigest()
+"""
+
+# one perturbed 4x9 d = 2 coupled step, which runs GMRES on the CSR
+# kernel; out["step_2d"] is the digest of its fields and velocity
+STEP_DIGEST_2D = """
+import hashlib
+from debyeflow import BoundaryData, ChannelGrid, Params, VelocityField
+from debyeflow.npns import NpnsConfig, step_npns, well_prepared_init
+p = Params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, nu=0.5, eps=0.25)
+g = ChannelGrid(d=2, nx=4, ny=9)
+gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
+w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.zeros(g.nx)])
+bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
+cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=1e-3)
+c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy + 0.1 * np.sin(np.pi * g.yy) * np.cos(2 * np.pi * g.xx)
+s = step_npns(well_prepared_init(g, c1, VelocityField.zero(g), cfg), cfg)
+fields = (s.c1, s.c2, s.psi, *s.u.components)
+out["step_2d"] = hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest()
 """
 
 
@@ -666,7 +685,7 @@ def test_lapack_binding_is_the_wrapper_scipy_linalg_imports_later():
         from debyeflow import elliptic, operators
         out["module"] = operators.lapack.__name__
         out["linalg_before"] = "scipy.linalg" in sys.modules
-        from debyeflow import coupled2d  # its scipy.sparse import loads scipy.linalg
+        from debyeflow import coupled2d
         out["shared"] = elliptic.lapack is operators.lapack and coupled2d.lapack is operators.lapack
         import scipy.linalg
         import scipy.linalg.lapack
@@ -690,7 +709,7 @@ def test_lapack_binding_reuses_an_imported_scipy_linalg():
         import scipy.linalg
         from debyeflow import operators
         out["reused"] = operators.lapack is sys.modules["scipy.linalg._flapack"]
-        out["again"] = operators._load_lapack() is operators.lapack
+        out["again"] = operators._load_compiled("scipy.linalg._flapack", "scipy.linalg.lapack") is operators.lapack
     """)
     assert out == {"reused": True, "again": True}
 
@@ -716,3 +735,58 @@ def test_lapack_binding_falls_back_to_scipy_linalg_lapack(tmp_path):
     assert fallback["fallback"] is True
     assert operators.lapack.__name__ == "scipy.linalg._flapack"
     assert fallback["step"] == loaded["step"]
+
+
+def test_one_loader_binds_lapack_and_the_csr_kernels():
+    # debyeflow first: the d = 2 solver loads the two compiled modules and
+    # nothing else from scipy; a later scipy.sparse takes the bound CSR
+    # kernels, and its products still work
+    out = _fresh_python("""
+        from debyeflow import coupled2d, operators
+        out["bound"] = [operators.lapack.__name__, coupled2d.sparsetools.__name__]
+        out["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import scipy.sparse
+        import scipy.sparse._compressed
+        out["shared"] = scipy.sparse._compressed._sparsetools is coupled2d.sparsetools
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.4)
+        x = rng.standard_normal(9)
+        out["product"] = bool(np.allclose(scipy.sparse.csr_matrix(dense) @ x, dense @ x, rtol=1e-14, atol=1e-14))
+    """)
+    assert out["bound"] == ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+    assert out["scipy"] == ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+    assert out["shared"] is True
+    assert out["product"] is True
+
+
+def test_csr_kernel_binding_reuses_an_imported_scipy_sparse():
+    out = _fresh_python("""
+        import scipy.sparse
+        from debyeflow import coupled2d, operators
+        out["reused"] = coupled2d.sparsetools is sys.modules["scipy.sparse._sparsetools"]
+        name = "scipy.sparse._sparsetools"
+        out["again"] = operators._load_compiled(name, name) is coupled2d.sparsetools
+    """)
+    assert out == {"reused": True, "again": True}
+
+
+def test_csr_kernel_binding_falls_back_to_scipy_sparse(tmp_path):
+    # the scipy directory the lookup sees is empty, so neither extension
+    # file is found; the fallback imports scipy.sparse._sparsetools with
+    # its package, and a d = 2 step's bytes do not change
+    fallback = _fresh_python(f"""
+        import importlib.util, types
+        find_spec = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, *args: (
+            types.SimpleNamespace(submodule_search_locations=[{str(tmp_path)!r}])
+            if name == "scipy" else find_spec(name, *args))
+        from debyeflow import coupled2d
+        importlib.util.find_spec = find_spec
+        out["package"] = "scipy.sparse" in sys.modules
+        out["fallback"] = coupled2d.sparsetools is sys.modules["scipy.sparse._sparsetools"]
+    """, STEP_DIGEST_2D)
+    loaded = {}
+    exec(STEP_DIGEST_2D, {"np": np, "out": loaded})
+    assert fallback["package"] is True
+    assert fallback["fallback"] is True
+    assert fallback["step_2d"] == loaded["step_2d"]

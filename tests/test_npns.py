@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from debyeflow import BoundaryData, ChannelGrid, Params, State, VelocityField
@@ -279,6 +280,11 @@ def _d2_cfg(eps, nx=8, ny=17):
     return cfg, well_prepared_init(grid, c1, VelocityField.zero(grid), cfg)
 
 
+def _scipy_csr(system: coupled2d.CoupledMatrix, data: np.ndarray) -> scipy.sparse.csr_matrix:
+    """scipy's CSR matrix on the system's index arrays and the given data."""
+    return scipy.sparse.csr_matrix((data, system.indices, system.indptr), shape=(system.n, system.n))
+
+
 @pytest.mark.parametrize("eps", [1 / 4, 1 / 16, 1 / 64])
 def test_coupled_gmres_matches_direct_solve(eps, monkeypatch):
     cfg, s = _d2_cfg(eps)
@@ -286,9 +292,9 @@ def test_coupled_gmres_matches_direct_solve(eps, monkeypatch):
     solves = []
     gmres = coupled2d._coupled_gmres
 
-    def spy(grid, params, dt, c1n, c2n, A, r, atol):
-        delta, info = gmres(grid, params, dt, c1n, c2n, A, r, atol)
-        solves.append((delta, info, A, r, c1n, c2n))
+    def spy(A, c1n, c2n, r, atol):
+        delta, info = gmres(A, c1n, c2n, r, atol)
+        solves.append((delta, info, _scipy_csr(A, A.data.copy()), r, c1n, c2n))
         return delta, info
 
     monkeypatch.setattr(coupled2d, "_coupled_gmres", spy)
@@ -304,6 +310,40 @@ def test_coupled_gmres_matches_direct_solve(eps, monkeypatch):
         assert err <= 1e-10, f"eps={eps}: GMRES delta differs from splu by {err:.2e}"
 
 
+@pytest.mark.parametrize("nx, ny", [(4, 9), (8, 17), (32, 129)])
+def test_gmres_port_matches_scipy_gmres(nx, ny):
+    # the in-module GMRES is scipy's, bit for bit, with the same stopping
+    # parameters and the preconditioner wrapped as scipy's M
+    cfg, _ = _d2_cfg(1 / 16, nx, ny)
+    g, p = cfg.grid, cfg.params
+    rng = np.random.default_rng(19)
+    c1n = 0.5 + rng.random(g.shape)
+    c2n = 0.5 + rng.random(g.shape)
+    system = coupled2d.CoupledMatrix(g, p, cfg.dt, c1n, c2n)
+    psolve = coupled2d._mode_preconditioner(g, p, cfg.dt, c1n, c2n)
+    A = _scipy_csr(system, system.data)
+    M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=psolve, dtype=float)
+    b = rng.standard_normal(A.shape[0])
+    zero = np.zeros(A.shape[0])
+    # (right side, rtol, atol, restart, maxiter, expected info or None)
+    cases = [
+        (b, 1e-13, 1e-9 * np.linalg.norm(b), 50, 10, 0),  # converges
+        (b, 1e-16, 0.0, 3, 2, 2),  # cut at maxiter inside short cycles
+        # near rounding level, where the inner tolerance adapts from
+        # cycle to cycle; whether it converges depends on the grid
+        (b, 1e-13, 0.0, 50, 3, None),
+        (zero, 1e-13, 0.0, 50, 10, 0),  # no iteration
+    ]
+    for rhs, rtol, atol, restart, maxiter, info in cases:
+        mine = coupled2d._gmres(system.matvec, psolve, rhs, rtol, atol, restart, maxiter)
+        ref = scipy.sparse.linalg.gmres(A, rhs, rtol=rtol, atol=atol, restart=restart, maxiter=maxiter, M=M)
+        where = f"{nx}x{ny}, restart={restart}, maxiter={maxiter}"
+        assert mine[1] == ref[1], f"{where}: info {mine[1]} vs scipy's {ref[1]}"
+        assert info is None or mine[1] == info, f"{where}: info {mine[1]}, expected {info}"
+        assert mine[0].dtype == ref[0].dtype and mine[0].tobytes() == ref[0].tobytes(), f"{where}: x differs"
+    assert not np.any(mine[0]), "a zero right side must give an exact zero"
+
+
 def test_mode_preconditioner_inverts_x_independent_operator():
     # with concentrations constant in x the preconditioner is the exact
     # inverse, which checks every lam_k shift of the per-mode bands
@@ -314,7 +354,7 @@ def test_mode_preconditioner_inverts_x_independent_operator():
     c2n = np.tile(1.5 + 0.2 * g.y, (g.nx, 1))
     A = coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
     v = rng.standard_normal(A.shape[0])
-    back = coupled2d._mode_preconditioner(g, p, cfg.dt, c1n, c2n).matvec(A @ v)
+    back = coupled2d._mode_preconditioner(g, p, cfg.dt, c1n, c2n)(A @ v)
     assert np.max(np.abs(back - v)) <= 1e-10 * np.max(np.abs(v))
 
 
@@ -364,43 +404,61 @@ def test_run_with_shared_workspace_matches_fresh_steps():
 
 
 def test_coupling_refill_2d_matches_fresh_assembly():
-    # the run's one CSR matrix, assembled directly and refilled in place
-    # as every step does, must be bitwise the bmat assembly of the new
-    # concentrations, and the kept |A| must follow every refill; 4x9
+    # the run's one set of CSR arrays, assembled directly and refilled in
+    # place as every step does, must be bitwise the bmat assembly of the
+    # new concentrations, and the kept |A| must follow every refill; 4x9
     # has the smallest nx, where the periodic x neighbours wrap
     rng = np.random.default_rng(13)
     for nx, ny in ((4, 9), (8, 17), (32, 129)):
         cfg, _ = _d2_cfg(1 / 16, nx, ny)
         g, p = cfg.grid, cfg.params
         system = npns._StepWorkspace(cfg).coupled
-        A = system.csr
         ones = np.ones(g.shape)
         fields = [(ones, ones)] + [(0.5 + rng.random(g.shape), 0.5 + rng.random(g.shape)) for _ in range(2)]
         for k, (c1n, c2n) in enumerate(fields):
             if k:
                 system.refill(c1n, c2n)
             ref = coupled_sparse_2d(g, p, cfg.dt, c1n, c2n)
+            assert system.n == ref.shape[0] == ref.shape[1]
             for name in ("indptr", "indices", "data"):
-                mine, want = getattr(A, name), getattr(ref, name)
+                mine, want = getattr(system, name), getattr(ref, name)
                 assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes(), \
                     f"{nx}x{ny}, fill {k}: {name} differs"
-            assert system.abs.data.tobytes() == np.abs(A.data).tobytes(), f"{nx}x{ny}, fill {k}: |A| is stale"
+            assert system.abs_data.tobytes() == np.abs(system.data).tobytes(), f"{nx}x{ny}, fill {k}: |A| is stale"
+
+
+def test_coupled_matrix_product_matches_scipy_csr():
+    # the compiled kernel on the kept arrays gives the bytes of scipy's
+    # CSR product, after the first build and after a refill
+    rng = np.random.default_rng(23)
+    for nx, ny in ((4, 9), (8, 17), (32, 129)):
+        cfg, _ = _d2_cfg(1 / 16, nx, ny)
+        system = npns._StepWorkspace(cfg).coupled
+        for k in range(2):
+            if k:
+                system.refill(0.5 + rng.random(cfg.grid.shape), 0.5 + rng.random(cfg.grid.shape))
+            x = rng.standard_normal(system.n)
+            ref = _scipy_csr(system, system.data) @ x
+            assert system.matvec(x).tobytes() == ref.tobytes(), f"{nx}x{ny}, fill {k}: A x differs"
 
 
 def test_rounding_level_matches_the_abs_matrix_product():
-    # the kept |A| on A's own index arrays gives the bytes of the abs(A) CSR copy
+    # the kept |A| on A's own index arrays gives the bytes of the abs(A)
+    # CSR copy, after the first build and after a refill
     cfg, s = _d2_cfg(1 / 16)
     system = npns._StepWorkspace(cfg).coupled
-    system.refill(s.c1, s.c2)
-    A = system.csr
     rng = np.random.default_rng(17)
-    data = A.data.copy()
-    for _ in range(3):
-        x = rng.standard_normal(A.shape[0])
-        b = rng.standard_normal(A.shape[0])
-        ref = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
-        assert system.rounding_level(x, b) == ref
-    assert A.data.tobytes() == data.tobytes(), "the bound must leave A alone"
+    for k in range(2):
+        if k:
+            system.refill(s.c1, s.c2)
+        data = system.data.copy()
+        A = _scipy_csr(system, data)
+        for _ in range(3):
+            x = rng.standard_normal(system.n)
+            b = rng.standard_normal(system.n)
+            ref = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
+            assert system.rounding_level(x, b) == ref, f"fill {k}: rounding level differs"
+        assert system.data.tobytes() == data.tobytes(), "the bound must leave A alone"
 
 
 def test_d2_run_with_shared_matrix_matches_fresh_steps():
