@@ -25,7 +25,8 @@ from .config_io import (
     ConfigError,
     ExperimentConfig,
     PRESET_NAMES,
-    apply_overrides,
+    SINGLE_EPS_PRESETS,
+    _float_list,
     parse_config,
     preset_defaults,
 )
@@ -38,27 +39,25 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _parse_eps(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--eps: expected a comma list of floats, got {text!r}") from None
-    if not values:
-        raise ConfigError("--eps: empty list")
-    return values
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The file or preset, with the command line's --eps, --out and --strict over it."""
     if (args.config is None) == (args.preset is None):
         raise ConfigError("exactly one of --config or --preset is required")
     cfg = parse_config(args.config) if args.config is not None else preset_defaults(args.preset)
-    eps = _parse_eps(args.eps) if args.eps else None
-    return apply_overrides(
-        cfg,
-        eps_list=eps,
-        output_dir=args.out,
-        strict=True if args.strict else None,
-    )
+    changes: dict[str, object] = {}
+    if args.eps:
+        try:
+            eps_list = _float_list(args.eps)
+        except ValueError:
+            raise ConfigError(f"--eps: expected a comma list of floats, got {args.eps!r}") from None
+        changes["eps_list"] = eps_list
+        if cfg.preset in SINGLE_EPS_PRESETS:
+            changes["eps"] = eps_list[0]
+    if args.out is not None:
+        changes["output_dir"] = args.out
+    if args.strict:
+        changes["strict"] = True
+    return replace(cfg, **changes).validate()
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

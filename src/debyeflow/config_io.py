@@ -1,10 +1,12 @@
 """Experiment configuration: file format, presets, validation, hashing.
 
 The on-disk format is plain ``key = value`` lines under ``[section]``
-headers.  Parsing is strict: unknown sections or keys are errors, and a
-malformed value reports the key, the line number, and the expected
-type.  Serialization emits every field in a fixed order so that the
-canonical text (and hence the config hash) is reproducible.
+headers.  Every key is the ``ExperimentConfig`` field of that name, and
+the type of the field's default fixes how its value is read.  Parsing
+is strict: unknown sections or keys are errors, and a malformed value
+reports the key, the line number, and the expected type.  Serialization
+emits every field in a fixed order so that the canonical text (and
+hence the config hash) is reproducible.
 """
 
 from __future__ import annotations
@@ -13,27 +15,58 @@ import hashlib
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-PRESET_NAMES = (
-    "thm1_rate",
-    "thm2_h2_rate",
-    "thm51_rate",
-    "energy_identity",
-    "layer_profile",
-    "initial_layer_decay",
-    "custom",
+# preset -> the fields it sets over the ExperimentConfig defaults; the
+# order is the CLI's and the artifact digests'
+_THM51_RATE = dict(
+    ny=0, dt=5e-4, t_end=0.05, save_every=2,
+    gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
+    ic_bump=0.0, ic_eps_amp=0.0,
+    eps_list=(0.125, 0.0625, 0.03125, 0.015625),
 )
+_PRESETS: dict[str, dict] = {
+    "thm1_rate": dict(
+        ny=2048, dt=5e-4, t_end=0.1, save_every=4,
+        gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.5",
+        ic_bump=0.5, ic_eps_amp=0.25,
+        eps_list=(0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
+    ),
+    # the H2 claim grades the sweep of thm51_rate
+    "thm2_h2_rate": _THM51_RATE,
+    "thm51_rate": _THM51_RATE,
+    "energy_identity": dict(
+        ny=257, dt=1e-3, t_end=0.2, save_every=1, eps=0.125,
+        gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.5",
+        ic_bump=0.5, ic_eps_amp=0.0, eps_list=(0.125,),
+    ),
+    "layer_profile": dict(
+        ny=0, dt=5e-4, t_end=0.02, save_every=8,
+        gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
+        ic_bump=0.0, ic_eps_amp=0.0,
+        eps_list=(0.0625, 0.03125, 0.015625),
+    ),
+    "initial_layer_decay": dict(
+        ny=257, dt=0.0025, t_end=4.0, save_every=4, eps=0.125,
+        gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.0",
+        ic_bump=0.5, rho0_amp=1.0, eps_list=(0.125,),
+    ),
+    "custom": {},
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 # presets whose grids must resolve the O(eps) wall layer
 LAYER_PRESETS = ("thm2_h2_rate", "thm51_rate", "layer_profile")
 
 # presets that sweep eps and write sweep.csv / report.json
 RATE_PRESETS = ("thm1_rate", "thm2_h2_rate", "thm51_rate", "custom")
+
+# presets that run at cfg.eps alone; --eps sets it
+SINGLE_EPS_PRESETS = ("energy_identity", "initial_layer_decay")
 
 
 class ConfigError(ValueError):
@@ -138,6 +171,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; valid presets: {', '.join(PRESET_NAMES)}"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.z1 <= 0.0:
             raise ConfigError(f"z1 must be positive, got {self.z1}")
         if self.z2 >= 0.0:
@@ -170,6 +208,8 @@ class ExperimentConfig:
             raise ConfigError(f"eps_list entries must be positive, got {self.eps_list}")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError(f"eps_list must be strictly decreasing, got {self.eps_list}")
+        if self.preset in SINGLE_EPS_PRESETS and len(self.eps_list) != 1:
+            raise ConfigError(f"preset {self.preset} runs at a single eps, got eps_list {self.eps_list}")
         if self.preset in LAYER_PRESETS and self.ny != 0:
             need = 8.0 / min(self.eps_list)
             if self.ny < need:
@@ -180,7 +220,7 @@ class ExperimentConfig:
             # ny = 0 grades a grid per eps, with the floor of an explicit ny
             if (n := self.graded_ny(e)) < 9:
                 raise ConfigError(f"ny must be at least 9, got ny={n} graded from eps={e}")
-        for key in ("gamma1_lower", "gamma1_upper", "w_lower", "w_upper"):
+        for key in _SECTIONS["boundary"]:
             text = getattr(self, key)
             try:
                 const, amp, kind, mode = parse_trace(text)
@@ -206,21 +246,27 @@ class ExperimentConfig:
         return hashlib.sha256(serialize_config(fixed).encode()).hexdigest()[:12]
 
 
-# section -> key -> (attribute, type tag, converter)
-def _float(v: str) -> float:
-    return float(v)
+# section -> its keys in serialization order; each key is the field of that name
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "params": ("z1", "z2", "D1", "D2", "nu", "eps", "ic_bump", "ic_eps_amp", "rho0_amp"),
+    "boundary": ("gamma1_lower", "gamma1_upper", "w_lower", "w_upper"),
+    "grid": ("d", "nx", "ny"),
+    "time": ("dt", "t_end", "save_every"),
+    "sweep": ("preset", "eps_list"),
+    "output": ("output_dir", "strict"),
+}
 
 
 def _int(v: str) -> int:
-    if not re.fullmatch(r"[+-]?\d+", v.strip()):
+    if not re.fullmatch(r"[+-]?\d+", v):
         raise ValueError(v)
     return int(v)
 
 
 def _bool(v: str) -> bool:
-    if v.strip() not in ("true", "false"):
+    if v not in ("true", "false"):
         raise ValueError(v)
-    return v.strip() == "true"
+    return v == "true"
 
 
 def _float_list(v: str) -> tuple[float, ...]:
@@ -234,96 +280,33 @@ def _trace(v: str) -> str:
     return format_trace(parse_trace(v))  # canonicalize early, errors surface here
 
 
-def _str(v: str) -> str:
-    return v.strip()
-
-
 def _preset(v: str) -> str:
-    v = v.strip()
     if v not in PRESET_NAMES:
         raise ValueError(v)
     return v
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
-    "params": {
-        "z1": ("z1", "float", _float),
-        "z2": ("z2", "float", _float),
-        "D1": ("D1", "float", _float),
-        "D2": ("D2", "float", _float),
-        "nu": ("nu", "float", _float),
-        "eps": ("eps", "float", _float),
-        "ic_bump": ("ic_bump", "float", _float),
-        "ic_eps_amp": ("ic_eps_amp", "float", _float),
-        "rho0_amp": ("rho0_amp", "float", _float),
-    },
-    "boundary": {
-        "gamma1_lower": ("gamma1_lower", "trace expression", _trace),
-        "gamma1_upper": ("gamma1_upper", "trace expression", _trace),
-        "w_lower": ("w_lower", "trace expression", _trace),
-        "w_upper": ("w_upper", "trace expression", _trace),
-    },
-    "grid": {
-        "d": ("d", "int", _int),
-        "nx": ("nx", "int", _int),
-        "ny": ("ny", "int", _int),
-    },
-    "time": {
-        "dt": ("dt", "float", _float),
-        "t_end": ("t_end", "float", _float),
-        "save_every": ("save_every", "int", _int),
-    },
-    "sweep": {
-        "preset": ("preset", f"one of {PRESET_NAMES}", _preset),
-        "eps_list": ("eps_list", "comma-separated floats", _float_list),
-    },
-    "output": {
-        "output_dir": ("output_dir", "string", _str),
-        "strict": ("strict", "bool (true|false)", _bool),
-    },
+# type of a field's default -> (expected text, converter)
+_READERS = {
+    float: ("float", float),
+    int: ("int", _int),
+    bool: ("bool (true|false)", _bool),
+    tuple: ("comma-separated floats", _float_list),
+    str: ("string", str),
 }
+
+
+def _reader(key: str):
+    if key in _SECTIONS["boundary"]:
+        return "trace expression", _trace
+    if key == "preset":
+        return f"one of {PRESET_NAMES}", _preset
+    return _READERS[type(getattr(ExperimentConfig, key))]
+
 
 def preset_defaults(preset: str) -> ExperimentConfig:
     """The full fixture each preset runs when the file sets nothing else."""
-    if preset not in PRESET_NAMES:
-        raise ConfigError(
-            f"unknown preset {preset!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        )
-    base = ExperimentConfig(preset=preset)
-    table = {
-        "custom": {},
-        "thm1_rate": dict(
-            ny=2048, dt=5e-4, t_end=0.1, save_every=4,
-            gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.5",
-            ic_bump=0.5, ic_eps_amp=0.25,
-            eps_list=(0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
-        ),
-        "thm51_rate": dict(
-            ny=0, dt=5e-4, t_end=0.05, save_every=2,
-            gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
-            ic_bump=0.0, ic_eps_amp=0.0,
-            eps_list=(0.125, 0.0625, 0.03125, 0.015625),
-        ),
-        "layer_profile": dict(
-            ny=0, dt=5e-4, t_end=0.02, save_every=8,
-            gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
-            ic_bump=0.0, ic_eps_amp=0.0,
-            eps_list=(0.0625, 0.03125, 0.015625),
-        ),
-        "energy_identity": dict(
-            ny=257, dt=1e-3, t_end=0.2, save_every=1, eps=0.125,
-            gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.5",
-            ic_bump=0.5, ic_eps_amp=0.0, eps_list=(0.125,),
-        ),
-        "initial_layer_decay": dict(
-            ny=257, dt=0.0025, t_end=4.0, save_every=4, eps=0.125,
-            gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.0",
-            ic_bump=0.5, rho0_amp=1.0, eps_list=(0.125,),
-        ),
-    }
-    # the H2 claim grades the sweep of thm51_rate
-    table["thm2_h2_rate"] = table["thm51_rate"]
-    return replace(base, **table[preset])
+    return ExperimentConfig(preset=preset, **_PRESETS.get(preset, {})).validate()
 
 
 def _scan_lines(text: str):
@@ -338,9 +321,9 @@ def _scan_lines(text: str):
             line = line[:hash_at].rstrip()
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(
-                    f"line {n}: unknown section [{section}]; valid: {', '.join(_SCHEMA)}"
+                    f"line {n}: unknown section [{section}]; valid: {', '.join(_SECTIONS)}"
                 )
             continue
         if "=" not in line:
@@ -352,35 +335,20 @@ def _scan_lines(text: str):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    entries = list(_scan_lines(text))
-
-    preset = "custom"
-    for n, sec, key, value in entries:
-        if sec == "sweep" and key == "preset":
-            try:
-                preset = _preset(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {n}: preset: expected one of {PRESET_NAMES}, got {value!r}"
-                ) from None
-
-    cfg = preset_defaults(preset)
     seen: dict[str, int] = {}
-    overrides: dict[str, object] = {}
-    for n, sec, key, value in entries:
-        keys = _SCHEMA[sec]
-        if key not in keys:
+    values: dict[str, object] = {}
+    for n, sec, key, value in _scan_lines(text):
+        if key not in _SECTIONS[sec]:
             raise ConfigError(f"line {n}: unknown key {key!r} in section [{sec}]")
-        attr, tag, conv = keys[key]
-        if attr in seen:
-            raise ConfigError(f"line {n}: duplicate key {key!r} (first set on line {seen[attr]})")
-        seen[attr] = n
+        if key in seen:
+            raise ConfigError(f"line {n}: duplicate key {key!r} (first set on line {seen[key]})")
+        seen[key] = n
+        tag, read = _reader(key)
         try:
-            overrides[attr] = conv(value)
+            values[key] = read(value)
         except (ValueError, ConfigError):
             raise ConfigError(f"line {n}: {key}: expected {tag}, got {value!r}") from None
-    cfg = replace(cfg, **overrides)
-
+    cfg = replace(preset_defaults(values.get("preset", "custom")), **values)
     try:
         return cfg.validate()
     except ConfigError as exc:
@@ -401,10 +369,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit the full config in section order; parses back to an equal config."""
     fmt: dict[type, object] = {float: lambda v: repr(float(v)), int: str, str: str}
     out = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         out.append(f"[{section}]")
-        for key, (attr, _, _) in keys.items():
-            v = getattr(cfg, attr)
+        for key in keys:
+            v = getattr(cfg, key)
             if isinstance(v, bool):
                 out.append(f"{key} = {'true' if v else 'false'}")
             elif isinstance(v, tuple):
@@ -413,20 +381,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                 out.append(f"{key} = {fmt[type(v)](v)}")
         out.append("")
     return "\n".join(out)
-
-
-def apply_overrides(cfg: ExperimentConfig, *,
-                    eps_list: tuple[float, ...] | None = None,
-                    output_dir: str | None = None,
-                    strict: bool | None = None) -> ExperimentConfig:
-    """Command-line overrides, applied after the file and re-validated."""
-    changes: dict[str, object] = {}
-    if eps_list is not None:
-        changes["eps_list"] = tuple(float(e) for e in eps_list)
-    if output_dir is not None:
-        changes["output_dir"] = output_dir
-    if strict is not None:
-        changes["strict"] = strict
-    if changes:
-        cfg = replace(cfg, **changes)
-    return cfg.validate()

@@ -339,9 +339,10 @@ def _report(cfg: ExperimentConfig, fit: dict, window, passed, per_eps: list[dict
 # identity / profile presets
 
 
-def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict]]:
-    """One run of the energy study at dt / divisor: its max |residual|,
-    plus the diag rows at the finest level and none elsewhere.
+def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, float, list[dict]]:
+    """One run of the energy study at dt / divisor: the step it ran at
+    (dt / divisor snapped to t_end), its max |residual|, plus the diag
+    rows at the finest level and none elsewhere.
 
     Only those rows read the limit (through H and Theta), so the coarser
     levels and the equilibrium run march the finite-eps system alone.
@@ -355,7 +356,7 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, list[dict
     run, lrun = _run_pair(scaled, fx) if fine else (_run_eps(scaled, fx), None)
     rows = diagnostics_record(fx.run.grid, run, fx.run.wall, fx.run.params, lrun)
     max_residual = float(np.max(np.abs([row["dissipation_residual"] for row in rows])))
-    return max_residual, rows if fine else []
+    return fx.run.dt, max_residual, rows if fine else []
 
 
 def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[dict], dict]:
@@ -371,11 +372,11 @@ def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[
     eq = replace(cfg, gamma1_upper=cfg.gamma1_lower, w_lower="0.0", w_upper="0.0",
                  ic_bump=0.0, ic_eps_amp=0.0, save_every=1)
     divisors = ENERGY_DT_DIVISORS[::-1]
-    *level_results, (eq_residual, _) = _pool_map(
+    *level_results, (_, eq_residual, _) = _pool_map(
         _energy_worker, [(cfg, d) for d in divisors] + [(eq, 1)], parallel)
     by_divisor = dict(zip(divisors, level_results))
-    levels = [{"dt": cfg.dt / d, "residual": by_divisor[d][0]} for d in ENERGY_DT_DIVISORS]
-    diag_rows = by_divisor[ENERGY_DT_DIVISORS[-1]][1]
+    levels = [{"dt": by_divisor[d][0], "residual": by_divisor[d][1]} for d in ENERGY_DT_DIVISORS]
+    diag_rows = by_divisor[ENERGY_DT_DIVISORS[-1]][2]
 
     ratios = [levels[k - 1]["residual"] / levels[k]["residual"] for k in range(1, len(levels))]
     for k, entry in enumerate(levels):

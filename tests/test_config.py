@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debyeflow import experiments, limit
+from debyeflow import cli, experiments, limit
 from debyeflow.cli import main as cli_main
 from debyeflow.config_io import (
     ConfigError,
     ExperimentConfig,
     LAYER_PRESETS,
     PRESET_NAMES,
-    apply_overrides,
     evaluate_trace,
     format_trace,
     parse_config,
@@ -132,6 +131,12 @@ def test_malformed_value_names_key_line_and_type():
         parse("""\
             [sweep]
             eps_list = 0.5, x
+        """)
+    with pytest.raises(ConfigError, match=r"line 3: preset: expected one of \('thm1_rate', .*'custom'\), got 'thm3'"):
+        parse("""\
+            [sweep]
+            eps_list = 0.5, 0.25
+            preset = thm3
         """)
 
 
@@ -252,21 +257,36 @@ def test_hash_is_short_stable_and_field_sensitive():
     h = cfg.hash()
     assert len(h) == 12 and all(c in "0123456789abcdef" for c in h)
     assert preset_defaults("thm1_rate").hash() == h
-    from dataclasses import replace
     assert replace(cfg, eps=0.1).hash() != h, "hash must react to field changes"
 
 
 def test_hash_ignores_output_directory():
     # rerunning the same experiment into another directory keeps its identity
-    from dataclasses import replace
     cfg = preset_defaults("custom")
     moved = replace(cfg, output_dir="elsewhere/run7")
     assert moved.hash() == cfg.hash(), "output_dir must not enter the hash"
     assert serialize_config(moved) != serialize_config(cfg), "canonical text stays faithful"
 
 
+# the artifact rows of every shipped preset carry these hashes, in this
+# preset order (the CLI's choices and the digest script's line order)
+PRESET_HASHES = [
+    ("thm1_rate", "3e2a4f514d58"),
+    ("thm2_h2_rate", "2a60d0d3613c"),
+    ("thm51_rate", "190f0dd50f1b"),
+    ("energy_identity", "158eda5bb5fb"),
+    ("layer_profile", "673a90f4aaa1"),
+    ("initial_layer_decay", "8e7a18fab8a7"),
+    ("custom", "64fc6677bfce"),
+]
+
+
+def test_preset_hashes_are_pinned():
+    assert [(p, preset_defaults(p).hash()) for p in PRESET_NAMES] == PRESET_HASHES
+
+
 # ---------------------------------------------------------------------------
-# presets and overrides
+# presets
 
 
 def test_preset_table_is_complete_and_valid():
@@ -291,15 +311,6 @@ def test_layer_presets_default_to_graded_grids():
         assert preset_defaults(preset).ny == 0, f"{preset} should auto-grade ny"
 
 
-def test_overrides_apply_and_revalidate():
-    cfg = preset_defaults("thm1_rate")
-    out = apply_overrides(cfg, eps_list=(0.25, 0.125), output_dir="elsewhere", strict=True)
-    assert out.eps_list == (0.25, 0.125)
-    assert out.output_dir == "elsewhere" and out.strict is True
-    with pytest.raises(ConfigError, match="strictly decreasing"):
-        apply_overrides(cfg, eps_list=(0.125, 0.125))
-
-
 # ---------------------------------------------------------------------------
 # cli
 
@@ -316,6 +327,75 @@ def test_cli_requires_config_or_preset(capsys):
 def test_cli_rejects_bad_eps(capsys):
     assert run_cli("sweep", "--preset", "custom", "--eps", "0.1,zap") == 2
     assert "comma list of floats" in capsys.readouterr().err
+
+
+def _capture_runs(monkeypatch) -> list:
+    runs = []
+
+    def fake_run(cfg, parallel=True):
+        runs.append(cfg)
+        return {"pass": True, "slope": None, "window": None, "paths": {}}
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    return runs
+
+
+def test_cli_overrides_reach_the_run(tmp_path, monkeypatch, capsys):
+    # --eps, --out and --strict are applied over the preset and re-validated
+    runs = _capture_runs(monkeypatch)
+    out = str(tmp_path / "elsewhere")
+    assert run_cli("sweep", "--preset", "thm1_rate", "--eps", "0.25,0.125", "--out", out, "--strict") == 0
+    assert runs == [replace(preset_defaults("thm1_rate"), eps_list=(0.25, 0.125), output_dir=out, strict=True)]
+    assert run_cli("sweep", "--preset", "thm1_rate", "--eps", "0.125,0.125") == 2
+    assert "strictly decreasing" in capsys.readouterr().err
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("preset", ["energy_identity", "initial_layer_decay"])
+def test_cli_single_eps_presets_take_one_eps(tmp_path, monkeypatch, capsys, preset):
+    # these presets run at cfg.eps: --eps sets it for sweep and run alike,
+    # and a second value has no run to go to
+    runs = _capture_runs(monkeypatch)
+    for command in ("sweep", "run"):
+        assert run_cli(command, "--preset", preset, "--eps", "0.0625") == 0
+        assert (runs[-1].eps, runs[-1].eps_list) == (0.0625, (0.0625,))
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--preset", preset, "--eps", "0.125,0.0625", "--out", str(out)) == 2
+    assert "runs at a single eps" in capsys.readouterr().err
+    assert len(runs) == 2 and not out.exists()
+
+
+def test_cli_sweep_runs_initial_layer_decay_at_the_given_eps(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = initial_layer_decay\n[grid]\nny = 33\n[time]\ndt = 0.01\nt_end = 0.3\n")
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--config", str(config), "--eps", "0.0625", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["per_epsilon"][0]["epsilon"] == 0.0625
+
+
+@pytest.mark.parametrize(
+    "text, eps",
+    [
+        ("[time]\ndt = nan\n", None),
+        ("[params]\nz1 = nan\n", None),
+        ("[params]\nic_bump = nan\n", None),
+        ("[sweep]\neps_list = 0.25, nan\n", None),
+        ("[time]\nt_end = inf\n", None),
+        ("", "nan"),
+    ],
+    ids=["dt", "z1", "ic_bump", "eps_list", "t_end", "eps_flag"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, text, eps):
+    # NaN passes every sign check and inf overflows the step count: both
+    # are config errors, exit 2 before anything is written
+    config = tmp_path / "exp.cfg"
+    config.write_text("[grid]\nny = 33\n" + text)
+    out = tmp_path / "artifacts"
+    flags = ("--eps", eps) if eps else ()
+    assert run_cli("sweep", "--config", str(config), *flags, "--out", str(out), "--serial") == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_reports_missing_sweep(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from debyeflow import diagnostics, elliptic, experiments
 from debyeflow.config_io import preset_defaults
-from debyeflow.diagnostics import snapshot_blocks
+from debyeflow.diagnostics import rate_fit, snapshot_blocks
 from debyeflow.experiments import (
     ExperimentError,
     SWEEP_COLUMNS,
@@ -79,6 +79,17 @@ def test_energy_preset_serial_and_pooled_bytes_agree(tmp_path):
     run_experiment(cfg, out_dir=b, parallel=True)
     for name in ("diag.csv", "report.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_energy_report_gives_the_dt_each_level_ran_at():
+    # t_end = 0.0205 is no whole number of dt = 1e-3 steps, so each level
+    # snaps its step to t_end / n; the report and its fit read that step
+    cfg = replace(preset_defaults("energy_identity"), ny=33, t_end=0.0205)
+    _, report = _energy_metrics(cfg, parallel=False)
+    dts = [level["dt"] for level in report["per_epsilon"]]
+    assert dts == [0.0205 / 21, 0.0205 / 41, 0.0205 / 82]
+    fit = rate_fit([(level["dt"], level["residual"]) for level in report["per_epsilon"]])
+    assert report["slope"] == fit["slope"]
 
 
 def _square_first_last(item):
