@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 digest of every artifact of the six shipped presets.
+"""Print the sha256 digest of every artifact of the five shipped presets.
 
 Each preset runs twice, serial and through the worker pool, into a
 temporary directory.  One line per artifact: preset, mode, file name

@@ -9,6 +9,9 @@ Subcommands:
 * ``report`` -- refit report.json from an existing sweep.csv without
   re-running any solver.
 
+``sweep`` and ``report`` print one line per graded claim of a rate
+preset, and one line for any other preset.
+
 Exit codes: 0 artifacts written, 2 configuration or usage error,
 3 solver abort (diagnostic payload in error.json).
 """
@@ -60,7 +63,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(cfg, **changes).validate()
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_command(subs, name: str, text: str) -> argparse.ArgumentParser:
+    """A subcommand with the options every command takes."""
+    sub = subs.add_parser(name, help=text)
     sub.add_argument("--config", metavar="PATH", help="experiment config file")
     sub.add_argument("--preset", metavar="NAME", choices=PRESET_NAMES,
                      help="preset name; cannot be combined with --config")
@@ -69,6 +74,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--strict", action="store_true",
                      help="treat soft rate-window misses as failures")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,26 +84,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_run = subs.add_parser("run", help="single-eps run of a preset")
-    _add_common(p_run)
-
-    p_sweep = subs.add_parser("sweep", help="full eps sweep of a preset")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--serial", action="store_true",
-                         help="disable the worker pool of the multi-run presets")
-
-    p_rep = subs.add_parser("report", help="refit report.json from an existing sweep.csv")
-    _add_common(p_rep)
-
+    _add_command(subs, "run", "single-eps run of a preset")
+    _add_command(subs, "sweep", "full eps sweep of a preset").add_argument(
+        "--serial", action="store_true", help="disable the worker pool of the multi-run presets")
+    _add_command(subs, "report", "refit report.json from an existing sweep.csv")
     return parser
+
+
+def _print_verdicts(preset: str, report: dict) -> None:
+    """One line per graded claim of a rate report; one for any other report."""
+    for row in report.get("claims", [report]):
+        slope = row.get("slope")
+        slope_txt = f"{slope:.3f}" if isinstance(slope, float) else "n/a"
+        claim = f"  ({row['claim']}, {row['metric']})" if "claim" in row else ""
+        print(f"{preset}: slope={slope_txt}  window={row.get('window')}  pass={row['pass']}{claim}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    # single-run semantics: collapse the sweep to one eps
-    e0 = cfg.eps_list[0]
-    cfg = replace(cfg, eps=e0, eps_list=(e0,)).validate()
+    # single-run semantics: collapse a sweep to its first eps; a
+    # single-eps preset already runs at its one eps, cfg.eps
+    if cfg.preset not in SINGLE_EPS_PRESETS:
+        e0 = cfg.eps_list[0]
+        cfg = replace(cfg, eps=e0, eps_list=(e0,)).validate()
     report = run_experiment(cfg, parallel=False)
     print(f"{cfg.preset}: pass={report['pass']}  artifacts: {report['paths']}")
     return EXIT_OK
@@ -105,11 +114,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report = run_experiment(cfg, parallel=not args.serial)
-    slope = report.get("slope")
-    slope_txt = f"{slope:.3f}" if isinstance(slope, float) else "n/a"
-    print(f"{cfg.preset}: slope={slope_txt}  window={report.get('window')}  "
-          f"pass={report['pass']}")
+    _print_verdicts(cfg.preset, run_experiment(cfg, parallel=not args.serial))
     return EXIT_OK
 
 
@@ -119,11 +124,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     sweep_path = out / "sweep.csv"
     if not sweep_path.exists():
         raise ConfigError(f"{sweep_path}: no sweep.csv to refit; run `sweep` first")
-    report = refit_report(cfg, sweep_path, out / "report.json")
-    slope = report.get("slope")
-    slope_txt = f"{slope:.3f}" if isinstance(slope, float) else "n/a"
-    print(f"{cfg.preset}: slope={slope_txt}  pass={report['pass']}  "
-          f"wrote {out / 'report.json'}")
+    _print_verdicts(cfg.preset, refit_report(cfg, sweep_path, out / "report.json"))
+    print(f"wrote {out / 'report.json'}")
     return EXIT_OK
 
 
@@ -136,10 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "report": cmd_report}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ExperimentError as exc:

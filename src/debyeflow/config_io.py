@@ -23,12 +23,6 @@ logger = logging.getLogger(__name__)
 
 # preset -> the fields it sets over the ExperimentConfig defaults; the
 # order is the CLI's and the artifact digests'
-_THM51_RATE = dict(
-    ny=0, dt=5e-4, t_end=0.05, save_every=2,
-    gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
-    ic_bump=0.0, ic_eps_amp=0.0,
-    eps_list=(0.125, 0.0625, 0.03125, 0.015625),
-)
 _PRESETS: dict[str, dict] = {
     "thm1_rate": dict(
         ny=2048, dt=5e-4, t_end=0.1, save_every=4,
@@ -36,9 +30,12 @@ _PRESETS: dict[str, dict] = {
         ic_bump=0.5, ic_eps_amp=0.25,
         eps_list=(0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
     ),
-    # the H2 claim grades the sweep of thm51_rate
-    "thm2_h2_rate": _THM51_RATE,
-    "thm51_rate": _THM51_RATE,
+    "thm51_rate": dict(
+        ny=0, dt=5e-4, t_end=0.05, save_every=2,
+        gamma1_lower="2.0", gamma1_upper="4.0", w_lower="0.0", w_upper="0.5",
+        ic_bump=0.0, ic_eps_amp=0.0,
+        eps_list=(0.125, 0.0625, 0.03125, 0.015625),
+    ),
     "energy_identity": dict(
         ny=257, dt=1e-3, t_end=0.2, save_every=1, eps=0.125,
         gamma1_lower="2.0", gamma1_upper="2.0", w_lower="0.0", w_upper="0.5",
@@ -60,10 +57,10 @@ _PRESETS: dict[str, dict] = {
 PRESET_NAMES = tuple(_PRESETS)
 
 # presets whose grids must resolve the O(eps) wall layer
-LAYER_PRESETS = ("thm2_h2_rate", "thm51_rate", "layer_profile")
+LAYER_PRESETS = ("thm51_rate", "layer_profile")
 
 # presets that sweep eps and write sweep.csv / report.json
-RATE_PRESETS = ("thm1_rate", "thm2_h2_rate", "thm51_rate", "custom")
+RATE_PRESETS = ("thm1_rate", "thm51_rate", "custom")
 
 # presets that run at cfg.eps alone; --eps sets it
 SINGLE_EPS_PRESETS = ("energy_identity", "initial_layer_decay")

@@ -51,18 +51,6 @@ def thm51(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def thm2(thm51, tmp_path_factory):
-    # the thm2_h2_rate preset table is thm51_rate's but for its name
-    # (test_config.test_h2_and_composite_rate_presets_share_one_sweep),
-    # so its report is graded from thm51_rate's sweep.csv instead of
-    # simulating the same sweep twice
-    _, thm51_out, _ = thm51
-    out = tmp_path_factory.mktemp("thm2_h2_rate")
-    report = refit_report("thm2_h2_rate", thm51_out / "sweep.csv", out / "report.json")
-    return report, out, preset_defaults("thm2_h2_rate")
-
-
-@pytest.fixture(scope="session")
 def energy(tmp_path_factory):
     return run_preset(tmp_path_factory, "energy_identity")
 
@@ -79,6 +67,11 @@ def decay(tmp_path_factory):
 
 def fit_metric(report, key):
     return rate_fit([(e["epsilon"], e[key]) for e in report["per_epsilon"]])
+
+
+def claim_row(report, claim):
+    (row,) = [c for c in report["claims"] if c["claim"] == claim]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -122,32 +115,36 @@ def test_c03_composite_gradient_rate_is_three_halves(thm51):
     report, _, cfg = thm51
     assert cfg.eps_list == (0.125, 0.0625, 0.03125, 0.015625)
     assert cfg.ny == 0, "grid must grade with eps"
-    slope = report["slope"]
+    c03 = claim_row(report, "c03")
+    assert c03["metric"] == "err_cS_grad_LinfL2"
+    slope = c03["slope"]
     assert 1.25 <= slope <= 1.75, f"composite slope {slope:.4f} outside [1.25, 1.75]"
-    assert report["pass"] is True
+    assert c03["pass"] is True and report["pass"] is True
 
 
 # ---------------------------------------------------------------------------
 # 4. H2 convergence at rate 1/2: monotone decrease is hard, the window soft
 
 
-def test_c04_h2_error_rate_is_half_order(thm2):
-    report, _, _ = thm2
+def test_c04_h2_error_rate_is_half_order(thm51):
+    # graded on the sweep of c03
+    report, _, _ = thm51
     errs = [e["err_c_LinfH2"] for e in report["per_epsilon"]]
     assert all(b < a for a, b in zip(errs, errs[1:])), (
         f"H2 error must decrease monotonically with eps, got {errs}"
     )
-    slope = report["slope"]
+    c04 = claim_row(report, "c04")
+    assert (c04["metric"], c04["window"], c04["rule"]) == ("err_c_LinfH2", [0.3, 0.7], "monotone")
+    slope = c04["slope"]
     if not 0.30 <= slope <= 0.70:
         warnings.warn(f"stretch window missed: H2 slope {slope:.4f} outside [0.30, 0.70]")
-    assert report["pass"] is True, "monotone decrease plus non-strict window"
+    assert c04["pass"] is True, "monotone decrease plus non-strict window"
 
 
 @pytest.mark.parametrize("sweep", ["thm1", "thm51"])
 def test_refit_rebuilds_the_rate_report_byte_for_byte(sweep, request, tmp_path):
-    # report.json is a pure function of sweep.csv, so c01-c03 grade the
-    # same numbers whether the report comes from the run or from a refit;
-    # thm2_h2_rate's report is itself a refit of thm51_rate's sweep.csv
+    # report.json is a pure function of sweep.csv, so c01-c04 grade the
+    # same numbers whether the report comes from the run or from a refit
     _, out, cfg = request.getfixturevalue(sweep)
     refit_report(cfg, out / "sweep.csv", tmp_path / "report.json")
     assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +272,6 @@ def test_hash_ignores_output_directory():
 # preset order (the CLI's choices and the digest script's line order)
 PRESET_HASHES = [
     ("thm1_rate", "3e2a4f514d58"),
-    ("thm2_h2_rate", "2a60d0d3613c"),
     ("thm51_rate", "190f0dd50f1b"),
     ("energy_identity", "158eda5bb5fb"),
     ("layer_profile", "673a90f4aaa1"),
@@ -296,14 +295,6 @@ def test_preset_table_is_complete_and_valid():
         cfg.validate()
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_defaults("thm3_rate")
-
-
-def test_h2_and_composite_rate_presets_share_one_sweep():
-    # the acceptance suite grades thm2_h2_rate from thm51_rate's sweep.csv,
-    # which is only sound while the two tables agree on every other key
-    a = asdict(preset_defaults("thm51_rate"))
-    b = asdict(preset_defaults("thm2_h2_rate"))
-    assert {k for k in a if a[k] != b[k]} == {"preset"}
 
 
 def test_layer_presets_default_to_graded_grids():
@@ -363,6 +354,33 @@ def test_cli_single_eps_presets_take_one_eps(tmp_path, monkeypatch, capsys, pres
     assert run_cli("sweep", "--preset", preset, "--eps", "0.125,0.0625", "--out", str(out)) == 2
     assert "runs at a single eps" in capsys.readouterr().err
     assert len(runs) == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["energy_identity", "initial_layer_decay"])
+def test_cli_run_and_sweep_take_a_files_eps(tmp_path, monkeypatch, preset):
+    # a file's eps is the one eps of these presets, for run as for sweep
+    runs = _capture_runs(monkeypatch)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"[sweep]\npreset = {preset}\n[params]\neps = 0.0625\n")
+    for command in ("sweep", "run"):
+        assert run_cli(command, "--config", str(config)) == 0
+    assert [r.eps for r in runs] == [0.0625, 0.0625]
+    assert runs[0] == runs[1], "run and sweep run the same config"
+
+
+def test_cli_rejects_a_removed_preset(tmp_path, capsys):
+    # thm2_h2_rate's claim (c04) is graded on thm51_rate's sweep: the name
+    # is gone, and both routes exit 2 naming the presets there are
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--preset", "thm2_h2_rate")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "thm2_h2_rate" in err and all(name in err for name in PRESET_NAMES)
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm2_h2_rate\n")
+    assert run_cli("sweep", "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert "preset: expected one of" in err and all(name in err for name in PRESET_NAMES)
 
 
 def test_cli_sweep_runs_initial_layer_decay_at_the_given_eps(tmp_path):
@@ -457,28 +475,71 @@ def test_cli_run_sweep_report_cycle(tmp_path, capsys):
     assert "pass=True" in captured
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_cli_report_honours_strict(tmp_path, how):
-    # a monotone H2 sweep of slope 1.0, outside thm2_h2_rate's window:
-    # non-strict grading downgrades the miss to a warning, strict fails it
-    out = tmp_path / "artifacts"
+THM51_EPS = (0.125, 0.0625, 0.03125, 0.015625)
+
+
+def write_thm51_sweep(out: Path, cs_slope: float, h2: list[float]) -> None:
+    """A synthetic thm51_rate sweep.csv holding both graded metrics: the
+    composite-gradient error an exact power law in eps, the H2 errors given."""
     out.mkdir()
-    rows = [f"{e},{e},abc" for e in (0.125, 0.0625, 0.03125, 0.015625)]
-    (out / "sweep.csv").write_text("\n".join(["epsilon,err_c_LinfH2,config_hash", *rows]) + "\n")
+    rows = [f"{e},{e ** cs_slope!r},{v!r},abc" for e, v in zip(THM51_EPS, h2)]
+    header = "epsilon,err_cS_grad_LinfL2,err_c_LinfH2,config_hash"
+    (out / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_report_honours_strict(tmp_path, capsys, how):
+    # c03 in its window, and a monotone H2 error of slope 1.0, outside
+    # c04's window: non-strict grading downgrades the miss to a warning,
+    # strict fails it
+    out = tmp_path / "artifacts"
+    write_thm51_sweep(out, cs_slope=1.5, h2=list(THM51_EPS))
     config = tmp_path / "exp.cfg"
-    config.write_text("[sweep]\npreset = thm2_h2_rate\n[output]\nstrict = true\n")
-    strict = ("--preset", "thm2_h2_rate", "--strict") if how == "flag" else ("--config", str(config))
+    config.write_text("[sweep]\npreset = thm51_rate\n[output]\nstrict = true\n")
+    strict = ("--preset", "thm51_rate", "--strict") if how == "flag" else ("--config", str(config))
 
     assert run_cli("report", *strict, "--out", str(out)) == 0
     report = json.loads((out / "report.json").read_text())
-    assert math.isclose(report["slope"], 1.0) and report["pass"] is False
+    c03, c04 = report["claims"]
+    assert (c03["claim"], c03["metric"], c03["pass"]) == ("c03", "err_cS_grad_LinfL2", True)
+    assert (c04["claim"], c04["metric"], c04["rule"]) == ("c04", "err_c_LinfH2", "monotone")
+    assert math.isclose(c04["slope"], 1.0) and c04["window"] == [0.3, 0.7] and c04["pass"] is False
+    assert math.isclose(report["slope"], 1.5) and report["window"] == [1.25, 1.75]
+    assert report["pass"] is False
     assert report["warnings"] == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("pass=True  (c03, err_cS_grad_LinfL2)")
+    assert lines[1].endswith("pass=False  (c04, err_c_LinfH2)")
 
-    assert run_cli("report", "--preset", "thm2_h2_rate", "--out", str(out)) == 0
+    assert run_cli("report", "--preset", "thm51_rate", "--out", str(out)) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["pass"] is True
+    assert report["pass"] is True and [c["pass"] for c in report["claims"]] == [True, True]
     assert report["warnings"][0]["code"] == "slope_outside_window"
+    assert report["warnings"][0]["claim"] == "c04"
     assert "downgraded to a warning" in report["warnings"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "cs_slope, h2, strict, verdicts",
+    [
+        (1.0, [e ** 0.5 for e in THM51_EPS], False, [False, True]),
+        (1.5, [0.35, 0.25, 0.26, 0.125], False, [True, False]),
+        (1.5, [0.35, 0.25, 0.26, 0.125], True, [True, False]),
+    ],
+    ids=["c03_misses", "h2_rises_once", "h2_rises_once_strict"],
+)
+def test_report_fails_when_any_claim_fails(tmp_path, cs_slope, h2, strict, verdicts):
+    # c03 out of its window, or an H2 error that rises once though its
+    # slope sits in c04's window: that claim fails, and so does the
+    # report, whose top-level fit stays c03's
+    out = tmp_path / "artifacts"
+    write_thm51_sweep(out, cs_slope, h2)
+    cfg = replace(preset_defaults("thm51_rate"), strict=strict)
+    report = experiments.refit_report(cfg, out / "sweep.csv", out / "report.json")
+    assert [(c["claim"], c["pass"]) for c in report["claims"]] == list(zip(("c03", "c04"), verdicts))
+    assert 0.3 <= report["claims"][1]["slope"] <= 0.7
+    assert math.isclose(report["slope"], cs_slope) and report["pass"] is False
+    assert report["warnings"] == []
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,17 @@ def test_decay_preset_is_fully_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_decay_study_marches_the_snapped_dt(tmp_path):
+    # 0.305 is no whole number of steps of 0.01: the study runs 31 steps
+    # of 0.305/31, so its last row sits at t_end, whose half the tail fit starts at
+    cfg = replace(preset_defaults("initial_layer_decay"), ny=33, dt=0.01, t_end=0.305, save_every=1)
+    report = run_experiment(cfg, out_dir=tmp_path)
+    rows = (tmp_path / "profile.csv").read_text().splitlines()
+    taus = [float(row.split(",")[0]) for row in rows[1:]]
+    assert len(taus) == 32 and abs(taus[-1] - 0.305) <= 1e-12, taus[-1]
+    assert report["per_epsilon"][0]["tail_from"] == 0.1525
+
+
 def test_single_eps_warns_insufficient_points(tmp_path):
     cfg = replace(tiny_custom(), eps_list=(0.125,))
     with pytest.warns(UserWarning, match="insufficient points for fit"):
