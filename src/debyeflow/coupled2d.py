@@ -249,18 +249,20 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, atol: float, restart: int
     restart = min(restart, n)
     x = np.zeros(n)
 
-    # the inner iteration's tolerance is on the preconditioned residual
+    # the inner iteration's tolerance is on the preconditioned residual;
+    # the first cycle starts from r = b, so it reuses this M b
     ptol_max_factor = 1.0
-    ptol = np.linalg.norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
+    pr = psolve(b)
+    ptol = np.linalg.norm(pr) * min(ptol_max_factor, atol / bnrm2)
     v = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))
     givens = np.zeros((restart, 2))
 
-    r = b.copy()
+    r = b
     if np.linalg.norm(r) < atol:
         return x, 0
-    for _ in range(maxiter):
-        v[0] = psolve(r)
+    for cycle in range(maxiter):
+        v[0] = psolve(r) if cycle else pr
         tmp = np.linalg.norm(v[0])
         v[0] *= 1 / tmp
         # right side of the Hessenberg problem

@@ -289,7 +289,7 @@ def max_principle_check(
     1 before species 2, is reported.
     """
     lo1, hi1, lo2, hi2 = bounds
-    mn1, mx1, mn2, mx2 = float(np.min(c1)), float(np.max(c1)), float(np.min(c2)), float(np.max(c2))
+    mn1, mx1, mn2, mx2 = float(c1.min()), float(c1.max()), float(c2.min()), float(c2.max())
     if mn1 >= lo1 - tol and mx1 <= hi1 + tol and mn2 >= lo2 - tol and mx2 <= hi2 + tol:
         return MaxPrincipleReport(True, mn1, mx1, mn2, mx2, 0.0, None, None)
     for i, c in enumerate((c1, c2), start=1):

@@ -102,26 +102,27 @@ def solve_shifted_poisson(
     """
     if alpha < 0.0:
         raise ValueError(f"shift must be non-negative, got alpha={alpha}")
-    b0, b1 = _as_traces(grid, bc)
     h2 = grid.hy ** 2
-    nk, m = len(grid.kx), grid.ny - 2
     dl, d, du, du2, ipiv = _shifted_poisson_factors(grid, float(alpha))
 
     if grid.nx == 1:
         # a length-1 rfft/irfft is the identity, so solve the one real
         # mode directly; the wall terms repeat the real part of the
         # complex division below, which numpy computes as (b + 0) * (1/h2)
-        b = np.empty((m, 1), order="F")
-        b[:, 0] = f[0, 1:-1]
-        b[0, 0] += (b0[0] + 0.0) * (1.0 / h2)
-        b[-1, 0] += (b1[0] + 0.0) * (1.0 / h2)
-        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        # and which adds + 0.0 without wall data
+        b0, b1 = (0.0, 0.0) if bc is None else (float(t[0]) for t in _as_traces(grid, bc))
         u = np.empty((1, grid.ny))
-        u[0, 0] = b0[0]
-        u[0, -1] = b1[0]
-        u[0, 1:-1] = x[:, 0]
+        u[0, 0] = b0
+        u[0, -1] = b1
+        b = np.array(f[0, 1:-1], dtype=float)
+        b[0] += (b0 + 0.0) * (1.0 / h2)
+        b[-1] += (b1 + 0.0) * (1.0 / h2)
+        x, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        u[0, 1:-1] = x
         return u
 
+    b0, b1 = _as_traces(grid, bc)
+    nk, m = len(grid.kx), grid.ny - 2
     fh = np.fft.rfft(f, axis=0)
     b0h = np.fft.rfft(b0)
     b1h = np.fft.rfft(b1)
@@ -180,7 +181,7 @@ def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndar
     x-fastest so the band has half-width nx.
     """
     a = np.asarray(a, dtype=float)
-    if not np.all(a > 0.0):
+    if not (a > 0.0).all():
         raise ValueError("divergence-form coefficient must be strictly positive")
     h2 = grid.hy ** 2
     m = grid.ny - 2

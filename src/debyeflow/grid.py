@@ -13,6 +13,7 @@ both walls, hy = 1/(ny - 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,18 @@ __all__ = ["ChannelGrid", "VelocityField", "State"]
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+@functools.lru_cache(maxsize=8)
+def _wavenumbers(nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """ChannelGrid.kx and kx_first for nx nodes, built once and read-only."""
+    kx = 2.0 * np.pi * np.fft.rfftfreq(nx, d=1.0 / nx)
+    first = kx.copy()
+    if nx > 1 and nx % 2 == 0:
+        first[-1] = 0.0
+    for k in (kx, first):
+        k.flags.writeable = False
+    return kx, first
 
 
 @dataclass(frozen=True)
@@ -85,8 +98,11 @@ class ChannelGrid:
 
     @property
     def kx(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*k for the rfft modes, shape (nx//2 + 1,)."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.hx)
+        """Angular wavenumbers 2*pi*k for the rfft modes, shape (nx//2 + 1,).
+
+        Built once per nx and shared: the array is read-only.
+        """
+        return _wavenumbers(self.nx)[0]
 
     @property
     def kx_first(self) -> np.ndarray:
@@ -95,12 +111,10 @@ class ChannelGrid:
         On an even real grid the Nyquist mode has no representable odd
         derivative (irfft drops the imaginary part), so every operator
         that differentiates once must use this array or gradients and
-        divergences stop being adjoint to each other.
+        divergences stop being adjoint to each other.  Shared and
+        read-only, as kx is.
         """
-        k = self.kx.copy()
-        if self.nx > 1 and self.nx % 2 == 0:
-            k[-1] = 0.0
-        return k
+        return _wavenumbers(self.nx)[1]
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)

@@ -14,6 +14,14 @@ marched by npns.march with the same diffusion and velocity steps, and
 is a stream of the saved grid.States, as run_npns is.  Nothing in the
 march reads psi, so the march carries none, and the stream solves it
 only for the states it yields.
+
+A d = 1 limit run needs no workspace beyond the cached factors of its
+solves.  Its step and its psi solve form their right sides on the
+interior rows only, the rows the tridiagonal solves read: the step's
+laplacian without the d2dx2 field that is zero in d = 1, psi's two
+div_a_grad terms without their zero wall rows.  Each entry keeps the
+floating-point operations of the full-size form, so the bytes are the
+same (tests/oracles.py keeps that form).
 """
 
 from __future__ import annotations
@@ -64,10 +72,22 @@ def solve_limit_psi(grid: ChannelGrid, c1: np.ndarray, p: Params, phiw: np.ndarr
     discrete residual of this form is at the solver-roundoff level.
     """
     c1 = np.asarray(c1, dtype=float)
-    cmin = float(np.min(c1))
+    cmin = float(c1.min())
     if cmin <= 0.0:
         raise ValueError(f"ellipticity lost: min c1 = {cmin} <= 0")
     a = (p.z1 * p.D1 - p.z2 * p.D2) * c1
+    if grid.d == 1:
+        # the two div_a_grad terms on the interior rows, the only ones
+        # solve_div_form reads; the flux of a = 1 is the difference / h,
+        # since 1.0 * x is x
+        h = grid.hy
+        f = c1[0]
+        flux = (f[1:] - f[:-1]) / h
+        flux_w = 0.5 * (a[0, 1:] + a[0, :-1]) * (phiw[0, 1:] - phiw[0, :-1]) / h
+        rhs = np.empty_like(c1)
+        np.subtract(-(p.D1 - p.D2) * ((flux[1:] - flux[:-1]) / h), (flux_w[1:] - flux_w[:-1]) / h,
+                    out=rhs[0, 1:-1])
+        return solve_div_form(grid, a, rhs)
     ones = np.ones(grid.shape)
     rhs = -(p.D1 - p.D2) * div_a_grad(grid, ones, c1) - div_a_grad(grid, a, phiw)
     return solve_div_form(grid, a, rhs)
@@ -94,11 +114,11 @@ def step_limit(s: State, cfg: NpnsConfig) -> State:
     """
     g, p = cfg.grid, cfg.params
     t_new = s.t + cfg.dt
-    explicit = -advect(g, s.u, s.c1) if g.d == 2 else 0.0
+    explicit = -advect(g, s.u, s.c1) if g.d == 2 else None
     c1 = _implicit_diffusion(g, s.c1, effective_diffusivity(p), cfg.dt, explicit)
-    if not np.all(np.isfinite(c1)):
+    if not np.isfinite(c1).all():
         raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
-    if np.min(c1) <= 0.0:
+    if c1.min() <= 0.0:
         raise StepError(t_new, "concentration lost positivity", _extrema(c1, -(p.z1 / p.z2) * c1), p.eps)
     c1[:, 0] = cfg.bdata.gamma1[0]
     c1[:, -1] = cfg.bdata.gamma1[1]

@@ -26,7 +26,14 @@ they arrive (diagnostics.diagnostics_record).
 The coupled system is banded in d = 1 and solved directly.  A run keeps
 one band matrix and one LU buffer for it; each step rewrites only the
 entries that depend on the concentrations and factors into the same
-buffer, so the step allocates no factor storage.  In d = 2 a run
+buffer, so the step allocates no factor storage.  The d = 1 run's
+workspace (_StepWorkspace) also holds the wall-potential differences
+and the node-major unknown and right-side buffers.  A d = 1 step takes
+each species' half-node average once, for both its coupling entries and
+its drift, and forms the right side on the interior rows only, since
+the residual's wall rows are zeroed; the floating-point operations of
+every entry are those of the full-size div_a_grad form, so the bytes
+are too (tests/oracles.py keeps that form).  In d = 2 a run
 likewise keeps one CSR matrix whose coupling entries each step refills,
 and solves it by preconditioned GMRES.  That solve lives in coupled2d,
 which multiplies by scipy's compiled CSR kernel, loaded alone, and runs
@@ -56,7 +63,6 @@ from .operators import (
     advect,
     div_a_grad,
     grad,
-    half_node_average_y,
     laplacian,
 )
 from .params import BoundaryData, Params
@@ -148,6 +154,12 @@ class _StepWorkspace:
     Holds the one coupled-step matrix of the run, which each step
     refills with the coupling entries of its concentrations: in d = 1 a
     band matrix with its LU buffer, in d = 2 a coupled2d.CoupledMatrix.
+    In d = 1 it also holds what every step reads or rewrites: the
+    wall-potential differences dphi = phiw[1:] - phiw[:-1], and the
+    node-major buffers x, the unknowns [c1_j, c2_j, psi_j] of the
+    previous level, and b, the right side.  A step writes only the
+    concentrations' interior rows of b, so its psi and wall entries
+    stay zero.
     """
 
     def __init__(self, cfg: NpnsConfig):
@@ -155,6 +167,10 @@ class _StepWorkspace:
         # the coupling entries written here are overwritten by every step
         if g.d == 1:
             self.coupled = _coupled_banded_1d(g, cfg.params, cfg.dt, g.zeros(), g.zeros())
+            phiw = cfg.wall.phiw[0]
+            self.dphi = phiw[1:] - phiw[:-1]
+            self.x = np.empty(3 * g.ny)
+            self.b = np.zeros(3 * g.ny)
         else:
             from .coupled2d import CoupledMatrix
 
@@ -239,27 +255,32 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
     return A
 
 
-def _set_coupling_1d(A: BandedMatrix, grid: ChannelGrid, p: Params, c1n, c2n) -> None:
+def _set_coupling_1d(A: BandedMatrix, grid: ChannelGrid, p: Params, c1n, c2n) -> list[np.ndarray]:
     """Write the electro-coupling entries of the frozen concentrations into A.
 
     Species v's interior row 3j+v gets -z D div(c_n grad psi) on the psi
     unknowns 3(j-1)+2, 3j+2, 3(j+1)+2, at offsets 2-v-3, 2-v and 2-v+3.
-    No other entry of A is touched.
+    No other entry of A is touched.  Returns each species' half-node
+    average, shape (ny-1,), which the step's drift reads too.
     """
     ny = grid.ny
     h2 = grid.hy ** 2
     ab, u = A.ab, A.u
+    averages = []
     for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n), (p.z2, p.D2, c2n))):
-        ah = half_node_average_y(a)[0]  # ah[j] = a at j+1/2
-        lo = ah[:-1]
-        hi = ah[1:]
+        ah = 0.5 * (a[0, 1:] + a[0, :-1])  # ah[j] = a at j+1/2
+        # the entries of the lower and upper neighbour, -z D ah / h^2, at
+        # j-1/2 and j+1/2
+        side = -z * D * ah / h2
         off = 2 - v
         # A[g, g+k] is stored at ab[u-k, g+k]; for the rows g = 3j+v,
         # j = 1..ny-2, the columns g+off-3, g+off, g+off+3 are the psi
         # unknowns of nodes j-1, j, j+1
-        ab[u - off + 3, 2 : 3 * ny - 6 : 3] = -z * D * lo / h2
-        ab[u - off, 5 : 3 * ny - 3 : 3] = z * D * (lo + hi) / h2
-        ab[u - off - 3, 8 : 3 * ny : 3] = -z * D * hi / h2
+        ab[u - off + 3, 2 : 3 * ny - 6 : 3] = side[:-1]
+        np.divide(z * D * (ah[:-1] + ah[1:]), h2, out=ab[u - off, 5 : 3 * ny - 3 : 3])
+        ab[u - off - 3, 8 : 3 * ny : 3] = side[1:]
+        averages.append(ah)
+    return averages
 
 
 def advance_velocity(
@@ -307,34 +328,33 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     g = cfg.grid
     p = cfg.params
     dt = cfg.dt
-    phiw = cfg.wall.phiw
     t_new = s.t + dt
-
-    adv1 = advect(g, s.u, s.c1) if g.d == 2 else 0.0
-    adv2 = advect(g, s.u, s.c2) if g.d == 2 else 0.0
-    drift1 = p.z1 * p.D1 * div_a_grad(g, s.c1, phiw)
-    drift2 = p.z2 * p.D2 * div_a_grad(g, s.c2, phiw)
-
-    b1 = s.c1 / dt - adv1 + drift1
-    b2 = s.c2 / dt - adv2 + drift2
     A = _ws.coupled
+
     if g.d == 1:
-        _set_coupling_1d(A, g, p, s.c1, s.c2)
-        x = np.empty(3 * g.ny)
+        # each species' half-node average serves its coupling entries and
+        # its drift z D div(c grad Phi_W); the right side c/dt + drift is
+        # formed on the interior rows only, as the residual's wall rows
+        # are zeroed below
+        ah1, ah2 = _set_coupling_1d(A, g, p, s.c1, s.c2)
+        h = g.hy
+        x, b = _ws.x, _ws.b
         x[0::3] = s.c1[0]
         x[1::3] = s.c2[0]
         x[2::3] = s.psi[0]
-        b = np.zeros_like(x)
-        b[0::3] = b1[0]
-        b[1::3] = b2[0]
+        for v, (z, D, c, ah) in enumerate(((p.z1, p.D1, s.c1, ah1), (p.z2, p.D2, s.c2, ah2))):
+            flux = ah * _ws.dphi / h
+            np.add(c[0, 1:-1] / dt, z * D * ((flux[1:] - flux[:-1]) / h), out=b[3 + v : -3 : 3])
         r = b - A.matvec(x)
-        for idx in (0, 1, 2, -3, -2, -1):
-            r[idx] = 0.0
+        r[:3] = 0.0
+        r[-3:] = 0.0
         delta = A.solve(r)
-        x = x + delta
-        c1 = x[0::3][None, :].copy()
-        c2 = x[1::3][None, :].copy()
+        c1 = s.c1 + delta[0::3]
+        c2 = s.c2 + delta[1::3]
     else:
+        phiw = cfg.wall.phiw
+        b1 = s.c1 / dt - advect(g, s.u, s.c1) + p.z1 * p.D1 * div_a_grad(g, s.c1, phiw)
+        b2 = s.c2 / dt - advect(g, s.u, s.c2) + p.z2 * p.D2 * div_a_grad(g, s.c2, phiw)
         N = g.nx * g.ny
         x = np.concatenate([s.c1.ravel(), s.c2.ravel(), s.psi.ravel()])
         b = np.concatenate([b1.ravel(), b2.ravel(), np.zeros(N)])
@@ -345,9 +365,9 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
         c1 = x[:N].reshape(g.shape)
         c2 = x[N : 2 * N].reshape(g.shape)
 
-    if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
+    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
         raise StepError(t_new, "non-finite concentration after implicit solve", _extrema(s.c1, s.c2), p.eps)
-    if np.min(c1) <= 0.0 or np.min(c2) <= 0.0:
+    if c1.min() <= 0.0 or c2.min() <= 0.0:
         raise StepError(t_new, "concentration lost positivity", _extrema(c1, c2), p.eps)
 
     # exact wall reimposition, then the charge relation defines psi
@@ -361,21 +381,33 @@ def step_npns(s: State, cfg: NpnsConfig, _ws: _StepWorkspace | None = None) -> S
     if g.d == 1:
         u = s.u
     else:
-        gpsi = grad(g, psi + phiw)
+        gpsi = grad(g, psi + cfg.wall.phiw)
         force = [-rho * df for df in gpsi]
         u = advance_velocity(g, s.u, dt, p.nu, _advect_vector(g, s.u, s.u), force)
     return State(t=t_new, c1=c1, c2=c2, u=u, psi=psi)
 
 
-def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, explicit) -> np.ndarray:
+def _implicit_diffusion(grid: ChannelGrid, c: np.ndarray, D: float, dt: float, explicit=None) -> np.ndarray:
     """c after one implicit diffusion step with explicit source terms.
 
     Delta form: the increment solves (1/(dt D) - Lap) delta = Lap c +
     explicit/D with zero wall values, so wall values and exact
-    equilibria are bitwise fixed points of the solve.
+    equilibria are bitwise fixed points of the solve.  explicit is None
+    in d = 1, which has no source: the right side is then formed on the
+    interior rows the solve reads, with the bits explicit = 0.0 gives.
     """
+    alpha = 1.0 / (dt * D)
+    if explicit is None:
+        # laplacian's x part (zero in d = 1) and the zero source both add
+        # + 0.0, which turns a -0.0 into +0.0
+        f = c[0]
+        rhs = np.empty_like(c)
+        lap = rhs[0, 1:-1]
+        np.divide(f[2:] - 2.0 * f[1:-1] + f[:-2], grid.hy ** 2, out=lap)
+        lap += 0.0
+        return c + solve_shifted_poisson(grid, alpha, rhs)
     rhs = laplacian(grid, c) + explicit / D
-    return c + solve_shifted_poisson(grid, 1.0 / (dt * D), rhs)
+    return c + solve_shifted_poisson(grid, alpha, rhs)
 
 
 def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float, label: str) -> Iterator[State]:

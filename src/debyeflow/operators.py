@@ -178,12 +178,14 @@ def norms_h1_semi_h2(grid: ChannelGrid, f: np.ndarray) -> tuple:
 
     The H^1 seminorm is norm_h1_semi's value, bitwise.  The H^2 norm sums
     the squared L^2 norms of the function, its first derivatives, and its
-    second derivatives; the mixed derivative is counted twice so the
-    seminorm is symmetric in the two index orders.
+    second derivatives; the mixed derivative, ddy of the x derivative
+    already taken, is counted twice so the seminorm is symmetric in the
+    two index orders.
     """
     h1 = 0.0
     h2 = integrate(grid, f * f)
-    for df in grad(grid, f):
+    first = grad(grid, f)
+    for df in first:
         sq = integrate(grid, df * df)
         h1 += sq
         h2 += sq
@@ -191,7 +193,7 @@ def norms_h1_semi_h2(grid: ChannelGrid, f: np.ndarray) -> tuple:
     h2 += integrate(grid, fyy * fyy)
     if grid.d == 2:
         fxx = d2dx2(grid, f)
-        fxy = ddy(grid, ddx(grid, f))
+        fxy = ddy(grid, first[0])
         h2 += integrate(grid, fxx * fxx) + 2.0 * integrate(grid, fxy * fxy)
     return _root(h1), _root(h2)
 

@@ -8,7 +8,9 @@ then a genuine two-route check.
 
 The module also holds the diagnostics that only the tests read: the
 divergence and max norm, the electrochemical potentials, the coercivity
-bound on the dissipation and the residuals of the limit psi equation.
+bound on the dissipation and the residuals of the limit psi equation;
+and the d = 1 step bodies in their full-size form, which the library's
+lean d = 1 steps must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import scipy.linalg
 import scipy.sparse
 
 from debyeflow.diagnostics import MaxPrincipleReport, phi_entropy, wall_fields
-from debyeflow.grid import ChannelGrid, VelocityField
+from debyeflow.elliptic import solve_div_form, solve_poisson, solve_shifted_poisson
+from debyeflow.grid import ChannelGrid, State, VelocityField
 from debyeflow.layers import cutoff_left, cutoff_right, wall_layers
 from debyeflow.limit import effective_diffusivity
-from debyeflow.npns import _implicit_diffusion
+from debyeflow.npns import _coupled_banded_1d, _implicit_diffusion
 from debyeflow.operators import (
     BandedMatrix,
     advect,
@@ -34,7 +37,9 @@ from debyeflow.operators import (
     div_a_grad_pattern,
     div_a_grad_values,
     grad,
+    half_node_average_y,
     integrate,
+    laplacian,
     norm_h1_semi,
     norm_l2,
     norms_h1_semi_h2,
@@ -639,3 +644,80 @@ def limit_psi_residuals(grid: ChannelGrid, c1: np.ndarray, psi: np.ndarray, p, p
         "primary": norm_linf(grid, primary),
         "charge_weighted": norm_linf(grid, weighted),
     }
+
+
+# ---------------------------------------------------------------------------
+# the d = 1 step bodies in their full-size form: each drift is a whole
+# div_a_grad field, the coupling entries average the concentrations
+# again, the residual runs over the full band and every array has the
+# grid's shape.  The library forms each half-node average once and its
+# right sides on the interior rows only; the floating-point operations
+# per entry are these, so both must give the same bytes
+
+
+def _coupling_entries_1d(A: BandedMatrix, grid: ChannelGrid, p, c1n, c2n) -> None:
+    """The electro-coupling entries of c1n and c2n, written into A as three separate products."""
+    ny = grid.ny
+    h2 = grid.hy ** 2
+    ab, u = A.ab, A.u
+    for v, (z, D, a) in enumerate(((p.z1, p.D1, c1n), (p.z2, p.D2, c2n))):
+        ah = half_node_average_y(a)[0]
+        lo = ah[:-1]
+        hi = ah[1:]
+        off = 2 - v
+        ab[u - off + 3, 2 : 3 * ny - 6 : 3] = -z * D * lo / h2
+        ab[u - off, 5 : 3 * ny - 3 : 3] = z * D * (lo + hi) / h2
+        ab[u - off - 3, 8 : 3 * ny : 3] = -z * D * hi / h2
+
+
+def step_npns_d1_reference(s: State, cfg) -> State:
+    """One d = 1 finite-eps step: div_a_grad drifts, the full-band residual, solve_poisson."""
+    g, p, dt = cfg.grid, cfg.params, cfg.dt
+    phiw = cfg.wall.phiw
+    A = _coupled_banded_1d(g, p, dt, g.zeros(), g.zeros())
+    _coupling_entries_1d(A, g, p, s.c1, s.c2)
+    # no advection in d = 1: the scalar 0.0 stands in for it
+    b1 = s.c1 / dt - 0.0 + p.z1 * p.D1 * div_a_grad(g, s.c1, phiw)
+    b2 = s.c2 / dt - 0.0 + p.z2 * p.D2 * div_a_grad(g, s.c2, phiw)
+    x = np.empty(3 * g.ny)
+    x[0::3] = s.c1[0]
+    x[1::3] = s.c2[0]
+    x[2::3] = s.psi[0]
+    b = np.zeros_like(x)
+    b[0::3] = b1[0]
+    b[1::3] = b2[0]
+    r = b - A.matvec(x)
+    for idx in (0, 1, 2, -3, -2, -1):
+        r[idx] = 0.0
+    x = x + A.solve(r)
+    c1 = x[0::3][None, :].copy()
+    c2 = x[1::3][None, :].copy()
+    c1[:, 0] = cfg.bdata.gamma1[0]
+    c1[:, -1] = cfg.bdata.gamma1[1]
+    c2[:, 0] = cfg.bdata.gamma2[0]
+    c2[:, -1] = cfg.bdata.gamma2[1]
+    psi = solve_poisson(g, p.z1 * c1 + p.z2 * c2, coeff=p.eps ** 2)
+    return State(t=s.t + dt, c1=c1, c2=c2, u=s.u, psi=psi)
+
+
+def limit_psi_d1_reference(grid: ChannelGrid, c1: np.ndarray, p, phiw: np.ndarray) -> np.ndarray:
+    """The limit potential from full div_a_grad right sides and solve_div_form."""
+    a = (p.z1 * p.D1 - p.z2 * p.D2) * c1
+    ones = np.ones(grid.shape)
+    rhs = -(p.D1 - p.D2) * div_a_grad(grid, ones, c1) - div_a_grad(grid, a, phiw)
+    return solve_div_form(grid, a, rhs)
+
+
+def step_limit_d1_reference(s: State, cfg) -> State:
+    """One d = 1 limit step: the full laplacian plus a zero source, then solve_shifted_poisson.
+
+    psi is solved by limit_psi_d1_reference when s carries one.
+    """
+    g, p, dt = cfg.grid, cfg.params, cfg.dt
+    deff = effective_diffusivity(p)
+    rhs = laplacian(g, s.c1) + 0.0 / deff
+    c1 = s.c1 + solve_shifted_poisson(g, 1.0 / (dt * deff), rhs)
+    c1[:, 0] = cfg.bdata.gamma1[0]
+    c1[:, -1] = cfg.bdata.gamma1[1]
+    psi = None if s.psi is None else limit_psi_d1_reference(g, c1, p, cfg.wall.phiw)
+    return State(t=s.t + dt, c1=c1, c2=-(p.z1 / p.z2) * c1, u=s.u, psi=psi)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -106,6 +107,24 @@ def test_grid_validation():
     g = grid1d(33)
     assert np.isclose(g.hy, 1.0 / 32.0)
     assert g.y[0] == 0.0 and g.y[-1] == 1.0
+
+
+@pytest.mark.parametrize("nx", [1, 4, 32])
+def test_wavenumbers_are_built_once_and_leave_the_grid_alone(nx):
+    # kx and kx_first are shared read-only arrays with rfftfreq's values;
+    # reading them changes neither the grid's pickle nor its hash
+    g = ChannelGrid(d=1 if nx == 1 else 2, nx=nx, ny=17)
+    before = pickle.dumps(g)
+    kx = 2.0 * np.pi * np.fft.rfftfreq(nx, d=g.hx)
+    first = kx.copy()
+    if nx > 1:
+        first[-1] = 0.0
+    assert g.kx.tobytes() == kx.tobytes() and g.kx_first.tobytes() == first.tobytes()
+    assert g.kx is g.kx and g.kx_first is ChannelGrid(g.d, nx, 33).kx_first
+    assert not g.kx.flags.writeable and not g.kx_first.flags.writeable
+    assert pickle.dumps(g) == before
+    twin = pickle.loads(before)
+    assert twin == g and hash(twin) == hash(g) == hash((g.d, g.nx, g.ny))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +248,19 @@ def test_paired_norms_give_the_h1_seminorm_bitwise(g):
     h1, _ = norms_h1_semi_h2(g, stack)
     assert h1.tolist() == norm_h1_semi(g, stack).tolist()
     assert norms_h1_semi_h2(g, stack[0])[0] == norm_h1_semi(g, stack[0])
+
+
+def test_h2_norm_takes_the_mixed_derivative_from_the_gradient():
+    # the mixed derivative is ddy of grad's x derivative; transforming f
+    # again gives the same bytes
+    g = grid2d(8, 17)
+    f = RNG.standard_normal((3,) + g.shape)
+    ref = integrate(g, f * f)
+    for df in grad(g, f):
+        ref = ref + integrate(g, df * df)
+    fyy, fxx, fxy = d2dy2(g, f), d2dx2(g, f), ddy(g, ddx(g, f))
+    ref = ref + integrate(g, fyy * fyy) + (integrate(g, fxx * fxx) + 2.0 * integrate(g, fxy * fxy))
+    assert norms_h1_semi_h2(g, f)[1].tobytes() == np.sqrt(ref).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

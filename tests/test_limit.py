@@ -1,5 +1,7 @@
 """Limit solver: psi equation and ambipolar march."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from debyeflow.limit import (
 )
 from debyeflow.npns import MaxPrincipleViolation, NpnsConfig, StepError
 
-from oracles import advected_limit_c1, limit_psi_residuals, norm_linf
+from oracles import (
+    advected_limit_c1,
+    limit_psi_d1_reference,
+    limit_psi_residuals,
+    norm_linf,
+    step_limit_d1_reference,
+)
 
 Z_SAFE = (-1.0, -2.0, -4.0)  # power-of-two magnitudes keep the constraint scaling exact
 
@@ -159,6 +167,45 @@ def test_step_limit_d1_skips_advection_bitwise():
         ref = advected_limit_c1(s, cfg)
         s = step_limit(s, cfg)
         assert s.c1.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("z1, z2", [(1.0, -1.0), (2.0, -1.0)])
+def test_d1_limit_step_and_psi_match_the_full_size_formulas(z1, z2):
+    # the d = 1 limit step and psi solve form their right sides on the
+    # interior rows only; the full laplacian and div_a_grad forms must
+    # give the same bytes, at every step and for a psi-less march state;
+    # hy = 1/49 is no power of two, so scaling by it rounds
+    cfg = make_cfg(ny=50, dt=1e-3, gamma=(2.0, 1.5), w=(0.0, 0.5), z1=z1, z2=z2, D1=2.0, D2=1.0)
+    g, p = cfg.grid, cfg.params
+    c1 = 2.0 - 0.5 * g.yy + 0.3 * np.sin(3.0 * np.pi * g.yy)
+    s = initial_limit_state(g, c1, VelocityField.zero(g), cfg)
+    assert s.psi.tobytes() == limit_psi_d1_reference(g, c1, p, cfg.wall.phiw).tobytes()
+    for k in range(1, 5):
+        ref = step_limit_d1_reference(s, cfg)
+        bare = step_limit(replace(s, psi=None), cfg)
+        s = step_limit(s, cfg)
+        assert bare.psi is None and bare.c1.tobytes() == s.c1.tobytes()
+        for name in ("c1", "c2", "psi"):
+            assert getattr(s, name).tobytes() == getattr(ref, name).tobytes(), f"step {k}: {name}"
+
+
+def test_nonpositive_limit_concentration_is_a_step_error(monkeypatch):
+    # a diffusion solve that drives c1 through zero stops the step, with
+    # the extrema of the concentrations it produced
+    cfg = make_cfg(ny=33, dt=1e-3, n_steps=5)
+    g = cfg.grid
+    s0 = initial_limit_state(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+    original = limit._implicit_diffusion
+
+    def sunk(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out[0, 7] = -1.0
+        return out
+
+    monkeypatch.setattr(limit, "_implicit_diffusion", sunk)
+    with pytest.raises(StepError, match="positivity") as err:
+        step_limit(s0, cfg)
+    assert err.value.t == cfg.dt and err.value.extrema["min_c1"] == -1.0
 
 
 def test_step_limit_eigenmode_decay_oracle():

@@ -23,7 +23,14 @@ from debyeflow.npns import (
 )
 from debyeflow.operators import norm_l2
 
-from oracles import banded_to_sparse, coupled_sparse_2d, dense_coupled_matrix, divergence, interior_laplacian_action
+from oracles import (
+    banded_to_sparse,
+    coupled_sparse_2d,
+    dense_coupled_matrix,
+    divergence,
+    interior_laplacian_action,
+    step_npns_d1_reference,
+)
 
 
 def make_cfg(
@@ -232,6 +239,53 @@ def test_nan_from_the_coupled_solve_aborts_the_run(monkeypatch):
     assert err.value.eps == cfg.params.eps, "the abort must name the run's eps"
     assert err.value.t == cfg.dt, "the first step must abort"
     assert err.value.extrema["min_c1"] == float(np.min(s0.c1))
+
+
+@pytest.mark.parametrize("z1, z2", [(1.0, -1.0), (2.0, -1.0)])
+@pytest.mark.parametrize("charged", [True, False], ids=["charged", "equilibrium"])
+def test_d1_step_matches_the_full_size_formulas(z1, z2, charged):
+    # the d = 1 step averages each species once, forms its right side on
+    # the interior rows and reuses the run's buffers; the full-size
+    # formulas must give its bytes, zero signs included, step after step;
+    # hy = 1/49 is no power of two, so scaling by it rounds
+    w = (0.0, 0.5) if charged else (0.0, 0.0)
+    cfg = make_cfg(ny=50, eps=0.125, dt=1e-3, z1=z1, z2=z2, D1=2.0, D2=1.0, w=w)
+    g, p = cfg.grid, cfg.params
+    c1 = np.full(g.shape, 2.0)
+    c2 = -(z1 / z2) * c1
+    if charged:
+        rng = np.random.default_rng(5)
+        c1 = c1 + 0.3 * np.sin(np.pi * g.yy) + 0.01 * rng.random(g.shape)
+        c2 = c2 - 0.2 * np.sin(2.0 * np.pi * g.yy) + 0.01 * rng.random(g.shape)
+    s = State(t=0.0, c1=c1, c2=c2, u=VelocityField.zero(g), psi=elliptic.solve_poisson(
+        g, p.z1 * c1 + p.z2 * c2, coeff=p.eps ** 2))
+    ws = npns._StepWorkspace(cfg)
+    for k in range(1, 5):
+        ref = step_npns_d1_reference(s, cfg)
+        s = step_npns(s, cfg, ws)
+        assert s.t == ref.t and s.u is ref.u
+        for name in ("c1", "c2", "psi"):
+            assert getattr(s, name).tobytes() == getattr(ref, name).tobytes(), f"step {k}: {name}"
+    if not charged:
+        assert s.psi.tobytes() == g.zeros().tobytes(), "the equilibrium keeps a +0.0 potential"
+
+
+def test_nonpositive_concentration_from_the_coupled_solve_is_a_step_error(monkeypatch):
+    # a solve that drives c2 through zero stops the step with the new extrema
+    cfg = make_cfg(ny=33, eps=0.125, dt=1e-3, t_end=5e-3, w=(0.0, 0.5))
+    g = cfg.grid
+    s0 = well_prepared_init(g, 2.0 + 0.5 * np.sin(np.pi * g.yy), VelocityField.zero(g), cfg)
+
+    def sink(self, r):
+        delta = np.zeros_like(r)
+        delta[3 * 16 + 1] = -10.0
+        return delta
+
+    monkeypatch.setattr(npns.BandedMatrix, "solve", sink)
+    with pytest.raises(StepError, match="positivity") as err:
+        step_npns(s0, cfg)
+    assert err.value.t == cfg.dt and err.value.eps == cfg.params.eps
+    assert err.value.extrema["min_c2"] == float(s0.c2[0, 16]) - 10.0
 
 
 def test_config_validation():
