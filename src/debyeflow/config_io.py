@@ -19,6 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .grid import ChannelGrid
+
 logger = logging.getLogger(__name__)
 
 # preset -> the fields it sets over the ExperimentConfig defaults; the
@@ -129,8 +131,10 @@ class ExperimentConfig:
     limit initial concentration is the linear interpolant of the wall
     values plus ``ic_bump * sin(pi y)``, and the finite-eps run starts
     from that plus ``ic_eps_amp * eps * sin(pi y)`` (charge-paired, so
-    rho(0) = 0 bitwise).  ``rho0_amp`` scales the seed charge of the
-    initial-layer preset and is ignored elsewhere.
+    rho(0) = 0 bitwise); initial_data computes both, and validate
+    requires them positive on the grid of every eps the preset runs.
+    ``rho0_amp`` scales the seed charge of the initial-layer preset and
+    is ignored elsewhere.
     """
 
     preset: str = "custom"
@@ -227,7 +231,26 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: boundary traces must be constant when d = 1")
             if key.startswith("gamma") and const - abs(amp) <= 0.0:
                 raise ConfigError(f"{key}: concentration trace must stay positive, got {text!r}")
+        for e in (self.eps,) if self.preset in SINGLE_EPS_PRESETS else self.eps_list:
+            grid = ChannelGrid(d=self.d, nx=self.nx, ny=self.graded_ny(e))
+            _, c1_lim0, c1_eps0 = self.initial_data(grid, e)
+            for name, c1 in (("c1_lim0", c1_lim0), ("c1_eps0", c1_eps0)):
+                if c1.min() <= 0.0:
+                    raise ConfigError(
+                        f"initial concentration {name} must be positive, got min {c1.min():.6g} "
+                        f"at eps={e}; see ic_bump and ic_eps_amp"
+                    )
         return self
+
+    def initial_data(self, grid: ChannelGrid, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first species' wall traces, shape (2, nx), and the limit
+        and finite-eps initial concentrations c1_lim0 and c1_eps0 on grid."""
+        x, y = grid.x, grid.y
+        g1 = np.stack([evaluate_trace(self.gamma1_lower, x, self.d), evaluate_trace(self.gamma1_upper, x, self.d)])
+        bump = self.ic_bump * np.sin(math.pi * y)
+        c1_lim0 = g1[0][:, None] * (1.0 - y)[None, :] + g1[1][:, None] * y[None, :] + bump[None, :]
+        c1_eps0 = c1_lim0 + self.ic_eps_amp * eps * np.sin(math.pi * y)[None, :]
+        return g1, c1_lim0, c1_eps0
 
     def graded_ny(self, eps: float) -> int:
         """Wall-normal nodes of the run at eps: ny, or with ny = 0 the

@@ -171,20 +171,8 @@ def _effective_dt(cfg: ExperimentConfig, eps: float) -> float:
 
 def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
     grid = ChannelGrid(d=cfg.d, nx=cfg.nx, ny=cfg.graded_ny(eps))
-    x = grid.x
-    g1 = np.stack([
-        evaluate_trace(cfg.gamma1_lower, x, cfg.d),
-        evaluate_trace(cfg.gamma1_upper, x, cfg.d),
-    ])
-    w = np.stack([
-        evaluate_trace(cfg.w_lower, x, cfg.d),
-        evaluate_trace(cfg.w_upper, x, cfg.d),
-    ])
-    y = grid.y
-    bump = cfg.ic_bump * np.sin(math.pi * y)
-    c1_lim0 = g1[0][:, None] * (1.0 - y)[None, :] + g1[1][:, None] * y[None, :] + bump[None, :]
-    c1_eps0 = c1_lim0 + cfg.ic_eps_amp * eps * np.sin(math.pi * y)[None, :]
-
+    g1, c1_lim0, c1_eps0 = cfg.initial_data(grid, eps)
+    w = np.stack([evaluate_trace(cfg.w_lower, grid.x, cfg.d), evaluate_trace(cfg.w_upper, grid.x, cfg.d)])
     p = Params(z1=cfg.z1, z2=cfg.z2, D1=cfg.D1, D2=cfg.D2, nu=cfg.nu, eps=eps)
     bdata = BoundaryData.electroneutral(gamma1=g1, w=w, params=p)
     run = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=_effective_dt(cfg, eps), t_end=cfg.t_end)
@@ -607,15 +595,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     return report
 
 
-def refit_report(cfg_or_preset, sweep_path, out_path) -> dict:
+def refit_report(cfg: ExperimentConfig, sweep_path, out_path) -> dict:
     """Rebuild report.json from an existing sweep.csv without re-running.
 
-    A config is graded as given (its strict flag included); a bare
-    preset name is graded with that preset's non-strict defaults.  The
+    The config is graded as given, its strict flag included.  The
     grading is run_experiment's, so a refit of a run's sweep.csv rewrites
     that run's report.json byte for byte.
     """
-    cfg = ExperimentConfig(preset=cfg_or_preset) if isinstance(cfg_or_preset, str) else cfg_or_preset
     report = _sweep_report(cfg, sweep_path)
     _write_json(Path(out_path), report)
     return report

@@ -7,7 +7,8 @@ relaxes on the fast time t / eps^2, governed by a linear drift equation
 for the excess charge coupled to its own potential.  Where wall and
 initial effects meet, a corner region obeys a half-line diffusion
 system in stretched space and fast time.  This module builds all three
-objects.
+objects.  The corner system's two species, node by node, form one
+LAPACK band matrix (operators.lapack), as the d = 1 coupled step's do.
 
 The composite approximation (composite) is the leading-order limit
 solution plus the closed-form wall layers at second order in eps.
@@ -27,7 +28,7 @@ import numpy as np
 from .elliptic import solve_div_form, solve_poisson
 from .grid import ChannelGrid, State
 from .npns import NpnsConfig
-from .operators import div_a_grad, laplacian
+from .operators import div_a_grad, lapack, laplacian
 from .params import Params
 
 __all__ = [
@@ -348,22 +349,6 @@ class MixedLayerState:
         return self.alpha2 + self.a2 * np.exp(-self.xi_grid)
 
 
-def _nonuniform_second_derivative(xi: np.ndarray) -> scipy.sparse.csr_matrix:
-    # three-point stencil on a nonuniform grid, rows only on interior
-    # nodes; second-order on smoothly graded spacings
-    import scipy.sparse
-
-    n = xi.size
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    lo = 2.0 / (hm * (hm + hp))
-    hi = 2.0 / (hp * (hm + hp))
-    rows = np.arange(1, n - 1)
-    data = np.concatenate([lo, -(lo + hi), hi])
-    cols = np.concatenate([rows - 1, rows, rows + 1])
-    return scipy.sparse.csr_matrix((data, (np.tile(rows, 3), cols)), shape=(n, n))
-
-
 def solve_mixed_layer(
     a1,
     a2,
@@ -383,8 +368,9 @@ def solve_mixed_layer(
     with the charge of the pair entering through the frozen corner
     concentrations, forced by (D_i a_i - da_i/dtau - z_i D_i gamma_i r)
     e^{-xi} with r = z1 a1 + z2 a2.  Implicit Euler in tau, the
-    three-point nonuniform stencil in xi, both ends pinned to zero; one
-    sparse factorization is reused across steps of equal length.
+    three-point nonuniform stencil in xi, both ends pinned to zero.  The
+    two species, node by node, make one LAPACK band matrix, factored
+    once for each distinct step length.
 
     Parameters
     ----------
@@ -432,60 +418,62 @@ def solve_mixed_layer(
     a2 = np.asarray(a2, dtype=float)
     if a1.shape != taus.shape or a2.shape != taus.shape:
         raise ValueError(f"traces must be sampled on the tau grid, expected shape {taus.shape}")
-    # imported here, not with the module: no preset run calls this
-    # solver, and a run loads scipy.sparse only when it needs it
-    import scipy.sparse
-    import scipy.sparse.linalg
-
     n = xi.size
-    lap = _nonuniform_second_derivative(xi)
-    eye = scipy.sparse.identity(n, format="csr")
-    # interior mask keeps the pinned end rows as pure identity
-    mask = scipy.sparse.diags(np.r_[0.0, np.ones(n - 2), 0.0])
+    # the three-point stencil on the nonuniform grid, interior nodes only;
+    # second-order on smoothly graded spacings
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    lo = 2.0 / (hm * (hm + hp))
+    hi = 2.0 / (hp * (hm + hp))
     decay = np.exp(-xi)
+    species = ((p.z1, p.D1, gamma1, a1), (p.z2, p.D2, gamma2, a2))
 
     if alpha0 is None:
-        al1 = np.zeros(n)
-        al2 = np.zeros(n)
+        al = np.zeros((n, 2))
     else:
         alpha0 = np.asarray(alpha0, dtype=float)
         if alpha0.shape != (2, n):
             raise ValueError(f"alpha0 must have shape (2, {n}), got {alpha0.shape}")
-        al1, al2 = alpha0[0].copy(), alpha0[1].copy()
-        if al1[0] != 0.0 or al1[-1] != 0.0 or al2[0] != 0.0 or al2[-1] != 0.0:
+        if np.any(alpha0[:, [0, -1]] != 0.0):
             raise ValueError("shifted unknowns must vanish at both ends")
+        al = alpha0.T.copy()
 
-    out = [MixedLayerState(wall, float(taus[0]), xi, al1.copy(), al2.copy(),
+    out = [MixedLayerState(wall, float(taus[0]), xi, al[:, 0].copy(), al[:, 1].copy(),
                            float(a1[0]), float(a2[0]))]
-    lus: dict[float, object] = {}
+    factors: dict[float, tuple] = {}
     for m in range(taus.size - 1):
         dtau = float(taus[m + 1] - taus[m])
-        lu = lus.get(dtau)
-        if lu is None:
-            blocks = [
-                [eye - dtau * p.D1 * lap + dtau * p.z1 * p.D1 * gamma1 * p.z1 * mask,
-                 dtau * p.z1 * p.D1 * gamma1 * p.z2 * mask],
-                [dtau * p.z2 * p.D2 * gamma2 * p.z1 * mask,
-                 eye - dtau * p.D2 * lap + dtau * p.z2 * p.D2 * gamma2 * p.z2 * mask],
-            ]
-            lu = scipy.sparse.linalg.splu(scipy.sparse.bmat(blocks, format="csc"))
-            lus[dtau] = lu
-        a1n, a2n = float(a1[m + 1]), float(a2[m + 1])
-        da1 = (a1n - float(a1[m])) / dtau
-        da2 = (a2n - float(a2[m])) / dtau
-        r = p.z1 * a1n + p.z2 * a2n
-        f1 = p.D1 * a1n - da1 - p.z1 * p.D1 * gamma1 * r
-        f2 = p.D2 * a2n - da2 - p.z2 * p.D2 * gamma2 * r
-        r1 = al1 + dtau * f1 * decay
-        r2 = al2 + dtau * f2 * decay
-        r1[0] = r1[-1] = 0.0
-        r2[0] = r2[-1] = 0.0
-        sol = lu.solve(np.concatenate([r1, r2]))
-        al1, al2 = sol[:n], sol[n:]
-        # the factorization can leave rounding dust on the pinned rows
-        al1[0] = al1[-1] = 0.0
-        al2[0] = al2[-1] = 0.0
-        out.append(MixedLayerState(wall, float(taus[m + 1]), xi, al1.copy(), al2.copy(), a1n, a2n))
+        if dtau not in factors:
+            # node-major unknowns [alpha1_j, alpha2_j] make a (2, 2) band;
+            # below dgbtrf's two fill-in rows, entry (i, k) sits at
+            # ab[4 + i - k, k], and ab[:, 2 j + s] is band[:, j, s]
+            band = np.zeros((7, n, 2))
+            band[4, [0, -1]] = 1.0
+            for s, (z, D, gamma, _) in enumerate(species):
+                # species s's row holds k (z1 alpha1 + z2 alpha2) at its node
+                k = dtau * z * D * gamma
+                band[4, 1:-1, s] = 1.0 + dtau * D * (lo + hi) + k * z
+                band[6, :-2, s] = -(dtau * D * lo)
+                band[2, 2:, s] = -(dtau * D * hi)
+                band[3 + 2 * s, 1:-1, 1 - s] = k * (p.z1, p.z2)[1 - s]
+            lu, piv, info = lapack.dgbtrf(band.reshape(7, 2 * n), 2, 2)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"corner-layer matrix is singular (dgbtrf info={info})")
+            factors[dtau] = lu, piv
+        r = p.z1 * float(a1[m + 1]) + p.z2 * float(a2[m + 1])
+        rhs = np.empty((n, 2))
+        for s, (z, D, gamma, a) in enumerate(species):
+            an = float(a[m + 1])
+            f = D * an - (an - float(a[m])) / dtau - z * D * gamma * r
+            rhs[:, s] = al[:, s] + dtau * f * decay
+        rhs[[0, -1]] = 0.0
+        lu, piv = factors[dtau]
+        x, _ = lapack.dgbtrs(lu, 2, 2, rhs.ravel(), piv)
+        al = x.reshape(n, 2)
+        # pivoting can leave rounding residue on the pinned rows
+        al[[0, -1]] = 0.0
+        out.append(MixedLayerState(wall, float(taus[m + 1]), xi, al[:, 0].copy(), al[:, 1].copy(),
+                                   float(a1[m + 1]), float(a2[m + 1])))
 
     _check_truncation(out, strict)
     return out

@@ -230,27 +230,18 @@ def _coupled_banded_1d(grid: ChannelGrid, p: Params, dt: float, c1n, c2n) -> Ban
     ny = grid.ny
     n = 3 * ny
     h2 = grid.hy ** 2
-    eps2 = p.eps ** 2
-    offs = (-3, -2, -1, 0, 1, 2, 3, 4, 5)
-    d = {k: np.zeros(n) for k in offs}
-    j = np.arange(1, ny - 1)
-
-    for v, D in enumerate((p.D1, p.D2)):
-        g = 3 * j + v
-        d[0][g] = 1.0 / dt + 2.0 * D / h2
-        d[-3][g] = -D / h2
-        d[3][g] = -D / h2
-
-    gp = 3 * j + 2
-    d[0][gp] = 2.0 * eps2 / h2
-    d[-3][gp] = -eps2 / h2
-    d[3][gp] = -eps2 / h2
-    d[-2][gp] = -p.z1
-    d[-1][gp] = -p.z2
-
-    for g in (0, 1, 2, n - 3, n - 2, n - 1):
-        d[0][g] = 1.0
-    A = BandedMatrix(n, d)
+    # band storage with l = 3, u = 5: A[g, g+k] sits at ab[5-k, g+k]; the
+    # interior rows of unknown v are g = 3j+v, j = 1..ny-2
+    ab = np.zeros((9, n))
+    for v, (diag, D) in enumerate(((1.0 / dt, p.D1), (1.0 / dt, p.D2), (0.0, p.eps ** 2))):
+        ab[5, 3 + v : n - 3 : 3] = diag + 2.0 * D / h2
+        ab[8, v : n - 6 : 3] = -D / h2
+        ab[2, 6 + v : n : 3] = -D / h2
+    # the psi row's charge relation reads c1 and c2 of its own node
+    ab[7, 3 : n - 3 : 3] = -p.z1
+    ab[6, 4 : n - 3 : 3] = -p.z2
+    ab[5, :3] = ab[5, -3:] = 1.0
+    A = BandedMatrix(ab, 3)
     _set_coupling_1d(A, grid, p, c1n, c2n)
     return A
 
@@ -293,12 +284,10 @@ def advance_velocity(
 ) -> VelocityField:
     """Explicit u/dt - advection + force, implicit viscosity, projection, no-slip walls.
 
-    advection and force hold one field per velocity component.  In d = 1
-    the projection annihilates everything, so the velocity is returned
-    as exactly zero without any solves.
+    advection and force hold one field per velocity component.  Only d = 2
+    has a velocity to advance: in d = 1 it is identically zero, and the
+    callers keep the one they have.
     """
-    if grid.d == 1:
-        return VelocityField.zero(grid)
     alpha = 1.0 / (dt * nu)
     new_comps = [
         solve_shifted_poisson(grid, alpha, (comp / dt - a + f) / nu)

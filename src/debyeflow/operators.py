@@ -12,15 +12,18 @@ result is bitwise the one an (nx, ny) call gives.
 
 div(a grad .) is also given as matrix entries, a cached index pattern
 (div_a_grad_pattern) and the values of one coefficient
-(div_a_grad_values), from which coupled2d assembles its CSR matrix; the
-d = 1 coupled step uses the LAPACK band matrix BandedMatrix.
+(div_a_grad_values), from which coupled2d assembles its CSR matrix.
+Every banded system is written straight into LAPACK's band storage,
+entry (i, j) at ab[u + i - j, j]: the d = 1 coupled step's, which
+BandedMatrix holds with its LU buffer, the d = 2 mode preconditioner's
+and the corner layer's (layers.solve_mixed_layer).
 
 This module binds scipy's compiled code without scipy's packages:
 _load_compiled loads one extension module from its file, skipping the
 package imports, whose chain (array-API shims, numpy.f2py) costs about
 0.2 s per process.  lapack is the f2py wrapper scipy.linalg._flapack,
-through which operators, elliptic and coupled2d call every LAPACK
-routine; coupled2d binds scipy.sparse._sparsetools, the CSR kernels,
+through which operators, elliptic, coupled2d and layers call every
+LAPACK routine; coupled2d binds scipy.sparse._sparsetools, the CSR kernels,
 the same way.  Each is the module its package would import, so a later
 import of scipy.linalg or scipy.sparse finds the same one, and a d = 1
 run loads nothing else from scipy.
@@ -319,36 +322,23 @@ lapack = _load_compiled("scipy.linalg._flapack", "scipy.linalg.lapack")
 class BandedMatrix:
     """Real banded matrix in LAPACK's (l, u) band storage.
 
-    Built from a dict mapping offsets to diagonals; offset +k is the
-    k-th superdiagonal.  Diagonals may be given at full length n (the
-    out-of-band entries are ignored) or at the exact band length n-|k|.
-
-    ab may be rewritten in place between solves.  Each solve factors the
+    Built from its band array ab, shape (l + u + 1, n), which holds
+    entry (i, j) at ab[u + i - j, j]; the corners of ab that fall
+    outside the matrix are never read.  ab is kept, not copied, and may
+    be rewritten in place between solves.  Each solve factors the
     current ab in a band LU buffer allocated with the matrix and reused
     by every later solve, so a matrix refilled once per step and solved
     once per step allocates no factor storage after construction.
     """
 
-    def __init__(self, n: int, diags: dict[int, np.ndarray]):
-        self.n = n
-        self.l = max(-min(diags.keys()), 0)
-        self.u = max(max(diags.keys()), 0)
-        self.ab = np.zeros((self.l + self.u + 1, n))
-        for k, diag in diags.items():
-            diag = np.asarray(diag, dtype=float)
-            m = n - abs(k)
-            if diag.shape == (n,):
-                diag = diag[:m] if k >= 0 else diag[-m:]
-            if diag.shape != (m,):
-                raise ValueError(f"diagonal {k} must have length {m} or {n}, got {diag.shape}")
-            row = self.u - k
-            if k >= 0:
-                self.ab[row, k:] = diag
-            else:
-                self.ab[row, : n + k] = diag
+    def __init__(self, ab: np.ndarray, l: int):
+        self.ab = ab
+        self.l = l
+        self.u = ab.shape[0] - l - 1
+        self.n = ab.shape[1]
         # dgbtrf needs l extra rows above the band for the fill-in of
         # partial pivoting, and Fortran order to factor in place
-        self._lu = np.zeros((2 * self.l + self.u + 1, n), order="F")
+        self._lu = np.zeros((2 * l + self.u + 1, self.n), order="F")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         # one diagonal at a time from offset +u down to -l, the order in

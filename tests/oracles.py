@@ -205,6 +205,57 @@ def mixed_layer_direct(
     return xi, np.array(taus), np.array(c1_hist), np.array(c2_hist)
 
 
+def mixed_layer_sparse(a1, a2, gamma1: float, gamma2: float, p, xi, taus, alpha0=None):
+    """The shifted corner unknowns of solve_mixed_layer, by block sparse LU.
+
+    The same discretization as the library solver, assembled
+    species-major as a 2x2 block matrix of sparse blocks and factored
+    by scipy.sparse.linalg.splu, once per distinct step length.
+    Returns the list of (alpha1, alpha2) at every tau node.
+    """
+    import scipy.sparse.linalg
+
+    n = xi.size
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    lo = 2.0 / (hm * (hm + hp))
+    hi = 2.0 / (hp * (hm + hp))
+    rows = np.arange(1, n - 1)
+    lap = scipy.sparse.csr_matrix(
+        (np.concatenate([lo, -(lo + hi), hi]), (np.tile(rows, 3), np.concatenate([rows - 1, rows, rows + 1]))),
+        shape=(n, n),
+    )
+    eye = scipy.sparse.identity(n, format="csr")
+    # the mask keeps the pinned end rows pure identities
+    mask = scipy.sparse.diags(np.r_[0.0, np.ones(n - 2), 0.0])
+    decay = np.exp(-xi)
+    al1, al2 = (np.zeros(n), np.zeros(n)) if alpha0 is None else np.array(alpha0, dtype=float)
+    out = [(al1.copy(), al2.copy())]
+    lus = {}
+    for m in range(len(taus) - 1):
+        dtau = float(taus[m + 1] - taus[m])
+        if dtau not in lus:
+            blocks = [
+                [eye - dtau * p.D1 * lap + dtau * p.z1 * p.D1 * gamma1 * p.z1 * mask,
+                 dtau * p.z1 * p.D1 * gamma1 * p.z2 * mask],
+                [dtau * p.z2 * p.D2 * gamma2 * p.z1 * mask,
+                 eye - dtau * p.D2 * lap + dtau * p.z2 * p.D2 * gamma2 * p.z2 * mask],
+            ]
+            lus[dtau] = scipy.sparse.linalg.splu(scipy.sparse.bmat(blocks, format="csc"))
+        a1n, a2n = float(a1[m + 1]), float(a2[m + 1])
+        r = p.z1 * a1n + p.z2 * a2n
+        f1 = p.D1 * a1n - (a1n - float(a1[m])) / dtau - p.z1 * p.D1 * gamma1 * r
+        f2 = p.D2 * a2n - (a2n - float(a2[m])) / dtau - p.z2 * p.D2 * gamma2 * r
+        r1 = al1 + dtau * f1 * decay
+        r2 = al2 + dtau * f2 * decay
+        r1[0] = r1[-1] = r2[0] = r2[-1] = 0.0
+        sol = lus[dtau].solve(np.concatenate([r1, r2]))
+        al1, al2 = sol[:n], sol[n:]
+        al1[0] = al1[-1] = al2[0] = al2[-1] = 0.0
+        out.append((al1.copy(), al2.copy()))
+    return out
+
+
 def _interior_unit_fields(grid: ChannelGrid):
     """Yield (flat interior index, unit field) over interior nodes, row-major."""
     nx, ny = grid.shape

@@ -441,6 +441,24 @@ def test_cli_rejects_eps_graded_below_the_ny_floor(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [("ic_bump = -3.0\n", "c1_lim0"), ("ic_eps_amp = -40.0\n", "c1_eps0")],
+    ids=["ic_bump", "ic_eps_amp"],
+)
+def test_cli_rejects_a_non_positive_initial_concentration(tmp_path, capsys, text, name):
+    # the initial data are read off the config, so a non-positive node is
+    # a config error, exit 2 with nothing written, not a solver abort; at
+    # eps = 0.125 an ic_eps_amp of -40 leaves c1_lim0 positive
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = custom\n[params]\n" + text)
+    out = tmp_path / "artifacts"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"initial concentration {name} must be positive" in err and "solver abort" not in err
+    assert not out.exists()
+
+
 def test_cli_run_sweep_report_cycle(tmp_path, capsys):
     out = str(tmp_path / "artifacts")
     config = tmp_path / "exp.cfg"
@@ -578,7 +596,7 @@ def test_serial_runs_load_only_scipys_compiled_lapack_and_csr_modules(tmp_path):
     # but its compiled LAPACK wrapper, neither numpy.f2py nor the process
     # pool; a d = 2 run config loads the d = 2 solver in its set-up, which
     # adds scipy's compiled CSR kernels and no scipy package, and that run
-    # completes without loading more
+    # completes without loading more; nor does a corner-layer solve
     config = tmp_path / "exp.cfg"
     config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n")
     script = textwrap.dedent(f"""
@@ -600,12 +618,18 @@ def test_serial_runs_load_only_scipys_compiled_lapack_and_csr_modules(tmp_path):
         after_1d = loaded()
         cfg = replace(preset_defaults("custom"), d=2, nx=4, ny=9, dt=1e-3, t_end=2e-3,
                       eps_list=(0.25, 0.125)).validate()
-        build_fixture(cfg, cfg.eps_list[0])
+        fx = build_fixture(cfg, cfg.eps_list[0])
         after_config = loaded()
         report = run_experiment(cfg, out_dir={str(tmp_path / "d2")!r}, parallel=False)
         after_2d = loaded()
+        import numpy as np
+        from debyeflow.layers import clustered_xi_grid, solve_mixed_layer
+        taus = np.linspace(0.0, 0.1, 3)
+        solve_mixed_layer(0.1 * taus, -0.1 * taus, 2.0, 2.0, fx.run.params, clustered_xi_grid(20.0, 16), taus)
+        after_mixed = loaded()
         print(json.dumps({{"rc": rc, "after_1d": after_1d, "after_config": after_config,
-                          "after_2d": after_2d, "rows": len(report["per_epsilon"])}}))
+                          "after_2d": after_2d, "after_mixed": after_mixed,
+                          "rows": len(report["per_epsilon"])}}))
     """)
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -617,6 +641,7 @@ def test_serial_runs_load_only_scipys_compiled_lapack_and_csr_modules(tmp_path):
     compiled = ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
     assert result["after_config"] == [["debyeflow.coupled2d"], compiled]
     assert result["after_2d"] == [["debyeflow.coupled2d"], compiled]
+    assert result["after_mixed"] == [["debyeflow.coupled2d"], compiled]
     assert result["rows"] == 2
 
 

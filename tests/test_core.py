@@ -625,6 +625,20 @@ def test_operators_act_on_every_stacked_slice(shape):
 # banded helper
 
 
+def band_storage(n: int, diags: dict[int, np.ndarray]) -> tuple[np.ndarray, int]:
+    """LAPACK band storage ab and l of the diagonals diags, offset -> values.
+
+    Offset +k is the k-th superdiagonal, given at its length n - |k|;
+    entry (i, j) lands at ab[u + i - j, j].
+    """
+    l = max(-min(diags), 0)
+    u = max(max(diags), 0)
+    ab = np.zeros((l + u + 1, n))
+    for k, diag in diags.items():
+        ab[u - k, max(k, 0) : n + min(k, 0)] = diag
+    return ab, l
+
+
 def test_banded_matrix_roundtrip():
     n = 12
     diags = {
@@ -633,7 +647,7 @@ def test_banded_matrix_roundtrip():
         -1: RNG.standard_normal(n - 1),
         2: RNG.standard_normal(n - 2),
     }
-    B = BandedMatrix(n, diags)
+    B = BandedMatrix(*band_storage(n, diags))
     x = RNG.standard_normal(n)
     y = B.matvec(x)
     dense = banded_to_sparse(B).toarray()
@@ -648,9 +662,9 @@ def test_banded_matrix_matches_scipy_bitwise():
     # solve_banded sends it to a tridiagonal routine instead
     n = 40
     for offsets, shift in (((-3, -1, 0, 2, 5), 8.0), ((-2, 0, 1), 0.0)):
-        diags = {k: RNG.standard_normal(n) for k in offsets}
+        diags = {k: RNG.standard_normal(n)[: n - abs(k)] for k in offsets}
         diags[0] += shift  # no shift: the LU pivots
-        B = BandedMatrix(n, diags)
+        B = BandedMatrix(*band_storage(n, diags))
         ab = B.ab.copy()
         x = RNG.standard_normal(n)
         assert np.array_equal(B.matvec(x), banded_to_sparse(B) @ x)
@@ -726,7 +740,7 @@ def test_lapack_binding_is_the_wrapper_scipy_linalg_imports_later():
         ab = rng.standard_normal((6, 30))
         ab[3] += 8.0
         x = rng.standard_normal(30)
-        B = operators.BandedMatrix(30, {{k: ab[2 - k, max(k, 0):30 + min(k, 0)] for k in range(-3, 3)}})
+        B = operators.BandedMatrix(ab, 3)
         out["solve_banded"] = bool(np.array_equal(scipy.linalg.solve_banded((3, 2), B.ab, x), B.solve(x)))
     """)
     assert out["module"] == "scipy.linalg._flapack"

@@ -228,8 +228,11 @@ def test_identity_residual_needs_three_snapshots():
     p, g, bdata = setup_1d()
     s = State(t=0.0, c1=np.full(g.shape, 2.0), c2=np.full(g.shape, 2.0),
               u=VelocityField.zero(g), psi=g.zeros())
-    with pytest.raises(ValueError):
-        dissipation_identity_residual(g, snapshot_blocks(g, [s, s]), wall_fields(g, bdata), p)
+    wall = wall_fields(g, bdata)
+    for n in (1, 2):
+        E, res = dissipation_identity_residual(g, snapshot_blocks(g, [s] * n), wall, p)
+        assert E.tolist() == [free_energy(g, s, wall, p)] * n
+        assert res.shape == (n,) and np.all(np.isnan(res)), "too few snapshots for a centered residual"
 
 
 def test_identity_residual_zero_at_equilibrium():

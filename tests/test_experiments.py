@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from debyeflow import diagnostics, elliptic, experiments
-from debyeflow.config_io import preset_defaults
+from debyeflow.config_io import ExperimentConfig, preset_defaults
 from debyeflow.diagnostics import rate_fit, snapshot_blocks
 from debyeflow.experiments import (
     ExperimentError,
@@ -137,15 +137,24 @@ def test_single_eps_warns_insufficient_points(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
 
-def test_solver_abort_writes_error_payload(tmp_path):
-    # a deep negative bump drives the initial concentration below zero,
-    # which the initial-state check (npns._initial_fields) refuses
-    cfg = replace(tiny_custom(), ic_bump=-5.0)
+def test_solver_abort_writes_error_payload(tmp_path, monkeypatch):
+    # validate refuses a non-positive initial concentration, so the
+    # fixture is made negative after it; the initial-state check
+    # (npns._initial_fields) then aborts the run with a ValueError
+    build = experiments.build_fixture
+
+    def negative_bump(cfg, eps):
+        fx = build(cfg, eps)
+        return replace(fx, c1_eps0=fx.c1_eps0 - 5.0 * np.sin(np.pi * fx.run.grid.y))
+
+    monkeypatch.setattr(experiments, "build_fixture", negative_bump)
+    cfg = tiny_custom()
     with pytest.raises(ExperimentError) as err:
         run_experiment(cfg, out_dir=tmp_path, parallel=False)
     payload = json.loads((tmp_path / "error.json").read_text())
     assert payload["config_hash"] == cfg.hash()
-    assert payload["error"] == err.value.payload["error"]
+    assert payload["error"] == err.value.payload["error"] == "ValueError"
+    assert "initial concentration must be positive" in payload["message"]
     assert payload["epsilon"] is None, "an input error belongs to no eps run"
     assert not (tmp_path / "report.json").exists(), "no report after an abort"
 
@@ -166,7 +175,7 @@ def test_layer_preset_grades_ny_and_caps_dt(tmp_path):
 
 def test_refit_only_applies_to_rate_presets(tmp_path):
     with pytest.raises(ValueError, match="rate presets"):
-        refit_report("energy_identity", tmp_path / "sweep.csv", tmp_path / "r.json")
+        refit_report(ExperimentConfig(preset="energy_identity"), tmp_path / "sweep.csv", tmp_path / "r.json")
 
 
 @pytest.fixture(scope="module")

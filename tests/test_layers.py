@@ -25,7 +25,7 @@ from debyeflow.limit import initial_limit_state, run_limit
 from debyeflow.npns import NpnsConfig
 from debyeflow.operators import grad, laplacian, norm_l2
 
-from oracles import mixed_layer_direct
+from oracles import mixed_layer_direct, mixed_layer_sparse
 
 
 def make_params(z1=1.0, z2=-1.0, D1=2.0, D2=1.0, eps=0.1):
@@ -312,6 +312,28 @@ def test_mixed_layer_agrees_with_direct_discretization():
         den += float(np.dot(w, c1_ref[k] ** 2 + c2_ref[k] ** 2))
     rel = np.sqrt(num / den)
     assert rel <= 1e-3, f"shifted and direct routes disagree: rel L2 {rel:.2e}"
+
+
+def test_mixed_layer_band_solve_matches_block_sparse_reference():
+    # c09's fixture; then unequal valences and diffusivities, nonzero
+    # initial data and two step lengths, so the band is factored twice
+    taus = 5e-3 * np.arange(401)
+    a1 = 0.3 * taus * np.exp(-taus)
+    c09 = (a1, -0.5 * a1, 2.0, 2.0, make_params(D1=2.0, D2=1.0), clustered_xi_grid(40.0, 800, 4.0), taus, None)
+    taus = np.cumsum(np.r_[0.0, np.full(8, 0.0625), np.full(12, 0.125)])
+    assert len(set(np.diff(taus))) == 2
+    xi = clustered_xi_grid(30.0, 301, 3.0)
+    alpha0 = np.vstack([np.sin(np.pi * xi / 30.0) * np.exp(-xi), 0.5 * xi * np.exp(-xi)])
+    alpha0[:, -1] = 0.0
+    graded = (0.4 * np.sin(taus) + 0.1, -0.3 * taus, 1.5, 3.0, make_params(z1=2.0, z2=-1.0, D1=1.5, D2=1.0),
+              xi, taus, alpha0)
+    for *args, alpha0 in (c09, graded):
+        states = solve_mixed_layer(*args, alpha0=alpha0)
+        mine = np.array([(s.alpha1, s.alpha2) for s in states])
+        ref = np.array(mixed_layer_sparse(*args, alpha0=alpha0))
+        err = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-11, f"band and block sparse solves differ by {err:.2e} relative"
+        assert np.all(mine[:, :, [0, -1]] == 0.0), "pinned rows must be exact zeros"
 
 
 def test_mixed_layer_energy_stays_bounded_by_trace_forcing():
