@@ -102,11 +102,9 @@ def _print_verdicts(preset: str, report: dict) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    # single-run semantics: collapse a sweep to its first eps; a
-    # single-eps preset already runs at its one eps, cfg.eps
-    if cfg.preset not in SINGLE_EPS_PRESETS:
-        e0 = cfg.eps_list[0]
-        cfg = replace(cfg, eps=e0, eps_list=(e0,)).validate()
+    # single-run semantics: the first eps of the list, a single-eps preset's one eps
+    e0 = cfg.eps_list[0]
+    cfg = replace(cfg, eps=e0, eps_list=(e0,)).validate()
     report = run_experiment(cfg, parallel=False)
     print(f"{cfg.preset}: pass={report['pass']}  artifacts: {report['paths']}")
     return EXIT_OK

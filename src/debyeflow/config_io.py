@@ -64,7 +64,7 @@ LAYER_PRESETS = ("thm51_rate", "layer_profile")
 # presets that sweep eps and write sweep.csv / report.json
 RATE_PRESETS = ("thm1_rate", "thm51_rate", "custom")
 
-# presets that run at cfg.eps alone; --eps sets it
+# presets that run at one eps, cfg.eps, with eps_list = (eps,); --eps sets both
 SINGLE_EPS_PRESETS = ("energy_identity", "initial_layer_decay")
 
 
@@ -209,8 +209,11 @@ class ExperimentConfig:
             raise ConfigError(f"eps_list entries must be positive, got {self.eps_list}")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError(f"eps_list must be strictly decreasing, got {self.eps_list}")
-        if self.preset in SINGLE_EPS_PRESETS and len(self.eps_list) != 1:
-            raise ConfigError(f"preset {self.preset} runs at a single eps, got eps_list {self.eps_list}")
+        if self.preset in SINGLE_EPS_PRESETS and self.eps_list != (self.eps,):
+            raise ConfigError(f"preset {self.preset} runs at a single eps, got eps = {self.eps} "
+                              f"and eps_list = {', '.join(map(str, self.eps_list))}")
+        if self.preset == "energy_identity" and self.save_every != 1:
+            raise ConfigError(f"preset energy_identity saves every step, got save_every = {self.save_every}")
         if self.preset in LAYER_PRESETS and self.ny != 0:
             need = 8.0 / min(self.eps_list)
             if self.ny < need:
@@ -231,7 +234,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: boundary traces must be constant when d = 1")
             if key.startswith("gamma") and const - abs(amp) <= 0.0:
                 raise ConfigError(f"{key}: concentration trace must stay positive, got {text!r}")
-        for e in (self.eps,) if self.preset in SINGLE_EPS_PRESETS else self.eps_list:
+        for e in self.eps_list:
             grid = ChannelGrid(d=self.d, nx=self.nx, ny=self.graded_ny(e))
             _, c1_lim0, c1_eps0 = self.initial_data(grid, e)
             for name, c1 in (("c1_lim0", c1_lim0), ("c1_eps0", c1_eps0)):
@@ -368,6 +371,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = read(value)
         except (ValueError, ConfigError):
             raise ConfigError(f"line {n}: {key}: expected {tag}, got {value!r}") from None
+    if values.get("preset") in SINGLE_EPS_PRESETS and ("eps" in values) != ("eps_list" in values):
+        # the one eps is set by either key, and the other follows it
+        values["eps_list"] = (values["eps"],) if "eps" in values else values["eps_list"]
+        values["eps"] = values["eps_list"][0]
     cfg = replace(preset_defaults(values.get("preset", "custom")), **values)
     try:
         return cfg.validate()

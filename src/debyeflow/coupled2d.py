@@ -25,8 +25,8 @@ operators._load_compiled, so the solve loads neither scipy.sparse nor
 scipy.sparse.linalg, whose imports cost about 0.2 s per process.  npns
 imports this module when it builds a d = 2 NpnsConfig, so a d = 1 run
 never loads the kernel, and a d = 2 run loads it in its set-up.  The
-preconditioner's band LU and GMRES's Givens rotations call LAPACK
-through operators.lapack, like every other solve.
+preconditioner is one operators.BandedMatrix, factored once per step,
+and GMRES's Givens rotations call LAPACK through operators.lapack.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import ChannelGrid
 from .npns import _coupled_banded_1d
-from .operators import _load_compiled, div_a_grad_pattern, div_a_grad_values, lapack
+from .operators import BandedMatrix, _load_compiled, div_a_grad_pattern, div_a_grad_values, lapack
 from .params import Params
 
 __all__ = ["CoupledMatrix", "GMRES_RTOL", "GMRES_RESTART", "GMRES_MAXITER"]
@@ -199,17 +199,14 @@ def _mode_preconditioner(grid: ChannelGrid, p: Params, dt: float, c1n, c2n):
     coef[1, :, 2] = p.z1 * p.D1 * a1[0] * interior
     coef[2, :, 2] = p.z2 * p.D2 * a2[0] * interior
 
-    ab = np.zeros((2 * l + u + 1, nk * 3 * ny))
-    ab[l:] = np.tile(base.ab, (1, nk))
-    ab[[l + u, l + u - 2, l + u - 1]] += (lam[:, None] * coef.reshape(3, 1, 3 * ny)).reshape(3, -1)
-    lu, piv, info = lapack.dgbtrf(ab, l, u, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"mode preconditioner is singular (dgbtrf info={info})")
+    ab = np.tile(base.ab, (1, nk))
+    ab[[u, u - 2, u - 1]] += (lam[:, None] * coef.reshape(3, 1, 3 * ny)).reshape(3, -1)
+    modes = BandedMatrix(ab, l).factor()
 
     def solve(r: np.ndarray) -> np.ndarray:
         # [c1, c2, psi] fields -> per-mode node-major [c1_j, c2_j, psi_j]
         rh = np.fft.rfft(r.reshape(3, nx, ny), axis=1).transpose(1, 2, 0).ravel()
-        x, _ = lapack.dgbtrs(lu, l, u, np.stack([rh.real, rh.imag], axis=1), piv)
+        x = modes.lu_solve(np.stack([rh.real, rh.imag], axis=1))
         xh = (x[:, 0] + 1j * x[:, 1]).reshape(nk, ny, 3).transpose(2, 0, 1)
         return np.fft.irfft(xh, n=nx, axis=1).ravel()
 

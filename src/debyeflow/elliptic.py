@@ -11,16 +11,16 @@ constant-coefficient Poisson problems take an rfft in x and stack every
 mode's tridiagonal in y into one block-diagonal tridiagonal, factored
 once per (grid, shift) and cached, so a call costs one triangular solve;
 in d = 1 that solve runs on the real right side, skipping the FFTs.
-The projection is one batched pentadiagonal solve over all modes, its
-band LU cached per grid like the Poisson factors, and the divergence
+The projection is one batched pentadiagonal solve over all modes, a
+BandedMatrix factored once per grid and cached, and the divergence
 form a tridiagonal solve (d = 1) or a banded Cholesky factorization
 (d = 2): numbered x-fastest, the negated interior operator is a
 symmetric positive definite band of half-width nx.  The
 package's only iterative solve is the d = 2 coupled step in coupled2d.py.
 
-Every factorization and solve here calls LAPACK through operators.lapack,
-scipy's compiled wrapper bound without the scipy.linalg package, so this
-module loads nothing else from scipy.
+Every other factorization and solve here calls LAPACK through
+operators.lapack, scipy's compiled wrapper bound without the scipy.linalg
+package, so this module loads nothing else from scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from .grid import ChannelGrid, VelocityField
-from .operators import half_node_average_x, half_node_average_y, lapack
+from .operators import BandedMatrix, half_node_average_x, half_node_average_y, lapack
 
 __all__ = [
     "solve_shifted_poisson",
@@ -231,15 +231,14 @@ def solve_div_form(grid: ChannelGrid, a: np.ndarray, rhs: np.ndarray) -> np.ndar
 
 
 @functools.lru_cache(maxsize=8)
-def _projection_factors(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _projection_factors(grid: ChannelGrid) -> tuple[BandedMatrix, np.ndarray]:
     """Band LU of the projection's normal equations, all rfft modes stacked.
 
     Per mode the matrix is T^T T + kappa^2 I (see project_div_free),
     pentadiagonal with offsets 0 and +-2; the modes sit one after
-    another in a single block-diagonal band, which dgbtrf factors in one
-    call.  Returns the factors, the pivots and the pinned-mode mask.
-    Cached per grid; the arrays are read-only because every caller
-    shares them.
+    another in a single block-diagonal band, factored in one call.
+    Returns the factored BandedMatrix and the pinned-mode mask, cached
+    per grid and read-only because every caller shares them.
     """
     m = grid.ny - 2
     c = 1.0 / (2.0 * grid.hy)
@@ -257,17 +256,14 @@ def _projection_factors(grid: ChannelGrid) -> tuple[np.ndarray, np.ndarray, np.n
     pinned = (kx == 0.0) & (m % 2 == 1)
     diag[pinned, 0] = 1.0
     upper[pinned, 2] = 0.0
-    # (2, 2) band storage below two rows for the fill-in of partial pivoting
-    ab = np.zeros((7, nk * m))
-    ab[2] = upper.ravel()
-    ab[4] = diag.ravel()
-    ab[6] = np.tile(lower, nk)
-    lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"projection matrix is singular (dgbtrf info={info})")
-    for a in (lu, piv, pinned):
+    ab = np.zeros((5, nk * m))
+    ab[0] = upper.ravel()
+    ab[2] = diag.ravel()
+    ab[4] = np.tile(lower, nk)
+    normal = BandedMatrix(ab, 2).factor()
+    for a in (normal.ab, normal.lu, normal.piv, pinned):
         a.flags.writeable = False
-    return lu, piv, pinned
+    return normal, pinned
 
 
 def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
@@ -302,11 +298,10 @@ def project_div_free(grid: ChannelGrid, u: VelocityField) -> VelocityField:
     # comes from the first-derivative wavenumbers so G matches ddx.  The
     # normal equations (T^T T + kappa^2 I) q = g are factored once per grid
     g = -1j * kx[:, None] * uxh[:, 1:-1] - c * (uyh[:, 2:] - uyh[:, :-2])
-    lu, piv, pinned = _projection_factors(grid)
+    normal, pinned = _projection_factors(grid)
     g[pinned, 0] = 0.0
     # a non-finite velocity raises ValueError here rather than spreading
-    rhs = np.asarray_chkfinite(np.stack([g.real.ravel(), g.imag.ravel()], axis=1))
-    sol, _ = lapack.dgbtrs(lu, 2, 2, rhs, piv)
+    sol = normal.lu_solve(np.asarray_chkfinite(np.stack([g.real.ravel(), g.imag.ravel()], axis=1)))
 
     q = np.zeros_like(uyh)
     q[:, 1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(nk, m)

@@ -337,7 +337,7 @@ def _energy_worker(item: tuple[ExperimentConfig, int]) -> tuple[float, float, li
     diagnostics_record reads them.
     """
     cfg, divisor = item
-    scaled = replace(cfg, dt=cfg.dt / divisor, save_every=1)
+    scaled = replace(cfg, dt=cfg.dt / divisor)
     fx = build_fixture(scaled, cfg.eps)
     fine = divisor == ENERGY_DT_DIVISORS[-1]
     run, lrun = _run_pair(scaled, fx) if fine else (_run_eps(scaled, fx), None)
@@ -357,7 +357,7 @@ def _energy_metrics(cfg: ExperimentConfig, parallel: bool = True) -> tuple[list[
     # the constant electroneutral state with an unbiased wall is a fixed
     # point of the scheme, so its balance residual must be exactly zero
     eq = replace(cfg, gamma1_upper=cfg.gamma1_lower, w_lower="0.0", w_upper="0.0",
-                 ic_bump=0.0, ic_eps_amp=0.0, save_every=1)
+                 ic_bump=0.0, ic_eps_amp=0.0)
     divisors = ENERGY_DT_DIVISORS[::-1]
     *level_results, (_, eq_residual, _) = _pool_map(
         _energy_worker, [(cfg, d) for d in divisors] + [(eq, 1)], parallel)

@@ -89,10 +89,6 @@ class ChannelGrid:
         return np.linspace(0.0, 1.0, self.ny)
 
     @property
-    def xx(self) -> np.ndarray:
-        return np.broadcast_to(self.x[:, None], self.shape)
-
-    @property
     def yy(self) -> np.ndarray:
         return np.broadcast_to(self.y[None, :], self.shape)
 

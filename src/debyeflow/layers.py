@@ -8,7 +8,7 @@ for the excess charge coupled to its own potential.  Where wall and
 initial effects meet, a corner region obeys a half-line diffusion
 system in stretched space and fast time.  This module builds all three
 objects.  The corner system's two species, node by node, form one
-LAPACK band matrix (operators.lapack), as the d = 1 coupled step's do.
+operators.BandedMatrix, as the d = 1 coupled step's do.
 
 The composite approximation (composite) is the leading-order limit
 solution plus the closed-form wall layers at second order in eps.
@@ -28,7 +28,7 @@ import numpy as np
 from .elliptic import solve_div_form, solve_poisson
 from .grid import ChannelGrid, State
 from .npns import NpnsConfig
-from .operators import div_a_grad, lapack, laplacian
+from .operators import BandedMatrix, div_a_grad, laplacian
 from .params import Params
 
 __all__ = [
@@ -369,8 +369,8 @@ def solve_mixed_layer(
     concentrations, forced by (D_i a_i - da_i/dtau - z_i D_i gamma_i r)
     e^{-xi} with r = z1 a1 + z2 a2.  Implicit Euler in tau, the
     three-point nonuniform stencil in xi, both ends pinned to zero.  The
-    two species, node by node, make one LAPACK band matrix, factored
-    once for each distinct step length.
+    two species, node by node, make one BandedMatrix, factored once for
+    each distinct step length.
 
     Parameters
     ----------
@@ -440,26 +440,23 @@ def solve_mixed_layer(
 
     out = [MixedLayerState(wall, float(taus[0]), xi, al[:, 0].copy(), al[:, 1].copy(),
                            float(a1[0]), float(a2[0]))]
-    factors: dict[float, tuple] = {}
+    factors: dict[float, BandedMatrix] = {}
     for m in range(taus.size - 1):
         dtau = float(taus[m + 1] - taus[m])
         if dtau not in factors:
-            # node-major unknowns [alpha1_j, alpha2_j] make a (2, 2) band;
-            # below dgbtrf's two fill-in rows, entry (i, k) sits at
-            # ab[4 + i - k, k], and ab[:, 2 j + s] is band[:, j, s]
-            band = np.zeros((7, n, 2))
-            band[4, [0, -1]] = 1.0
+            # node-major unknowns [alpha1_j, alpha2_j] make a (2, 2) band:
+            # entry (i, k) sits at ab[2 + i - k, k], and ab[:, 2 j + s] is
+            # band[:, j, s]
+            band = np.zeros((5, n, 2))
+            band[2, [0, -1]] = 1.0
             for s, (z, D, gamma, _) in enumerate(species):
                 # species s's row holds k (z1 alpha1 + z2 alpha2) at its node
                 k = dtau * z * D * gamma
-                band[4, 1:-1, s] = 1.0 + dtau * D * (lo + hi) + k * z
-                band[6, :-2, s] = -(dtau * D * lo)
-                band[2, 2:, s] = -(dtau * D * hi)
-                band[3 + 2 * s, 1:-1, 1 - s] = k * (p.z1, p.z2)[1 - s]
-            lu, piv, info = lapack.dgbtrf(band.reshape(7, 2 * n), 2, 2)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"corner-layer matrix is singular (dgbtrf info={info})")
-            factors[dtau] = lu, piv
+                band[2, 1:-1, s] = 1.0 + dtau * D * (lo + hi) + k * z
+                band[4, :-2, s] = -(dtau * D * lo)
+                band[0, 2:, s] = -(dtau * D * hi)
+                band[1 + 2 * s, 1:-1, 1 - s] = k * (p.z1, p.z2)[1 - s]
+            factors[dtau] = BandedMatrix(band.reshape(5, 2 * n), 2).factor()
         r = p.z1 * float(a1[m + 1]) + p.z2 * float(a2[m + 1])
         rhs = np.empty((n, 2))
         for s, (z, D, gamma, a) in enumerate(species):
@@ -467,9 +464,7 @@ def solve_mixed_layer(
             f = D * an - (an - float(a[m])) / dtau - z * D * gamma * r
             rhs[:, s] = al[:, s] + dtau * f * decay
         rhs[[0, -1]] = 0.0
-        lu, piv = factors[dtau]
-        x, _ = lapack.dgbtrs(lu, 2, 2, rhs.ravel(), piv)
-        al = x.reshape(n, 2)
+        al = factors[dtau].lu_solve(rhs.ravel()).reshape(n, 2)
         # pivoting can leave rounding residue on the pinned rows
         al[[0, -1]] = 0.0
         out.append(MixedLayerState(wall, float(taus[m + 1]), xi, al[:, 0].copy(), al[:, 1].copy(),

@@ -13,17 +13,17 @@ result is bitwise the one an (nx, ny) call gives.
 div(a grad .) is also given as matrix entries, a cached index pattern
 (div_a_grad_pattern) and the values of one coefficient
 (div_a_grad_values), from which coupled2d assembles its CSR matrix.
-Every banded system is written straight into LAPACK's band storage,
-entry (i, j) at ab[u + i - j, j]: the d = 1 coupled step's, which
-BandedMatrix holds with its LU buffer, the d = 2 mode preconditioner's
-and the corner layer's (layers.solve_mixed_layer).
+Every banded system, the d = 1 coupled step's, the d = 2 mode
+preconditioner's, the Leray projection's and the corner layer's, is
+written straight into LAPACK's band storage and held by a BandedMatrix,
+which owns the band, its LU and the LU's reuse.
 
 This module binds scipy's compiled code without scipy's packages:
 _load_compiled loads one extension module from its file, skipping the
 package imports, whose chain (array-API shims, numpy.f2py) costs about
 0.2 s per process.  lapack is the f2py wrapper scipy.linalg._flapack,
-through which operators, elliptic, coupled2d and layers call every
-LAPACK routine; coupled2d binds scipy.sparse._sparsetools, the CSR kernels,
+through which operators, elliptic and coupled2d call every LAPACK
+routine; coupled2d binds scipy.sparse._sparsetools, the CSR kernels,
 the same way.  Each is the module its package would import, so a later
 import of scipy.linalg or scipy.sparse finds the same one, and a d = 1
 run loads nothing else from scipy.
@@ -320,15 +320,16 @@ lapack = _load_compiled("scipy.linalg._flapack", "scipy.linalg.lapack")
 
 
 class BandedMatrix:
-    """Real banded matrix in LAPACK's (l, u) band storage.
+    """Real banded matrix in LAPACK's (l, u) band storage, and its band LU.
 
     Built from its band array ab, shape (l + u + 1, n), which holds
-    entry (i, j) at ab[u + i - j, j]; the corners of ab that fall
-    outside the matrix are never read.  ab is kept, not copied, and may
-    be rewritten in place between solves.  Each solve factors the
-    current ab in a band LU buffer allocated with the matrix and reused
-    by every later solve, so a matrix refilled once per step and solved
-    once per step allocates no factor storage after construction.
+    entry (i, j) at ab[u + i - j, j]; the corners of ab outside the
+    matrix are never read.  ab is kept, not copied, and may be rewritten
+    in place between factorizations.  factor() writes the partial-pivoting
+    LU of the current ab into a buffer allocated once, lu_solve reuses
+    the last LU for a right side of shape (n,) or (n, k), and solve does
+    both, so a matrix refilled and solved every step allocates no factor
+    storage after its first.  No other code calls dgbtrf or dgbtrs.
     """
 
     def __init__(self, ab: np.ndarray, l: int):
@@ -336,9 +337,7 @@ class BandedMatrix:
         self.l = l
         self.u = ab.shape[0] - l - 1
         self.n = ab.shape[1]
-        # dgbtrf needs l extra rows above the band for the fill-in of
-        # partial pivoting, and Fortran order to factor in place
-        self._lu = np.zeros((2 * l + self.u + 1, self.n), order="F")
+        self.lu = self.piv = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         # one diagonal at a time from offset +u down to -l, the order in
@@ -353,15 +352,27 @@ class BandedMatrix:
                 y[-k:] += self.ab[u - k, : n + k] * x[: n + k]
         return y
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs by band LU with partial pivoting; ab is left intact."""
+    def factor(self) -> "BandedMatrix":
+        """Band LU of the current ab; ab is left intact.  Returns self."""
+        l, u = self.l, self.u
+        if self.lu is None:
+            # dgbtrf needs l extra rows above the band for the fill-in of
+            # partial pivoting, and Fortran order to factor in place
+            self.lu = np.empty((2 * l + u + 1, self.n), order="F")
+        self.lu[:l] = 0.0
+        self.lu[l:] = self.ab
+        self.lu, self.piv, info = lapack.dgbtrf(self.lu, l, u, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (dgbtrf info={info})")
+        return self
+
+    def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs with the LU of the last factor()."""
         if len(rhs) != self.n:
             raise ValueError(f"right side has {len(rhs)} rows, matrix has n={self.n}")
-        l, u = self.l, self.u
-        self._lu[l:] = self.ab
-        self._lu[:l] = 0.0
-        lu, piv, info = lapack.dgbtrf(self._lu, l, u, overwrite_ab=1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        x, _ = lapack.dgbtrs(lu, l, u, rhs, piv)
+        x, _ = lapack.dgbtrs(self.lu, self.l, self.u, rhs, self.piv)
         return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs by a fresh band LU of the current ab."""
+        return self.factor().lu_solve(rhs)

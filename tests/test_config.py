@@ -368,6 +368,41 @@ def test_cli_run_and_sweep_take_a_files_eps(tmp_path, monkeypatch, preset):
     assert runs[0] == runs[1], "run and sweep run the same config"
 
 
+@pytest.mark.parametrize("preset", ["energy_identity", "initial_layer_decay"])
+def test_single_eps_presets_run_at_a_files_eps_list(tmp_path, monkeypatch, capsys, preset):
+    # a file's eps_list sets the one eps; one that also sets a different
+    # eps is rejected naming both values, never run at either silently
+    cfg = parse_config_text(f"[sweep]\npreset = {preset}\neps_list = 0.0625\n")
+    assert (cfg.eps, cfg.eps_list) == (0.0625, (0.0625,))
+    runs = _capture_runs(monkeypatch)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"[sweep]\npreset = {preset}\neps_list = 0.0625\n")
+    for command in ("sweep", "run"):
+        assert run_cli(command, "--config", str(config)) == 0
+    assert [r.eps for r in runs] == [0.0625, 0.0625]
+    config.write_text(f"[sweep]\npreset = {preset}\neps_list = 0.0625\n[params]\neps = 0.125\n")
+    assert run_cli("run", "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert "runs at a single eps" in err and "0.0625" in err and "0.125" in err
+    with pytest.raises(ConfigError, match="single eps"):
+        replace(preset_defaults(preset), eps=0.0625).validate()
+    assert len(runs) == 2
+
+
+def test_energy_preset_rejects_save_every_other_than_one(tmp_path, capsys):
+    # the energy study reads every step; a file's save_every = 4 used to
+    # parse, enter the config hash and then be overridden to 1
+    with pytest.raises(ConfigError, match="save_every = 4"):
+        parse_config_text("[sweep]\npreset = energy_identity\n[time]\nsave_every = 4\n")
+    with pytest.raises(ConfigError, match="saves every step"):
+        replace(preset_defaults("energy_identity"), save_every=2).validate()
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = energy_identity\n[time]\nsave_every = 4\n")
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 2
+    assert "save_every" in capsys.readouterr().err and not out.exists()
+
+
 def test_cli_rejects_a_removed_preset(tmp_path, capsys):
     # thm2_h2_rate's claim (c04) is graded on thm51_rate's sweep: the name
     # is gone, and both routes exit 2 naming the presets there are

@@ -153,7 +153,7 @@ def test_d2dy2_exact_on_cubics():
 
 def test_spectral_x_derivatives():
     g = grid2d(nx=32, ny=17)
-    f = np.sin(2 * np.pi * 3 * g.xx) * (1.0 + g.yy)
+    f = np.sin(2 * np.pi * 3 * g.x[:, None]) * (1.0 + g.yy)
     lap = laplacian(g, f)
     # pure-x mode: spectral part exact, y part exact on linear factor
     expected = -(2 * np.pi * 3) ** 2 * f
@@ -324,7 +324,7 @@ def test_poisson_homogeneous():
 
 def test_poisson_eigenfunction_and_dense_oracle():
     g = grid2d(nx=8, ny=10)
-    rhs = np.sin(2 * np.pi * g.xx) * np.sin(np.pi * g.yy)
+    rhs = np.sin(2 * np.pi * g.x[:, None]) * np.sin(np.pi * g.yy)
     f = solve_poisson(g, rhs)
     ref = dense_dirichlet_poisson(g, rhs, np.zeros(g.nx), np.zeros(g.nx))
     err = np.max(np.abs(f - ref))
@@ -445,8 +445,8 @@ def test_div_form_constant_coeff_matches_poisson():
 
 def test_div_form_discrete_residual():
     for g in (grid1d(41), grid2d(8, 17)):
-        a = 1.5 + 0.5 * np.sin(np.pi * g.yy) + (0.2 * np.cos(2 * np.pi * g.xx) if g.d == 2 else 0.0)
-        rhs = np.cos(np.pi * g.yy) * (1.0 + (0.3 * np.sin(2 * np.pi * g.xx) if g.d == 2 else 0.0))
+        a = 1.5 + 0.5 * np.sin(np.pi * g.yy) + (0.2 * np.cos(2 * np.pi * g.x[:, None]) if g.d == 2 else 0.0)
+        rhs = np.cos(np.pi * g.yy) * (1.0 + (0.3 * np.sin(2 * np.pi * g.x[:, None]) if g.d == 2 else 0.0))
         u = solve_div_form(g, a, rhs)
         res = div_a_grad(g, a, u) - rhs
         err = np.max(np.abs(res[:, 1:-1]))
@@ -547,7 +547,7 @@ def test_projection_idempotent():
 
 def test_projection_removes_discrete_gradient():
     g = grid2d(nx=16, ny=21)
-    q = np.cos(2 * np.pi * g.xx) * np.sin(np.pi * g.yy) ** 2
+    q = np.cos(2 * np.pi * g.x[:, None]) * np.sin(np.pi * g.yy) ** 2
     # build the gradient with the projector's own interior stencils
     qh = np.fft.rfft(q, axis=0)
     ux_h = 1j * g.kx_first[:, None] * qh
@@ -587,7 +587,8 @@ def test_cached_projection_matches_a_fresh_band_solve(ny):
             assert mine.tobytes() == ref.tobytes()
     factors = elliptic._projection_factors(g)
     assert elliptic._projection_factors(g) is factors
-    assert not any(a.flags.writeable for a in factors)
+    normal, pinned = factors
+    assert not any(a.flags.writeable for a in (normal.ab, normal.lu, normal.piv, pinned))
 
 
 def test_projection_d1_is_zero():
@@ -676,6 +677,38 @@ def test_banded_matrix_matches_scipy_bitwise():
             B.solve(np.ones(n + 1))
 
 
+def test_factored_banded_matrix_reuses_its_lu_bitwise():
+    # one factorization serves a 1-d and an (n, 2) right side, each
+    # bitwise equal to solve_banded's, and a repeated solve on the same
+    # LU gives the same bytes; ab is left intact
+    n = 40
+    diags = {k: RNG.standard_normal(n)[: n - abs(k)] for k in (-2, 0, 1, 3)}
+    B = BandedMatrix(*band_storage(n, diags))
+    ab = B.ab.copy()
+    assert B.factor() is B
+    for rhs in (RNG.standard_normal(n), RNG.standard_normal((n, 2))):
+        x = B.lu_solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, scipy.linalg.solve_banded((B.l, B.u), ab, rhs))
+        assert B.lu_solve(rhs).tobytes() == x.tobytes()
+    assert np.array_equal(B.ab, ab)
+    with pytest.raises(ValueError):
+        B.lu_solve(np.ones((n - 1, 2)))
+
+
+def test_singular_band_raises_linalg_error():
+    # a zero column makes the band singular, for the factor-once path and
+    # for the refactoring solve alike
+    n = 12
+    diags = {0: np.full(n, 2.0), -1: np.ones(n - 1), 2: np.ones(n - 2)}
+    diags[0][5] = diags[-1][4] = diags[-1][5] = diags[2][3] = 0.0
+    B = BandedMatrix(*band_storage(n, diags))
+    with pytest.raises(np.linalg.LinAlgError):
+        B.factor()
+    with pytest.raises(np.linalg.LinAlgError):
+        B.solve(np.ones(n))
+
+
 # ---------------------------------------------------------------------------
 # bindings of scipy's compiled modules (LAPACK, CSR kernels); each case
 # runs in a fresh interpreter, since a binding is made when its module
@@ -708,7 +741,7 @@ gamma1 = np.vstack([2.0 + 0.2 * np.cos(2 * np.pi * g.x), np.full(g.nx, 2.0)])
 w = np.vstack([0.1 * np.sin(2 * np.pi * g.x), np.zeros(g.nx)])
 bdata = BoundaryData.electroneutral(gamma1, w=w, params=p)
 cfg = NpnsConfig(params=p, bdata=bdata, grid=g, dt=1e-3, t_end=1e-3)
-c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy + 0.1 * np.sin(np.pi * g.yy) * np.cos(2 * np.pi * g.xx)
+c1 = gamma1[0][:, None] * (1.0 - g.yy) + 2.0 * g.yy + 0.1 * np.sin(np.pi * g.yy) * np.cos(2 * np.pi * g.x[:, None])
 s = step_npns(well_prepared_init(g, c1, VelocityField.zero(g), cfg), cfg)
 fields = (s.c1, s.c2, s.psi, *s.u.components)
 out["step_2d"] = hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest()

@@ -336,6 +336,25 @@ def test_mixed_layer_band_solve_matches_block_sparse_reference():
         assert np.all(mine[:, :, [0, -1]] == 0.0), "pinned rows must be exact zeros"
 
 
+@pytest.mark.parametrize("z1, z2, g1", [(1.0, -1.0, 2.0), (2.0, -1.0, 1.5)])
+def test_mixed_layer_steady_state_decays_at_the_wall_layer_rate(z1, z2, g1):
+    # with gamma2 = -z1 gamma1 / z2 the steady corner charge obeys
+    # rho'' = z1 (z1 - z2) gamma1 rho, and z2 gamma2 c1 - z1 gamma1 c2 is
+    # linear in xi, so traces a2 = -a1 leave c2 = -c1 decaying at
+    # sqrt(z1 (z1 - z2) gamma1); long implicit steps reach the steady state
+    p = make_params(z1=z1, z2=z2)
+    taus = 10.0 * np.arange(201)
+    a1 = np.full(taus.size, 0.3)
+    xi = clustered_xi_grid(20.0, 800, 3.0)
+    last, before = solve_mixed_layer(a1, -a1, g1, -z1 * g1 / z2, p, xi, taus)[-1:-3:-1]
+    assert np.max(np.abs(last.c1() - before.c1())) <= 1e-10, "not at steady state"
+    assert np.max(np.abs(last.c1() + last.c2())) <= 1e-12
+    fit = (xi >= 0.25) & (xi <= 2.5)
+    rate = -np.polyfit(xi[fit], np.log(last.c1()[fit]), 1)[0]
+    expected = np.sqrt(z1 * (z1 - z2) * g1)
+    assert abs(rate / expected - 1.0) <= 1e-3, f"steady decay rate {rate:.6f}, wall layer {expected:.6f}"
+
+
 def test_mixed_layer_energy_stays_bounded_by_trace_forcing():
     # discrete analogue of the half-line energy inequality: the weighted
     # alpha energy never exceeds its start plus the integrated forcing
