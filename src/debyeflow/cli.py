@@ -48,7 +48,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("exactly one of --config or --preset is required")
     cfg = parse_config(args.config) if args.config is not None else preset_defaults(args.preset)
     changes: dict[str, object] = {}
-    if args.eps:
+    if args.eps is not None:
         try:
             eps_list = _float_list(args.eps)
         except ValueError:

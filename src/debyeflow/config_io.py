@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .grid import ChannelGrid
+from .params import BoundaryData, Params
 
 logger = logging.getLogger(__name__)
 
@@ -127,14 +128,15 @@ class ExperimentConfig:
 
     Everything a run needs is in here: physical parameters, wall data
     as trace expressions, grid and time discretization, the eps sweep,
-    and output plumbing.  Fixture shapes shared by all presets: the
-    limit initial concentration is the linear interpolant of the wall
-    values plus ``ic_bump * sin(pi y)``, and the finite-eps run starts
-    from that plus ``ic_eps_amp * eps * sin(pi y)`` (charge-paired, so
-    rho(0) = 0 bitwise); initial_data computes both, and validate
-    requires them positive on the grid of every eps the preset runs.
-    ``rho0_amp`` scales the seed charge of the initial-layer preset and
-    is ignored elsewhere.
+    and output plumbing.  The run at one eps, a member, gets its ny and
+    dt from resolve and its inputs from member: the limit initial
+    concentration is the linear interpolant of the wall values plus
+    ``ic_bump * sin(pi y)``, and the finite-eps run starts from that plus
+    ``ic_eps_amp * eps * sin(pi y)`` (charge-paired, so rho(0) = 0
+    bitwise).  validate builds every member, so a rule of Params,
+    ChannelGrid or BoundaryData is a ConfigError, and requires both
+    initial concentrations positive.  ``rho0_amp`` scales the seed charge
+    of the initial-layer preset and is ignored elsewhere.
     """
 
     preset: str = "custom"
@@ -177,24 +179,8 @@ class ExperimentConfig:
             numbers = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.z1 <= 0.0:
-            raise ConfigError(f"z1 must be positive, got {self.z1}")
-        if self.z2 >= 0.0:
-            raise ConfigError(f"z2 must be negative, got {self.z2}")
-        if not self.D1 >= self.D2 > 0.0:
-            raise ConfigError(f"diffusivities must satisfy D1 >= D2 > 0, got ({self.D1}, {self.D2})")
-        if self.nu <= 0.0:
-            raise ConfigError(f"nu must be positive, got {self.nu}")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.d not in (1, 2):
-            raise ConfigError(f"d must be 1 or 2, got {self.d}")
-        if self.d == 1 and self.nx != 1:
-            raise ConfigError(f"nx must be 1 when d = 1, got {self.nx}")
-        if self.d == 2 and (self.nx < 4 or self.nx & (self.nx - 1)):
-            raise ConfigError(f"nx must be a power of two >= 4 when d = 2, got {self.nx}")
-        if self.ny != 0 and self.ny < 9:
-            raise ConfigError(f"ny must be at least 9, got {self.ny}")
         if self.ny == 0 and self.preset not in LAYER_PRESETS:
             raise ConfigError(f"ny = 0 (auto grading) is only valid for presets {LAYER_PRESETS}")
         if self.dt <= 0.0:
@@ -214,16 +200,9 @@ class ExperimentConfig:
                               f"and eps_list = {', '.join(map(str, self.eps_list))}")
         if self.preset == "energy_identity" and self.save_every != 1:
             raise ConfigError(f"preset energy_identity saves every step, got save_every = {self.save_every}")
-        if self.preset in LAYER_PRESETS and self.ny != 0:
-            need = 8.0 / min(self.eps_list)
-            if self.ny < need:
-                raise ConfigError(
-                    f"layer presets require ny >= 8/eps_min = {need:.0f}, got ny={self.ny}"
-                )
-        for e in self.eps_list:
-            # ny = 0 grades a grid per eps, with the floor of an explicit ny
-            if (n := self.graded_ny(e)) < 9:
-                raise ConfigError(f"ny must be at least 9, got ny={n} graded from eps={e}")
+        need = 8.0 / min(self.eps_list)
+        if self.preset in LAYER_PRESETS and self.ny != 0 and self.ny < need:
+            raise ConfigError(f"layer presets require ny >= 8/eps_min = {need:.0f}, got ny={self.ny}")
         for key in _SECTIONS["boundary"]:
             text = getattr(self, key)
             try:
@@ -235,32 +214,45 @@ class ExperimentConfig:
             if key.startswith("gamma") and const - abs(amp) <= 0.0:
                 raise ConfigError(f"{key}: concentration trace must stay positive, got {text!r}")
         for e in self.eps_list:
-            grid = ChannelGrid(d=self.d, nx=self.nx, ny=self.graded_ny(e))
-            _, c1_lim0, c1_eps0 = self.initial_data(grid, e)
+            # ny = 0 grades a grid per eps, with the floor of an explicit ny
+            if (ny := self.resolve(e)[0]) < 9:
+                raise ConfigError(f"ny must be at least 9, got ny={ny}"
+                                  + (f" graded from eps={e}" if self.ny == 0 else ""))
+            try:
+                *_, c1_lim0, c1_eps0 = self.member(e)
+            except ValueError as exc:  # the rules of Params, ChannelGrid and BoundaryData
+                raise ConfigError(str(exc)) from None
             for name, c1 in (("c1_lim0", c1_lim0), ("c1_eps0", c1_eps0)):
                 if c1.min() <= 0.0:
-                    raise ConfigError(
-                        f"initial concentration {name} must be positive, got min {c1.min():.6g} "
-                        f"at eps={e}; see ic_bump and ic_eps_amp"
-                    )
+                    raise ConfigError(f"initial concentration {name} must be positive, got min {c1.min():.6g} "
+                                      f"at eps={e}; see ic_bump and ic_eps_amp")
         return self
 
-    def initial_data(self, grid: ChannelGrid, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first species' wall traces, shape (2, nx), and the limit
-        and finite-eps initial concentrations c1_lim0 and c1_eps0 on grid."""
+    def resolve(self, eps: float) -> tuple[int, float]:
+        """Wall-normal nodes and step of the run at eps.
+
+        ny = 0 grades ny = ceil(8/eps) + 1, eight nodes in the O(eps) wall
+        layer, and the layer presets cap dt at eps^2/8 to track the fast
+        charge relaxation; dt then snaps so t_end is a whole number of steps.
+        """
+        ny = self.ny if self.ny != 0 else int(math.ceil(8.0 / eps)) + 1
+        dt = min(self.dt, eps * eps / 8.0) if self.preset in LAYER_PRESETS else self.dt
+        return ny, self.t_end / max(1, int(math.ceil(self.t_end / dt - 1e-12)))
+
+    def member(self, eps: float) -> tuple[ChannelGrid, Params, BoundaryData, float, np.ndarray, np.ndarray]:
+        """The inputs of the run at eps: its grid, Params, wall data, step
+        (resolve), and the limit and finite-eps initial concentrations
+        c1_lim0 and c1_eps0."""
+        ny, dt = self.resolve(eps)
+        grid = ChannelGrid(d=self.d, nx=self.nx, ny=ny)
+        p = Params(z1=self.z1, z2=self.z2, D1=self.D1, D2=self.D2, nu=self.nu, eps=eps)
         x, y = grid.x, grid.y
-        g1 = np.stack([evaluate_trace(self.gamma1_lower, x, self.d), evaluate_trace(self.gamma1_upper, x, self.d)])
+        g1, w = (np.stack([evaluate_trace(lower, x, self.d), evaluate_trace(upper, x, self.d)])
+                 for lower, upper in ((self.gamma1_lower, self.gamma1_upper), (self.w_lower, self.w_upper)))
         bump = self.ic_bump * np.sin(math.pi * y)
         c1_lim0 = g1[0][:, None] * (1.0 - y)[None, :] + g1[1][:, None] * y[None, :] + bump[None, :]
         c1_eps0 = c1_lim0 + self.ic_eps_amp * eps * np.sin(math.pi * y)[None, :]
-        return g1, c1_lim0, c1_eps0
-
-    def graded_ny(self, eps: float) -> int:
-        """Wall-normal nodes of the run at eps: ny, or with ny = 0 the
-        ceil(8/eps) + 1 that puts eight nodes in the O(eps) wall layer."""
-        if self.ny > 0:
-            return self.ny
-        return int(math.ceil(8.0 / eps)) + 1
+        return grid, p, BoundaryData.electroneutral(gamma1=g1, w=w, params=p), dt, c1_lim0, c1_eps0
 
     def hash(self) -> str:
         # output_dir is plumbing, not identity: the same experiment written

@@ -60,14 +60,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config_io import ConfigError, ExperimentConfig, LAYER_PRESETS, RATE_PRESETS, evaluate_trace
+from .config_io import ConfigError, ExperimentConfig, RATE_PRESETS
 from .diagnostics import diagnostics_record, line_fit, rate_fit, snapshot_blocks
 from .grid import ChannelGrid, State, VelocityField
 from .layers import composite, solve_initial_layer, wall_layers
 from .limit import initial_limit_state, run_limit
-from .npns import MaxPrincipleViolation, NpnsConfig, StepError, run_npns, well_prepared_init
+from .npns import MaxPrincipleViolation, NpnsConfig, StepError, run_npns, saved_steps, well_prepared_init
 from .operators import laplacian, norm_h1_semi, norm_l2, norms_h1_semi_h2
-from .params import BoundaryData, Params
+from .params import Params
 
 logger = logging.getLogger(__name__)
 
@@ -159,23 +159,10 @@ class SharedLimit:
                      psi=self.psi[rows])
 
 
-def _effective_dt(cfg: ExperimentConfig, eps: float) -> float:
-    """Per-eps step size; layer presets cap dt at eps^2/8 to track the
-    fast charge relaxation, then snap so t_end is a whole number of steps."""
-    dt = cfg.dt
-    if cfg.preset in LAYER_PRESETS:
-        dt = min(dt, eps * eps / 8.0)
-    n = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
-    return cfg.t_end / n
-
-
 def build_fixture(cfg: ExperimentConfig, eps: float) -> Fixture:
-    grid = ChannelGrid(d=cfg.d, nx=cfg.nx, ny=cfg.graded_ny(eps))
-    g1, c1_lim0, c1_eps0 = cfg.initial_data(grid, eps)
-    w = np.stack([evaluate_trace(cfg.w_lower, grid.x, cfg.d), evaluate_trace(cfg.w_upper, grid.x, cfg.d)])
-    p = Params(z1=cfg.z1, z2=cfg.z2, D1=cfg.D1, D2=cfg.D2, nu=cfg.nu, eps=eps)
-    bdata = BoundaryData.electroneutral(gamma1=g1, w=w, params=p)
-    run = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=_effective_dt(cfg, eps), t_end=cfg.t_end)
+    """The member of cfg at eps (ExperimentConfig.member) with its run config."""
+    grid, p, bdata, dt, c1_lim0, c1_eps0 = cfg.member(eps)
+    run = NpnsConfig(params=p, bdata=bdata, grid=grid, dt=dt, t_end=cfg.t_end)
     return Fixture(run=run, c1_lim0=c1_lim0, c1_eps0=c1_eps0)
 
 
@@ -263,8 +250,7 @@ def _limit_worker(item: tuple[ExperimentConfig, float]) -> SharedLimit:
     cfg, eps = item
     fx = build_fixture(cfg, eps)
     g = fx.run.grid
-    # the march saves the initial state, every save_every-th one and the last
-    n = 1 + math.ceil(fx.run.n_steps / cfg.save_every)
+    n = len(saved_steps(fx.run.n_steps, cfg.save_every))
     t = np.empty(n)
     c1 = np.empty((n, *g.shape))
     psi = np.empty((n, *g.shape))
@@ -285,11 +271,11 @@ def _rate_sweep(cfg: ExperimentConfig, parallel: bool) -> list[dict[str, float]]
 
     The limit system has no eps in it: its run reads eps only to label
     an abort.  Members with the same grid and step, the key
-    (cfg.graded_ny, _effective_dt), share one limit run, marched for the
+    cfg.resolve(eps) = (ny, dt), share one limit run, marched for the
     first member of the key.  The pool runs the distinct limits first,
     then the members.
     """
-    keys = [(cfg.graded_ny(e), _effective_dt(cfg, e)) for e in cfg.eps_list]
+    keys = [cfg.resolve(e) for e in cfg.eps_list]
     firsts = {}
     for key, e in zip(keys, cfg.eps_list):
         firsts.setdefault(key, e)
@@ -429,8 +415,7 @@ def _decay_metrics(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     states = solve_initial_layer(g, p, background, rho0, tau)
     norms = np.array([norm_l2(g, s.rho) for s in states])
 
-    rows = [{"tau": float(tau[k]), "rho_l2": float(norms[k])}
-            for k in range(0, n + 1, cfg.save_every)]
+    rows = [{"tau": float(tau[k]), "rho_l2": float(norms[k])} for k in saved_steps(n, cfg.save_every)]
 
     tail = tau >= 0.5 * cfg.t_end
     fit = line_fit(tau[tail], np.log(norms[tail]))

@@ -422,11 +422,16 @@ def march(init: State, cfg: NpnsConfig, step, save_every: int, tol: float, label
     return _saved_states(init, cfg, step, save_every, n, bounds, tol, label)
 
 
+def saved_steps(n: int, save_every: int) -> list[int]:
+    """The steps a march of n steps saves: 0, every save_every-th one and n."""
+    return [*range(0, n, save_every), n]
+
+
 def _saved_states(init: State, cfg: NpnsConfig, step, save_every: int, n: int, bounds, tol: float,
                   label: str) -> Iterator[State]:
+    saved = set(saved_steps(n, save_every))
     yield init
     s = init
-    saved = 1
     for k in range(1, n + 1):
         s = step(s)
         s.t = k * cfg.dt
@@ -434,10 +439,9 @@ def _saved_states(init: State, cfg: NpnsConfig, step, save_every: int, n: int, b
         if not report.ok:
             logger.error("max principle violated at t=%.6g: %s", s.t, report)
             raise MaxPrincipleViolation(s.t, report, cfg.params.eps)
-        if k % save_every == 0 or k == n:
-            saved += 1
+        if k in saved:
             yield s
-    logger.info("%s complete: %d steps, %d snapshots, t_end=%.6g", label, n, saved, s.t)
+    logger.info("%s complete: %d steps, %d snapshots, t_end=%.6g", label, n, len(saved), s.t)
 
 
 def run_npns(init: State, cfg: NpnsConfig, save_every: int = 1) -> Iterator[State]:

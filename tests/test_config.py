@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -155,7 +156,7 @@ def test_key_before_section_is_an_error():
 
 
 def test_positive_z2_is_rejected():
-    with pytest.raises(ConfigError, match="z2 must be negative"):
+    with pytest.raises(ConfigError, match=r"z1 > 0 > z2, got z1=1.0, z2=1.0"):
         parse("""\
             [params]
             z2 = 1.0
@@ -320,6 +321,14 @@ def test_cli_rejects_bad_eps(capsys):
     assert "comma list of floats" in capsys.readouterr().err
 
 
+def test_cli_rejects_an_empty_eps(tmp_path, capsys):
+    # an empty --eps is a bad list, not an absent flag: exit 2, nothing written
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--preset", "energy_identity", "--eps", "", "--out", str(out)) == 2
+    assert "--eps: expected a comma list of floats, got ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _capture_runs(monkeypatch) -> list:
     runs = []
 
@@ -473,6 +482,33 @@ def test_cli_rejects_eps_graded_below_the_ny_floor(tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert run_cli("sweep", "--preset", "thm51_rate", "--eps", "2.0,1.0,0.5", "--out", str(out)) == 2
     assert "ny must be at least 9, got ny=5 graded from eps=2.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key, value",
+    [
+        ("[params]\nz1 = -0.75\n", "z1", "-0.75"),
+        ("[params]\nz2 = 0.5\n", "z2", "0.5"),
+        ("[params]\nD1 = 0.75\n", "D1", "0.75"),
+        ("[params]\nnu = -0.25\n", "nu", "-0.25"),
+        ("[grid]\nd = 3\n", "d", "3"),
+        ("[grid]\nnx = 2\n", "nx", "2"),
+        ("[grid]\nd = 2\nnx = 6\n", "nx", "6"),
+        ("[grid]\nny = 5\n", "ny", "5"),
+    ],
+    ids=["z1", "z2", "D1_below_D2", "nu", "d", "nx_d1", "nx_d2", "ny"],
+)
+def test_cli_rejects_a_bad_params_or_grid_value(tmp_path, capsys, text, key, value):
+    # the rules of Params and ChannelGrid, met in a config: exit 2, nothing
+    # written, and the message after the file name names the key and value
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = custom\n" + text)
+    out = tmp_path / "artifacts"
+    assert run_cli("sweep", "--config", str(config), "--out", str(out), "--serial") == 2
+    message = capsys.readouterr().err.partition("invalid config:")[2]
+    assert re.search(rf"\b{key}\b", message), message
+    assert re.search(rf"(?<![\d.-]){re.escape(value)}(?![\d.])", message), message
     assert not out.exists()
 
 

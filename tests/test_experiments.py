@@ -127,6 +127,17 @@ def test_decay_study_marches_the_snapped_dt(tmp_path):
     assert report["per_epsilon"][0]["tail_from"] == 0.1525
 
 
+def test_decay_profile_keeps_the_last_saved_tau(tmp_path):
+    # 20 steps of 0.0025 saved every third: the rows are the states the
+    # march saves, the initial one, every third and the last, at t_end
+    cfg = replace(preset_defaults("initial_layer_decay"), ny=33, t_end=0.05, save_every=3)
+    report = run_experiment(cfg, out_dir=tmp_path)
+    rows = [row.split(",") for row in (tmp_path / "profile.csv").read_text().splitlines()[1:]]
+    taus = [float(tau) for tau, _, _ in rows]
+    assert len(taus) == 8 and abs(taus[-1] - 0.05) <= 1e-12, taus
+    assert float(rows[-1][1]) == report["per_epsilon"][0]["rho_l2_final"]
+
+
 def test_single_eps_warns_insufficient_points(tmp_path):
     cfg = replace(tiny_custom(), eps_list=(0.125,))
     with pytest.warns(UserWarning, match="insufficient points for fit"):
