@@ -37,7 +37,7 @@ CASES["custom_2d"] = ExperimentConfig(
     preset="custom", d=2, nx=8, ny=17, dt=1e-3, t_end=4e-3, save_every=2,
     eps_list=(0.25, 0.125, 0.0625),
     gamma1_lower="2.0 + 0.5*cos(2*pi*x)", w_upper="0.5 + 0.25*sin(2*pi*x)",
-).validate()
+)
 
 
 def _blank_column(text: str, column: str) -> str:

@@ -1,12 +1,13 @@
-"""Experiment configuration: file format, presets, validation, hashing.
+"""Experiment configuration: file format, presets, checks, hashing.
 
-The on-disk format is plain ``key = value`` lines under ``[section]``
-headers.  Every key is the ``ExperimentConfig`` field of that name, and
-the type of the field's default fixes how its value is read.  Parsing
-is strict: unknown sections or keys are errors, and a malformed value
-reports the key, the line number, and the expected type.  Serialization
-emits every field in a fixed order so that the canonical text (and
-hence the config hash) is reproducible.
+An ``ExperimentConfig`` checks itself when it is built, so an invalid
+one never exists.  The on-disk format is plain ``key = value`` lines
+under ``[section]`` headers.  Every key is the ``ExperimentConfig`` field
+of that name, and the type of the field's default fixes how its value
+is read and written.  Parsing is strict: unknown sections or keys are
+errors, and a malformed value reports the key, the line number, and the
+expected type.  Serialization emits every field in a fixed order so
+that the canonical text (and hence the config hash) is reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import hashlib
 import logging
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,7 +67,7 @@ LAYER_PRESETS = ("thm51_rate", "layer_profile")
 # presets that sweep eps and write sweep.csv / report.json
 RATE_PRESETS = ("thm1_rate", "thm51_rate", "custom")
 
-# presets that run at one eps, cfg.eps, with eps_list = (eps,); --eps sets both
+# presets a config holds to one eps, cfg.eps, with eps_list = (eps,); --eps sets both
 SINGLE_EPS_PRESETS = ("energy_identity", "initial_layer_decay")
 
 
@@ -111,13 +113,11 @@ def format_trace(spec: tuple[float, float, str, int]) -> str:
     return f"{float(const)!r} + {float(amp)!r}*{kind}({int(mode)}*pi*x)"
 
 
-def evaluate_trace(text: str, x: np.ndarray, d: int) -> np.ndarray:
+def evaluate_trace(text: str, x: np.ndarray) -> np.ndarray:
     """Evaluate a trace expression on the periodic x nodes."""
     const, amp, kind, mode = parse_trace(text)
     if kind == "" or amp == 0.0:
         return np.full_like(np.asarray(x, dtype=float), const)
-    if d == 1:
-        raise ConfigError("boundary traces must be constant when d = 1")
     fn = np.cos if kind == "cos" else np.sin
     return const + amp * fn(mode * math.pi * np.asarray(x, dtype=float))
 
@@ -133,8 +133,9 @@ class ExperimentConfig:
     concentration is the linear interpolant of the wall values plus
     ``ic_bump * sin(pi y)``, and the finite-eps run starts from that plus
     ``ic_eps_amp * eps * sin(pi y)`` (charge-paired, so rho(0) = 0
-    bitwise).  validate builds every member, so a rule of Params,
-    ChannelGrid or BoundaryData is a ConfigError, and requires both
+    bitwise).  A config checks itself when it is built, ``replace``
+    included: it builds every member, so a rule of Params, ChannelGrid or
+    BoundaryData is a ConfigError naming the eps, and requires both
     initial concentrations positive.  ``rho0_amp`` scales the seed charge
     of the initial-layer preset and is ignored elsewhere.
     """
@@ -169,7 +170,7 @@ class ExperimentConfig:
     output_dir: str = "out"
     strict: bool = False
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; valid presets: {', '.join(PRESET_NAMES)}"
@@ -214,19 +215,14 @@ class ExperimentConfig:
             if key.startswith("gamma") and const - abs(amp) <= 0.0:
                 raise ConfigError(f"{key}: concentration trace must stay positive, got {text!r}")
         for e in self.eps_list:
-            # ny = 0 grades a grid per eps, with the floor of an explicit ny
-            if (ny := self.resolve(e)[0]) < 9:
-                raise ConfigError(f"ny must be at least 9, got ny={ny}"
-                                  + (f" graded from eps={e}" if self.ny == 0 else ""))
             try:
                 *_, c1_lim0, c1_eps0 = self.member(e)
-            except ValueError as exc:  # the rules of Params, ChannelGrid and BoundaryData
-                raise ConfigError(str(exc)) from None
+            except ValueError as exc:  # the rules of Params, ChannelGrid (the ny floor) and BoundaryData
+                raise ConfigError(f"at eps={e}: {exc}") from None
             for name, c1 in (("c1_lim0", c1_lim0), ("c1_eps0", c1_eps0)):
                 if c1.min() <= 0.0:
                     raise ConfigError(f"initial concentration {name} must be positive, got min {c1.min():.6g} "
                                       f"at eps={e}; see ic_bump and ic_eps_amp")
-        return self
 
     def resolve(self, eps: float) -> tuple[int, float]:
         """Wall-normal nodes and step of the run at eps.
@@ -247,7 +243,7 @@ class ExperimentConfig:
         grid = ChannelGrid(d=self.d, nx=self.nx, ny=ny)
         p = Params(z1=self.z1, z2=self.z2, D1=self.D1, D2=self.D2, nu=self.nu, eps=eps)
         x, y = grid.x, grid.y
-        g1, w = (np.stack([evaluate_trace(lower, x, self.d), evaluate_trace(upper, x, self.d)])
+        g1, w = (np.stack([evaluate_trace(lower, x), evaluate_trace(upper, x)])
                  for lower, upper in ((self.gamma1_lower, self.gamma1_upper), (self.w_lower, self.w_upper)))
         bump = self.ic_bump * np.sin(math.pi * y)
         c1_lim0 = g1[0][:, None] * (1.0 - y)[None, :] + g1[1][:, None] * y[None, :] + bump[None, :]
@@ -256,8 +252,9 @@ class ExperimentConfig:
 
     def hash(self) -> str:
         # output_dir is plumbing, not identity: the same experiment written
-        # to two directories must carry the same hash
-        fixed = replace(self, output_dir="out")
+        # to two directories must carry the same hash; the fields are read
+        # as they are, without building (and checking) a second config
+        fixed = SimpleNamespace(**{**vars(self), "output_dir": "out"})
         return hashlib.sha256(serialize_config(fixed).encode()).hexdigest()[:12]
 
 
@@ -301,27 +298,29 @@ def _preset(v: str) -> str:
     return v
 
 
-# type of a field's default -> (expected text, converter)
-_READERS = {
-    float: ("float", float),
-    int: ("int", _int),
-    bool: ("bool (true|false)", _bool),
-    tuple: ("comma-separated floats", _float_list),
-    str: ("string", str),
+# type of a field's default -> (expected text, reader, writer)
+_TYPES = {
+    float: ("float", float, lambda v: repr(float(v))),
+    int: ("int", _int, str),
+    bool: ("bool (true|false)", _bool, lambda v: "true" if v else "false"),
+    tuple: ("comma-separated floats", _float_list, lambda v: ", ".join(repr(float(e)) for e in v)),
+    str: ("string", str, str),
 }
 
 
-def _reader(key: str):
+def _kind(key: str):
+    """(expected text, reader, writer) of a key; traces and preset read strictly."""
+    tag, read, write = _TYPES[type(getattr(ExperimentConfig, key))]
     if key in _SECTIONS["boundary"]:
-        return "trace expression", _trace
+        return "trace expression", _trace, write
     if key == "preset":
-        return f"one of {PRESET_NAMES}", _preset
-    return _READERS[type(getattr(ExperimentConfig, key))]
+        return f"one of {PRESET_NAMES}", _preset, write
+    return tag, read, write
 
 
 def preset_defaults(preset: str) -> ExperimentConfig:
     """The full fixture each preset runs when the file sets nothing else."""
-    return ExperimentConfig(preset=preset, **_PRESETS.get(preset, {})).validate()
+    return ExperimentConfig(preset=preset, **_PRESETS.get(preset, {}))
 
 
 def _scan_lines(text: str):
@@ -358,7 +357,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {n}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = n
-        tag, read = _reader(key)
+        tag, read, _ = _kind(key)
         try:
             values[key] = read(value)
         except (ValueError, ConfigError):
@@ -367,15 +366,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         # the one eps is set by either key, and the other follows it
         values["eps_list"] = (values["eps"],) if "eps" in values else values["eps_list"]
         values["eps"] = values["eps_list"][0]
-    cfg = replace(preset_defaults(values.get("preset", "custom")), **values)
     try:
-        return cfg.validate()
+        return ExperimentConfig(**{**_PRESETS[values.get("preset", "custom")], **values})
     except ConfigError as exc:
         raise ConfigError(f"invalid config: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse an experiment config file; the config checks itself."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -386,17 +384,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit the full config in section order; parses back to an equal config."""
-    fmt: dict[type, object] = {float: lambda v: repr(float(v)), int: str, str: str}
     out = []
     for section, keys in _SECTIONS.items():
-        out.append(f"[{section}]")
-        for key in keys:
-            v = getattr(cfg, key)
-            if isinstance(v, bool):
-                out.append(f"{key} = {'true' if v else 'false'}")
-            elif isinstance(v, tuple):
-                out.append(f"{key} = {', '.join(repr(float(e)) for e in v)}")
-            else:
-                out.append(f"{key} = {fmt[type(v)](v)}")
-        out.append("")
+        out += [f"[{section}]", *(f"{key} = {_kind(key)[2](getattr(cfg, key))}" for key in keys), ""]
     return "\n".join(out)

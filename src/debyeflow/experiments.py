@@ -543,7 +543,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     propagates, so a crashed sweep still leaves a machine-readable trace
     behind.
     """
-    cfg = cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.hash()
@@ -560,7 +559,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             rows, report = _layer_profile_metrics(cfg, parallel=parallel)
         elif cfg.preset == "initial_layer_decay":
             rows, report = _decay_metrics(cfg)
-        else:  # pragma: no cover - validate() rejects unknown presets
+        else:  # pragma: no cover - a config with an unknown preset cannot be built
             raise RuntimeError(f"unhandled preset {cfg.preset}")
     except solver_errors as exc:
         payload = _error_payload(cfg, "solver", exc)

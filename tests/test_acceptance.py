@@ -35,7 +35,7 @@ RNG = np.random.default_rng(20250812)
 def run_preset(tmp_path_factory, name, **overrides):
     cfg = preset_defaults(name)
     if overrides:
-        cfg = replace(cfg, **overrides).validate()
+        cfg = replace(cfg, **overrides)
     out = tmp_path_factory.mktemp(name)
     return run_experiment(cfg, out_dir=out), out, cfg
 

@@ -64,11 +64,9 @@ def test_trace_format_round_trip():
 
 def test_trace_evaluation():
     x = np.linspace(0.0, 1.0, 9, endpoint=False)
-    assert np.array_equal(evaluate_trace("2.0", x, d=2), np.full(9, 2.0))
-    got = evaluate_trace("1.0 + 0.5*cos(2*pi*x)", x, d=2)
+    assert np.array_equal(evaluate_trace("2.0", x), np.full(9, 2.0))
+    got = evaluate_trace("1.0 + 0.5*cos(2*pi*x)", x)
     assert np.allclose(got, 1.0 + 0.5 * np.cos(2 * np.pi * x), rtol=1e-15)
-    with pytest.raises(ConfigError, match="constant when d = 1"):
-        evaluate_trace("1.0 + 0.5*cos(2*pi*x)", np.zeros(1), d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +201,8 @@ def test_nonconstant_trace_needs_d2():
             [boundary]
             w_upper = 0.1 + 0.05*sin(2*pi*x)
         """)
+    with pytest.raises(ConfigError, match="w_upper: boundary traces must be constant when d = 1"):
+        ExperimentConfig(w_upper="0.1 + 0.05*sin(2*pi*x)")
     cfg = parse("""\
         [boundary]
         w_upper = 0.1 + 0.05*sin(2*pi*x)
@@ -247,7 +247,7 @@ def test_round_trip_property(eps, ny, dt, t_end, ic_bump, n_eps, strict):
     cfg = ExperimentConfig(
         eps=eps, ny=ny, dt=dt, t_end=t_end, ic_bump=ic_bump,
         eps_list=eps_list, strict=strict,
-    ).validate()
+    )
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg, f"round-trip drift: {again} != {cfg}"
     assert again.hash() == cfg.hash()
@@ -289,11 +289,18 @@ def test_preset_hashes_are_pinned():
 # presets
 
 
+def test_an_invalid_config_cannot_be_built():
+    # the checks run when a config is built, directly or by replace
+    with pytest.raises(ConfigError, match="dt must be positive, got -1.0"):
+        replace(preset_defaults("thm1_rate"), dt=-1.0)
+    with pytest.raises(ConfigError, match="preset energy_identity runs at a single eps"):
+        ExperimentConfig(preset="energy_identity")
+
+
 def test_preset_table_is_complete_and_valid():
     for preset in PRESET_NAMES:
         cfg = preset_defaults(preset)
         assert cfg.preset == preset
-        cfg.validate()
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_defaults("thm3_rate")
 
@@ -394,7 +401,7 @@ def test_single_eps_presets_run_at_a_files_eps_list(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "runs at a single eps" in err and "0.0625" in err and "0.125" in err
     with pytest.raises(ConfigError, match="single eps"):
-        replace(preset_defaults(preset), eps=0.0625).validate()
+        replace(preset_defaults(preset), eps=0.0625)
     assert len(runs) == 2
 
 
@@ -404,7 +411,7 @@ def test_energy_preset_rejects_save_every_other_than_one(tmp_path, capsys):
     with pytest.raises(ConfigError, match="save_every = 4"):
         parse_config_text("[sweep]\npreset = energy_identity\n[time]\nsave_every = 4\n")
     with pytest.raises(ConfigError, match="saves every step"):
-        replace(preset_defaults("energy_identity"), save_every=2).validate()
+        replace(preset_defaults("energy_identity"), save_every=2)
     config = tmp_path / "exp.cfg"
     config.write_text("[sweep]\npreset = energy_identity\n[time]\nsave_every = 4\n")
     out = tmp_path / "artifacts"
@@ -462,7 +469,42 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, text, eps):
 
 def test_cli_reports_missing_sweep(tmp_path, capsys):
     assert run_cli("report", "--preset", "thm1_rate", "--out", str(tmp_path)) == 2
-    assert "no sweep.csv" in capsys.readouterr().err
+    assert f"{tmp_path / 'sweep.csv'}: no sweep.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["energy_identity", "initial_layer_decay"])
+def test_cli_report_of_a_non_rate_preset_names_the_rule(tmp_path, capsys, preset):
+    # sweep writes no sweep.csv for these presets, so "run `sweep` first"
+    # would be wrong advice: the error says refit is for rate presets
+    assert run_cli("report", "--preset", preset, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "refit only applies to rate presets" in err and "sweep.csv" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [(("sweep", "--config", "F"), 1), (("sweep", "--preset", "thm1_rate"), 1), (("run", "--config", "F"), 2)],
+    ids=["sweep_config", "sweep_preset", "run_config"],
+)
+def test_cli_checks_each_config_once(tmp_path, monkeypatch, argv, checks):
+    # a config is checked when it is built: the file's (or preset's)
+    # config, then run's copy at its first eps; nothing checks it again
+    config = tmp_path / "exp.cfg"
+    config.write_text("[sweep]\npreset = thm1_rate\n[grid]\nny = 129\n")
+    runs = _capture_runs(monkeypatch)
+    calls = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    assert run_cli(*(str(config) if a == "F" else a for a in argv)) == 0
+    assert len(calls) == checks and runs[-1] is calls[-1]
+    runs[-1].hash()
+    assert len(calls) == checks, "hash() builds no second config"
 
 
 def test_cli_rejects_config_with_preset(tmp_path, capsys):
@@ -481,7 +523,7 @@ def test_cli_rejects_eps_graded_below_the_ny_floor(tmp_path, capsys):
     # config error that names the eps, not a solver abort with error.json
     out = tmp_path / "artifacts"
     assert run_cli("sweep", "--preset", "thm51_rate", "--eps", "2.0,1.0,0.5", "--out", str(out)) == 2
-    assert "ny must be at least 9, got ny=5 graded from eps=2.0" in capsys.readouterr().err
+    assert "at eps=2.0: need at least 8 wall-normal nodes, got ny=5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -688,7 +730,7 @@ def test_serial_runs_load_only_scipys_compiled_lapack_and_csr_modules(tmp_path):
                    "--out", {str(tmp_path / "d1")!r}])
         after_1d = loaded()
         cfg = replace(preset_defaults("custom"), d=2, nx=4, ny=9, dt=1e-3, t_end=2e-3,
-                      eps_list=(0.25, 0.125)).validate()
+                      eps_list=(0.25, 0.125))
         fx = build_fixture(cfg, cfg.eps_list[0])
         after_config = loaded()
         report = run_experiment(cfg, out_dir={str(tmp_path / "d2")!r}, parallel=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from debyeflow import diagnostics, elliptic, experiments
-from debyeflow.config_io import ExperimentConfig, preset_defaults
+from debyeflow.config_io import preset_defaults
 from debyeflow.diagnostics import rate_fit, snapshot_blocks
 from debyeflow.experiments import (
     ExperimentError,
@@ -186,7 +186,7 @@ def test_layer_preset_grades_ny_and_caps_dt(tmp_path):
 
 def test_refit_only_applies_to_rate_presets(tmp_path):
     with pytest.raises(ValueError, match="rate presets"):
-        refit_report(ExperimentConfig(preset="energy_identity"), tmp_path / "sweep.csv", tmp_path / "r.json")
+        refit_report(preset_defaults("energy_identity"), tmp_path / "sweep.csv", tmp_path / "r.json")
 
 
 @pytest.fixture(scope="module")
@@ -321,9 +321,9 @@ def rate_oracle_cfg(d):
     base = replace(preset_defaults("custom"), dt=1e-3, t_end=1e-2, save_every=1,
                    gamma1_upper="2.5", w_upper="0.5", eps_list=(0.3, 0.15))
     if d == 1:
-        return replace(base, ny=257).validate()
+        return replace(base, ny=257)
     return replace(base, d=2, nx=8, ny=17, gamma1_lower="2.0 + 0.2*cos(2*pi*x)",
-                   w_lower="0.0 + 0.1*sin(2*pi*x)").validate()
+                   w_lower="0.0 + 0.1*sin(2*pi*x)")
 
 
 def test_members_with_one_grid_and_step_get_bitwise_equal_limits():
